@@ -9,17 +9,17 @@ import sys
 
 from .harness import (
     Config,
-    TableBundle,
+    attach_trees,
+    load_model,
+    load_side_inputs,
+    load_table_bundles,
     load_wikisql,
     prepare_examples,
     repl_translate,
     run_eval,
     run_train,
     translate_question,
-    _load_model,
-    _load_side_inputs,
 )
-from .meta import build_value_stats, load_tables
 from .sqlgen import serialize_sketch, sketch_tokens
 
 
@@ -50,11 +50,8 @@ def _emit(obj, out_path):
 def cmd_annotate(args):
     config = _config_from(args)
     examples, tables = load_wikisql(args.infile, config.tables_path)
-    if args.trees:
-        from .harness import attach_trees
-
-        attach_trees(examples, args.trees)
-    lexicon, emb = _load_side_inputs(config)
+    attach_trees(examples, args.trees)
+    lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     if args.out:
         open(args.out, "w").close()  # fresh file, _emit appends
@@ -88,11 +85,9 @@ def cmd_eval(args):
 
 def cmd_translate(args):
     config = Config.from_file(args.config)
-    tables = {}
-    for schema, table in load_tables(config.tables_path):
-        tables[schema.table_id] = TableBundle(schema, table, build_value_stats(table))
-    lexicon, emb = _load_side_inputs(config)
-    params, vocab = _load_model(config, args.checkpoint)
+    tables = load_table_bundles(config.tables_path)
+    lexicon, emb = load_side_inputs(config)
+    params, vocab = load_model(config, args.checkpoint)
     out = translate_question(
         args.question, args.table, tables, params, vocab, config, lexicon, emb
     )

@@ -12,8 +12,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 SUBSTITUTE, STACK = "substitute", "stack"
 WORD, COL_SYM, VAL_SYM, HDR_SYM, SEPARATOR = "word", "col", "val", "hdr", "sep"
 
@@ -157,34 +155,3 @@ def build_vocab(sources, targets, min_count=1, max_index=25):
         if n >= min_count and tok not in Vocabulary.SPECIALS and not _SYMBOL_TOKEN_RE.match(tok)
     ]
     return Vocabulary(words, max_index=max_index)
-
-
-def symbol_embedding(type_emb, index_emb):
-    """Symbol vector: concatenation of its annotation-type and index parts."""
-    type_emb = np.asarray(type_emb)
-    index_emb = np.asarray(index_emb)
-    if type_emb.ndim != 1 or index_emb.ndim != 1:
-        raise ValueError("symbol embedding parts must be vectors")
-    return np.concatenate([type_emb, index_emb])
-
-
-def save_encoded_corpus(path, pairs):
-    """Persist (source ids, target ids) pairs as JSON lines."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for src, tgt in pairs:
-            fh.write(json.dumps({"src": list(src), "tgt": list(tgt)}) + "\n")
-
-
-def load_encoded_corpus(path):
-    import json
-
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                pairs.append((list(obj["src"]), list(obj["tgt"])))
-    return pairs

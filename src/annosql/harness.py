@@ -17,6 +17,7 @@ from .meta import (
     EMPTY_EMBEDDINGS,
     EMPTY_LEXICON,
     build_value_stats,
+    cell_str,
     load_embeddings,
     load_phrase_lexicon,
     load_tables,
@@ -145,14 +146,6 @@ class Example:
     alignment_error: str | None = None
 
 
-def _cell_str(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return str(value)
-
-
 def gold_from_wikisql(sql_obj, schema, table_id):
     """Convert a WikiSQL `sql` record ({sel, agg, conds}) to ConcreteSql."""
     agg = WIKISQL_AGG[int(sql_obj["agg"])]
@@ -164,8 +157,16 @@ def gold_from_wikisql(sql_obj, schema, table_id):
         op = WIKISQL_OPS[int(op_idx)]
         if op not in OPS:
             raise ValueError(f"unsupported operator code {op_idx}")
-        conds.append((schema.columns[int(col_idx)].name, op, _cell_str(value)))
+        conds.append((schema.columns[int(col_idx)].name, op, cell_str(value)))
     return ConcreteSql(agg, sel, tuple(conds), table_id)
+
+
+def load_table_bundles(tables_path):
+    """Read a tables file into a dict of table id -> TableBundle."""
+    return {
+        schema.table_id: TableBundle(schema, table, build_value_stats(table))
+        for schema, table in load_tables(tables_path)
+    }
 
 
 def load_wikisql(split_path, tables_path):
@@ -173,9 +174,7 @@ def load_wikisql(split_path, tables_path):
 
     Returns (examples, tables) where tables maps id -> TableBundle.
     """
-    tables = {}
-    for schema, table in load_tables(tables_path):
-        tables[schema.table_id] = TableBundle(schema, table, build_value_stats(table))
+    tables = load_table_bundles(tables_path)
     examples = []
     missing = set()
     with open(split_path, encoding="utf-8") as fh:
@@ -200,6 +199,8 @@ def attach_trees(examples, trees_path):
     if trees_path is None:
         return
     trees = load_trees(trees_path)
+    if len(trees) != len(examples):
+        raise ValueError(f"{trees_path}: {len(trees)} tree lines for {len(examples)} questions")
     for example, tree in zip(examples, trees):
         example.tree = tree
 
@@ -435,7 +436,8 @@ def evaluate(examples, tables, params, vocab, config):
     )
 
 
-def _load_side_inputs(config):
+def load_side_inputs(config):
+    """The configured phrase lexicon and embeddings, or empty stand-ins."""
     lexicon = EMPTY_LEXICON
     if config.lexicon_path:
         lexicon = load_phrase_lexicon(config.lexicon_path)
@@ -456,7 +458,7 @@ def run_train(config):
         raise ValueError("config needs tables_path and train_path")
     examples, tables = load_wikisql(config.train_path, config.tables_path)
     attach_trees(examples, config.train_trees_path)
-    lexicon, emb = _load_side_inputs(config)
+    lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     pairs, vocab, coverage = build_training_pairs(examples, config)
     log.info("training pairs: %s", coverage)
@@ -514,7 +516,8 @@ def run_train(config):
     return params, vocab, history, coverage
 
 
-def _load_model(config, checkpoint_path=None):
+def load_model(config, checkpoint_path=None):
+    """The configured vocabulary and a checkpoint trained with it."""
     from .encoding import Vocabulary
 
     vocab = Vocabulary.load(config.vocab_path)
@@ -526,23 +529,18 @@ def _load_model(config, checkpoint_path=None):
 
 def run_eval(config, checkpoint_path=None, split="test"):
     """Evaluate a checkpoint on one configured split; returns an EvalReport."""
-    split_path = {
-        "train": config.train_path,
-        "dev": config.dev_path,
-        "test": config.test_path,
-    }[split]
-    trees_path = {
-        "train": config.train_trees_path,
-        "dev": config.dev_trees_path,
-        "test": config.test_trees_path,
+    split_path, trees_path = {
+        "train": (config.train_path, config.train_trees_path),
+        "dev": (config.dev_path, config.dev_trees_path),
+        "test": (config.test_path, config.test_trees_path),
     }[split]
     if not (config.tables_path and split_path):
         raise ValueError(f"config needs tables_path and a path for split {split!r}")
     examples, tables = load_wikisql(split_path, config.tables_path)
     attach_trees(examples, trees_path)
-    lexicon, emb = _load_side_inputs(config)
+    lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
-    params, vocab = _load_model(config, checkpoint_path)
+    params, vocab = load_model(config, checkpoint_path)
     return evaluate(examples, tables, params, vocab, config)
 
 
@@ -581,11 +579,9 @@ def repl_translate(config, checkpoint_path=None, stdin=None, stdout=None):
     stdout = stdout or sys.stdout
     if not config.tables_path:
         raise ValueError("config needs tables_path")
-    tables = {}
-    for schema, table in load_tables(config.tables_path):
-        tables[schema.table_id] = TableBundle(schema, table, build_value_stats(table))
-    lexicon, emb = _load_side_inputs(config)
-    params, vocab = _load_model(config, checkpoint_path)
+    tables = load_table_bundles(config.tables_path)
+    lexicon, emb = load_side_inputs(config)
+    params, vocab = load_model(config, checkpoint_path)
     for line in stdin:
         line = line.strip()
         if not line:
@@ -598,6 +594,6 @@ def repl_translate(config, checkpoint_path=None, stdin=None, stdout=None):
             out = translate_question(
                 question, table_id.strip(), tables, params, vocab, config, lexicon, emb
             )
-        except KeyError as exc:
+        except (KeyError, nn.ModelError) as exc:
             out = {"error": str(exc)}
         print(json.dumps(out), file=stdout)

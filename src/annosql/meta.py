@@ -177,12 +177,13 @@ def load_tables(path):
                 schema = TableSchema(str(table_id), columns)
             except MetaError as exc:
                 raise MetaError(f"{path}: line {lineno} ({table_id}): {exc}") from exc
-            cells = tuple(tuple(_cell_str(v) for v in row) for row in rows)
+            cells = tuple(tuple(cell_str(v) for v in row) for row in rows)
             out.append((schema, Table(schema, cells)))
     return out
 
 
-def _cell_str(value):
+def cell_str(value):
+    """A cell or condition value as text; integral floats lose their ".0"."""
     if isinstance(value, str):
         return value
     if isinstance(value, float) and value.is_integer():

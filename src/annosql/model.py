@@ -40,12 +40,7 @@ class ModelConfig:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 class ModelParams:
@@ -63,11 +58,6 @@ class ModelParams:
 
     def clone(self):
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
-    def check_finite(self):
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise ModelError(f"non-finite values in parameter {name}")
 
 
 def init_params(config, seed=0, pretrained=None, vocab=None, weight_scale=0.08, emb_scale=0.1):
@@ -151,6 +141,35 @@ def _embed_backward(params, cache, d_out, grads):
         np.add.at(grads["index_emb"], idx, d_sym[:, cfg.type_dim :])
 
 
+def _gru_cell(x3, h, U):
+    """One GRU step of the encoder or the decoder.
+
+    x3 = x @ W + b is the input projection, computed outside the recurrence;
+    returns the new state and the cache _gru_cell_backward needs.
+    """
+    H = h.shape[1]
+    zr = h @ U[:, : 2 * H]
+    z = _sigmoid(x3[:, :H] + zr[:, :H])
+    r = _sigmoid(x3[:, H : 2 * H] + zr[:, H:])
+    n = np.tanh(x3[:, 2 * H :] + (r * h) @ U[:, 2 * H :])
+    return (1.0 - z) * h + z * n, (h, z, r, n)
+
+
+def _gru_cell_backward(d_new, cache, U, dU):
+    """Backward of _gru_cell: adds into dU and returns (d_x3, d_h)."""
+    h, z, r, n = cache
+    H = h.shape[1]
+    dn_pre = d_new * z * (1.0 - n * n)
+    dU[:, 2 * H :] += (r * h).T @ dn_pre
+    d_rh = dn_pre @ U[:, 2 * H :].T
+    dz_pre = d_new * (n - h) * z * (1.0 - z)
+    dr_pre = d_rh * h * r * (1.0 - r)
+    dzr = np.concatenate([dz_pre, dr_pre], axis=1)
+    dU[:, : 2 * H] += h.T @ dzr
+    d_h = d_new * (1.0 - z) + d_rh * r + dzr @ U[:, : 2 * H].T
+    return np.concatenate([dzr, dn_pre], axis=1), d_h
+
+
 def _gru_forward(x, mask, W, U, b, reverse=False):
     """One GRU direction over a padded batch.
 
@@ -163,54 +182,28 @@ def _gru_forward(x, mask, W, U, b, reverse=False):
     order = range(S - 1, -1, -1) if reverse else range(S)
     h = np.zeros((B, H), dtype=x.dtype)
     Hseq = np.zeros((B, S, H), dtype=x.dtype)
-    Z = np.zeros((B, S, H), dtype=x.dtype)
-    R = np.zeros((B, S, H), dtype=x.dtype)
-    N = np.zeros((B, S, H), dtype=x.dtype)
-    HP = np.zeros((B, S, H), dtype=x.dtype)
+    steps = []
     for t in order:
-        HP[:, t] = h
-        zr = h @ U[:, : 2 * H]
-        z = _sigmoid(X3[:, t, :H] + zr[:, :H])
-        r = _sigmoid(X3[:, t, H : 2 * H] + zr[:, H:])
-        n = np.tanh(X3[:, t, 2 * H :] + (r * h) @ U[:, 2 * H :])
-        h_new = (1.0 - z) * h + z * n
+        h_new, step = _gru_cell(X3[:, t], h, U)
         m = mask[:, t : t + 1]
         h = m * h_new + (1.0 - m) * h
         Hseq[:, t] = h
-        Z[:, t], R[:, t], N[:, t] = z, r, n
-    cache = (x, mask, W, U, order, Z, R, N, HP)
-    return Hseq, h, cache
+        steps.append(step)
+    return Hseq, h, (x, mask, W, U, order, steps)
 
 
 def _gru_backward(d_hseq, d_hfinal, cache, grads, prefix):
     """Backward pass matching _gru_forward; returns d_x."""
-    x, mask, W, U, order, Z, R, N, HP = cache
-    B, S, H = Z.shape
+    x, mask, W, U, order, steps = cache
+    B, S, H = d_hseq.shape
     dX3 = np.zeros((B, S, 3 * H), dtype=x.dtype)
     dU = grads[prefix + ".U"]
     dh = d_hfinal.copy() if d_hfinal is not None else np.zeros((B, H), dtype=x.dtype)
-    for t in reversed(list(order)):
+    for t, step in zip(reversed(order), reversed(steps)):
         dh = dh + d_hseq[:, t]
         m = mask[:, t : t + 1]
-        d_new = dh * m
-        dh = dh * (1.0 - m)
-        z, r, n, hp = Z[:, t], R[:, t], N[:, t], HP[:, t]
-        dz = d_new * (n - hp)
-        dn = d_new * z
-        dh = dh + d_new * (1.0 - z)
-        dn_pre = dn * (1.0 - n * n)
-        dX3[:, t, 2 * H :] = dn_pre
-        dU[:, 2 * H :] += (r * hp).T @ dn_pre
-        d_rh = dn_pre @ U[:, 2 * H :].T
-        dr = d_rh * hp
-        dh = dh + d_rh * r
-        dz_pre = dz * z * (1.0 - z)
-        dr_pre = dr * r * (1.0 - r)
-        dX3[:, t, :H] = dz_pre
-        dX3[:, t, H : 2 * H] = dr_pre
-        dzr = np.concatenate([dz_pre, dr_pre], axis=1)
-        dU[:, : 2 * H] += HP[:, t].T @ dzr
-        dh = dh + dzr @ U[:, : 2 * H].T
+        dX3[:, t], d_h = _gru_cell_backward(dh * m, step, U, dU)
+        dh = dh * (1.0 - m) + d_h
     x2 = x.reshape(-1, x.shape[-1])
     dX2 = dX3.reshape(-1, 3 * H)
     grads[prefix + ".W"] += x2.T @ dX2
@@ -285,46 +278,8 @@ def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
     _embed_backward(params, emb_cache, d_x, grads)
 
 
-def _init_decoder_state(params, enc):
-    pre = np.concatenate([enc.fwd_final, enc.bwd_final], axis=1)
-    d0 = np.tanh(pre @ params["W1"])
-    return d0, pre
-
-
 def _dec_gru_step(params, inp, h):
-    Hd = params.config.dec_hidden
-    U = params["dec.U"]
-    x3 = inp @ params["dec.W"] + params["dec.b"]
-    zr = h @ U[:, : 2 * Hd]
-    z = _sigmoid(x3[:, :Hd] + zr[:, :Hd])
-    r = _sigmoid(x3[:, Hd : 2 * Hd] + zr[:, Hd:])
-    n = np.tanh(x3[:, 2 * Hd :] + (r * h) @ U[:, 2 * Hd :])
-    h_new = (1.0 - z) * h + z * n
-    return h_new, (inp, h, z, r, n)
-
-
-def _dec_gru_backward(params, d_h, cache, grads):
-    Hd = params.config.dec_hidden
-    U = params["dec.U"]
-    inp, hp, z, r, n = cache
-    dz = d_h * (n - hp)
-    dn = d_h * z
-    dhp = d_h * (1.0 - z)
-    dn_pre = dn * (1.0 - n * n)
-    grads["dec.U"][:, 2 * Hd :] += (r * hp).T @ dn_pre
-    d_rh = dn_pre @ U[:, 2 * Hd :].T
-    dr = d_rh * hp
-    dhp = dhp + d_rh * r
-    dz_pre = dz * z * (1.0 - z)
-    dr_pre = dr * r * (1.0 - r)
-    dzr = np.concatenate([dz_pre, dr_pre], axis=1)
-    grads["dec.U"][:, : 2 * Hd] += hp.T @ dzr
-    dhp = dhp + dzr @ U[:, : 2 * Hd].T
-    dx3 = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
-    grads["dec.W"] += inp.T @ dx3
-    grads["dec.b"] += dx3.sum(axis=0)
-    d_inp = dx3 @ params["dec.W"].T
-    return d_inp, dhp
+    return _gru_cell(inp @ params["dec.W"] + params["dec.b"], h, params["dec.U"])
 
 
 def _attention(params, d, enc, hw2):
@@ -355,13 +310,6 @@ def _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_extra, grads, d_s
     dq = d_u.sum(axis=1)
     grads["attn.W3"] += d.T @ dq
     return dq @ params["attn.W3"].T
-
-
-def attention_scores(d, enc, params):
-    """Public view of one attention application: (weights, context)."""
-    hw2 = enc.states @ params["attn.W2"]
-    _e, alpha, beta, _tu = _attention(params, d, enc, hw2)
-    return alpha, beta
 
 
 def _output_distribution(params, d, beta, e, enc):
@@ -402,10 +350,10 @@ def decoder_step(prev_ids, state, enc, params):
 
 
 def initial_decoder_state(params, enc):
-    d0, _ = _init_decoder_state(params, enc)
-    dt = params.config.np_dtype()
-    beta0 = np.zeros((d0.shape[0], enc.states.shape[-1]), dtype=dt)
-    return DecoderState(d0, beta0)
+    """d_0 = tanh(W1 [fwd_final; bwd_final]) and a zero context beta_0."""
+    pre = np.concatenate([enc.fwd_final, enc.bwd_final], axis=1)
+    beta0 = np.zeros((pre.shape[0], enc.states.shape[-1]), dtype=params.config.np_dtype())
+    return DecoderState(np.tanh(pre @ params["W1"]), beta0)
 
 
 def zero_grads(params):
@@ -431,11 +379,10 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
 
     enc = encoder_forward(src_ids, params, src_mask)
     hw2 = enc.states @ params["attn.W2"]
-    d0, d0_pre = _init_decoder_state(params, enc)
+    start = initial_decoder_state(params, enc)
     tgt_emb, tgt_emb_cache = _embed(params, tgt_in)
 
-    d = d0
-    beta = np.zeros((B, enc.states.shape[-1]), dtype=dt)
+    d, beta = start.d, start.beta
     steps = []
     loss = 0.0
     correct = 0.0
@@ -448,52 +395,47 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         py = probs[np.arange(B), tgt_out[:, t]]
         loss += float(np.sum(-np.log(np.maximum(py, 1e-300)) * w))
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
-        steps.append((gru_cache, alpha, tu, out_cache, w))
+        steps.append((inp, gru_cache, d, alpha, tu, out_cache, w))
     if not np.isfinite(loss):
         label = f" (batch {batch_label})" if batch_label is not None else ""
         raise ModelError(f"non-finite loss{label}")
 
     grads = zero_grads(params)
     d_states = np.zeros_like(enc.states)
-    d_emb_steps = np.zeros((B, T, params.config.dim), dtype=dt)
-    carry_d = np.zeros_like(d0)
-    carry_beta = np.zeros((B, enc.states.shape[-1]), dtype=dt)
-    S = src_ids.shape[1]
+    Hd, D, S = params.config.dec_hidden, params.config.dim, src_ids.shape[1]
+    d_emb_steps = np.zeros((B, T, D), dtype=dt)
+    carry_d = np.zeros_like(start.d)
+    carry_beta = np.zeros_like(start.beta)
     rows = np.repeat(np.arange(B), S)
     for t in reversed(range(T)):
-        gru_cache, alpha, tu, out_cache, w = steps[t]
+        inp, gru_cache, d, alpha, tu, out_cache, w = steps[t]
         cat, logits, el, ee, scores, total = out_cache
         ds = (w / total[:, 0])[:, None] * np.ones_like(scores)
         ds[np.arange(B), tgt_out[:, t]] -= w / scores[np.arange(B), tgt_out[:, t]]
         d_logits = ds * el
         grads["out.U"] += cat.T @ d_logits
         d_cat = d_logits @ params["out.U"].T
-        Hd = params.config.dec_hidden
-        d_d = d_cat[:, :Hd]
         d_beta = d_cat[:, Hd:] + carry_beta
         d_e_copy = ds[rows, enc.src_ids.reshape(-1)].reshape(B, S) * ee
-        d_d = d_d + _attention_backward(
-            params, _dec_d_of(gru_cache), enc, tu, alpha, d_beta, d_e_copy, grads, d_states
+        d_d = d_cat[:, :Hd] + _attention_backward(
+            params, d, enc, tu, alpha, d_beta, d_e_copy, grads, d_states
         )
         d_d = d_d + carry_d
-        d_inp, carry_d = _dec_gru_backward(params, d_d, gru_cache, grads)
-        d_emb_steps[:, t, :] = d_inp[:, : params.config.dim]
-        carry_beta = d_inp[:, params.config.dim :]
+        d_x3, carry_d = _gru_cell_backward(d_d, gru_cache, params["dec.U"], grads["dec.U"])
+        grads["dec.W"] += inp.T @ d_x3
+        grads["dec.b"] += d_x3.sum(axis=0)
+        d_inp = d_x3 @ params["dec.W"].T
+        d_emb_steps[:, t, :] = d_inp[:, :D]
+        carry_beta = d_inp[:, D:]
     # step 1 consumed beta_0 = 0 (a constant) and d_0 = tanh(W1 [...])
-    d_d0_pre = carry_d * (1.0 - d0 * d0)
-    grads["W1"] += d0_pre.T @ d_d0_pre
+    d_d0_pre = carry_d * (1.0 - start.d * start.d)
+    grads["W1"] += np.concatenate([enc.fwd_final, enc.bwd_final], axis=1).T @ d_d0_pre
     d_pre = d_d0_pre @ params["W1"].T
     H = params.config.enc_hidden
     _embed_backward(params, tgt_emb_cache, d_emb_steps, grads)
     _encoder_backward(params, enc, d_states, d_pre[:, :H], d_pre[:, H:], grads)
     token_acc = correct / total_tokens
     return loss, grads, {"token_accuracy": token_acc, "tokens": total_tokens}
-
-
-def _dec_d_of(gru_cache):
-    """The post-step decoder state is what attention consumed; recover it."""
-    _inp, hp, z, _r, n = gru_cache
-    return (1.0 - z) * hp + z * n
 
 
 def clip_gradients(grads, threshold=5.0):

@@ -62,10 +62,6 @@ class ConstituencyTree:
         return depth
 
 
-def lca_depth(tree, i, j):
-    return tree.lca_depth(i, j)
-
-
 def parse_bracketed(line):
     """Parse one bracketed tree like "(S (NP (DT the) (NN dog)) (VP barks))".
 

@@ -32,7 +32,7 @@ from annosql.sqlgen import (
 )
 from annosql.synth import generate_corpus
 
-from conftest import make_schema, matching_oracle
+from support import make_schema, matching_oracle
 from test_harness import write_film_and_townland_fixtures
 from test_sqlgen import naive_execute, random_query, random_table
 

@@ -8,13 +8,12 @@ from annosql.encoding import (
     Vocabulary,
     build_vocab,
     encode_question,
-    symbol_embedding,
     token_strings,
 )
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
 from annosql.resolve import annotate
 
-from conftest import make_schema
+from support import make_schema
 
 
 @pytest.fixture
@@ -139,16 +138,6 @@ def test_vocab_save_load_round_trip(tmp_path):
     assert loaded.content_hash() == vocab.content_hash()
 
 
-def test_symbol_embedding_concat():
-    t = np.arange(3, dtype=float)
-    i = np.arange(5, dtype=float)
-    out = symbol_embedding(t, i)
-    assert out.shape == (8,)
-    assert list(out[:3]) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        symbol_embedding(np.zeros((2, 2)), i)
-
-
 def test_model_symbol_rows_share_halves():
     from annosql import model as nn
 
@@ -163,4 +152,6 @@ def test_model_symbol_rows_share_halves():
     assert np.array_equal(c1[:150], c2[:150])  # same annotation type
     assert np.array_equal(c1[150:], v1[150:])  # same index
     assert not np.array_equal(c1[150:], c2[150:])
+    # a symbol row is [type part ; index part]
+    assert np.array_equal(v1, np.concatenate([params["type_emb"][1], params["index_emb"][0]]))
     assert emb.shape[-1] == 300

@@ -23,7 +23,7 @@ from annosql.meta import EMPTY_EMBEDDINGS, Table
 from annosql.sqlgen import ConcreteSql, serialize_sketch, sketch_tokens, sql_tokens
 from annosql.synth import generate_corpus, write_corpus
 
-from conftest import make_schema
+from support import make_schema
 
 FILM_AWARDS_TABLE = {
     "id": "film_awards",
@@ -383,6 +383,28 @@ def test_repl_translate(tmp_path):
     assert "error" in lines[1]
 
 
+def test_repl_survives_question_with_no_tokens(tmp_path):
+    """Without header slots a question of only punctuation encodes to an
+    empty source; the repl reports it and goes on to the next line."""
+    from annosql.harness import repl_translate, run_train
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(epochs=1, headers=False)
+    config.tables_path = tables_path
+    config.train_path = split_path
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    run_train(config)
+    with open(split_path) as fh:
+        record = json.loads(fh.readline())
+    stdin = io.StringIO(f"synth-0\t___\n{record['table_id']}\t{record['question']}\n")
+    stdout = io.StringIO()
+    repl_translate(config, stdin=stdin, stdout=stdout)
+    lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
+    assert lines[0] == {"error": "empty source sequence"}
+    assert lines[1]["question"] == record["question"]
+
+
 def test_repl_townlands_returns_356(tmp_path):
     """End to end: a model overfit to the two fixture questions answers the
     townland question with 356 through the repl."""
@@ -417,6 +439,19 @@ def test_attach_trees_by_line_number(tmp_path):
     attach_trees(examples, str(trees_path))
     assert examples[0].tree is not None and examples[0].tree.tokens == ["x", "y"]
     assert examples[1].tree is None
+
+
+def test_attach_trees_rejects_wrong_line_count(tmp_path):
+    from annosql.harness import attach_trees
+
+    tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
+    examples, _tables = load_wikisql(split_path, tables_path)
+    trees_path = tmp_path / "trees.txt"
+    for text, n in (("(S (A x) (B y))\n", 1), ("\n\n\n", 3)):
+        trees_path.write_text(text)
+        with pytest.raises(ValueError, match=f"trees.txt: {n} tree lines for 2 questions"):
+            attach_trees(examples, str(trees_path))
+    assert all(ex.tree is None for ex in examples)
 
 
 def test_substitute_mode_pairs(tmp_path):
@@ -464,17 +499,6 @@ def test_eval_report_alignment_rates_sum_to_one():
     d = report.to_dict()
     assert d["alignment"]["coverage"] + d["alignment"]["failure_rate"] == 1.0
     assert d["acc_lf"] == report.lf / report.total
-
-
-def test_encoded_corpus_round_trip(tmp_path):
-    from annosql.encoding import load_encoded_corpus, save_encoded_corpus
-
-    config = Config()
-    examples, _bundles, _records = generate_corpus(6, n_tables=2, seed=17, config=config)
-    pairs, _vocab, _report = build_training_pairs(examples, config)
-    path = tmp_path / "pairs.jsonl"
-    save_encoded_corpus(str(path), pairs)
-    assert load_encoded_corpus(str(path)) == [(list(s), list(t)) for s, t in pairs]
 
 
 def test_config_round_trip(tmp_path):

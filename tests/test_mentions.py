@@ -19,7 +19,7 @@ from annosql.mentions import (
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, EmbeddingStore, Table, build_value_stats
 from annosql.text import tokenize
 
-from conftest import levenshtein_oracle, make_schema
+from support import levenshtein_oracle, make_schema
 
 
 def test_edit_closeness_examples():

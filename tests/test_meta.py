@@ -15,7 +15,7 @@ from annosql.meta import (
 )
 from annosql.text import normalize, parse_number, tokenize
 
-from conftest import make_schema
+from support import make_schema
 
 
 def test_tokenize_splits_underscores_and_keeps_numbers():

@@ -101,7 +101,7 @@ def test_attention_uniform_when_energies_equal():
     params.tensors["attn.W3"][:] = 0.0
     enc = nn.encoder_forward(np.array([[1, 2, 3, 4]]), params)
     state = nn.initial_decoder_state(params, enc)
-    alpha, beta = nn.attention_scores(state.d, enc, params)
+    _e, alpha, beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
     assert np.allclose(alpha, 0.25)
     assert np.allclose(beta, enc.states.mean(axis=1))
 
@@ -111,7 +111,7 @@ def test_attention_single_position():
     params = nn.init_params(cfg, seed=4)
     enc = nn.encoder_forward(np.array([[5]]), params)
     state = nn.initial_decoder_state(params, enc)
-    alpha, beta = nn.attention_scores(state.d, enc, params)
+    _e, alpha, beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
     assert np.allclose(alpha, 1.0)
     assert np.allclose(beta, enc.states[:, 0, :])
 
@@ -127,7 +127,7 @@ def test_attention_large_gap_dominates():
     enc.states = np.zeros_like(enc.states)
     enc.states[0, 0, 0] = 1.0  # energy ~ 100*tanh(100) vs 0
     state = nn.initial_decoder_state(params, enc)
-    alpha, _ = nn.attention_scores(state.d, enc, params)
+    _e, alpha, _beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
     assert alpha[0, 0] >= 1.0 - 1e-20
 
 
@@ -137,7 +137,7 @@ def test_attention_masks_padding():
     mask = np.array([[1.0, 1.0, 0.0, 0.0]])
     enc = nn.encoder_forward(np.array([[1, 2, 3, 4]]), params, mask)
     state = nn.initial_decoder_state(params, enc)
-    alpha, _ = nn.attention_scores(state.d, enc, params)
+    _e, alpha, _beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
     assert np.all(alpha[0, 2:] == 0.0)
     assert alpha.sum() == pytest.approx(1.0)
 

@@ -14,10 +14,10 @@ from annosql.resolve import (
     max_bipartite_matching,
     structural_closeness,
 )
-from annosql.trees import lca_depth, load_trees, parse_bracketed
+from annosql.trees import load_trees, parse_bracketed
 from annosql.text import tokenize
 
-from conftest import make_schema, matching_oracle
+from support import make_schema, matching_oracle
 
 BOXSCORE_QUESTION = "for which player his rebounds is 2 and points is 3 ?"
 BOXSCORE_TREE = (
@@ -50,20 +50,20 @@ def test_parse_bracketed_leaves_align(boxscore):
 def test_lca_depth_self_is_leaf_depth():
     tree = parse_bracketed("(S (NP (DT the) (NN dog)) (VP barks))")
     # "the" sits under S(0) -> NP(1) -> DT(2) -> leaf(3)
-    assert lca_depth(tree, 0, 0) == 3
-    assert lca_depth(tree, 0, 1) == 1  # NP
-    assert lca_depth(tree, 0, 2) == 0  # root
+    assert tree.lca_depth(0, 0) == 3
+    assert tree.lca_depth(0, 1) == 1  # NP
+    assert tree.lca_depth(0, 2) == 0  # root
 
 
 def test_lca_depth_root_split():
     tree = parse_bracketed("(S (A x) (B y))")
-    assert lca_depth(tree, 0, 1) == 0
+    assert tree.lca_depth(0, 1) == 0
 
 
 def test_lca_depth_out_of_range():
     tree = parse_bracketed("(S (A x) (B y))")
     with pytest.raises(IndexError):
-        lca_depth(tree, 0, 5)
+        tree.lca_depth(0, 5)
 
 
 def test_lca_depth_boxscore_pairs(boxscore):
@@ -71,15 +71,15 @@ def test_lca_depth_boxscore_pairs(boxscore):
     toks = tree.tokens
     rebounds, points = toks.index("rebounds"), toks.index("points")
     two, three = toks.index("2"), toks.index("3")
-    assert lca_depth(tree, rebounds, two) > lca_depth(tree, points, two)
-    assert lca_depth(tree, points, three) > lca_depth(tree, rebounds, three)
+    assert tree.lca_depth(rebounds, two) > tree.lca_depth(points, two)
+    assert tree.lca_depth(points, three) > tree.lca_depth(rebounds, three)
 
 
 def test_structural_closeness_singleton_equals_lca(boxscore):
     schema, _table, _stats, tree = boxscore
     col = CandidateMention(Span(4, 5), "column", schema.columns[1], 1.0, "coverage")
     val = CandidateMention(Span(6, 7), "value", schema.columns[1], 1.0, "exact_value")
-    assert structural_closeness(val, col, tree) == lca_depth(tree, 6, 4)
+    assert structural_closeness(val, col, tree) == tree.lca_depth(6, 4)
 
 
 def test_structural_closeness_root_only():

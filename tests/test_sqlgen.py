@@ -27,7 +27,7 @@ from annosql.sqlgen import (
 )
 from annosql.text import parse_number
 
-from conftest import make_schema
+from support import make_schema
 
 
 def sym(s):
