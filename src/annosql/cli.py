@@ -9,7 +9,6 @@ import sys
 
 from .harness import (
     Config,
-    attach_trees,
     load_model,
     load_side_inputs,
     load_table_bundles,
@@ -18,23 +17,17 @@ from .harness import (
     repl_translate,
     run_eval,
     run_train,
-    translate_question,
+    translate_or_error,
 )
 from .sqlgen import serialize_sketch, sketch_tokens
 
 
 def _config_from(args):
     config = Config.from_file(args.config) if args.config else Config()
-    for name in ("tables", "lexicon", "embeddings", "trees"):
+    for name in ("tables", "lexicon", "embeddings"):
         value = getattr(args, name, None)
         if value:
-            key = {
-                "tables": "tables_path",
-                "lexicon": "lexicon_path",
-                "embeddings": "embeddings_path",
-                "trees": "train_trees_path",
-            }[name]
-            setattr(config, key, value)
+            setattr(config, f"{name}_path", value)
     return config
 
 
@@ -49,8 +42,7 @@ def _emit(obj, out_path):
 
 def cmd_annotate(args):
     config = _config_from(args)
-    examples, tables = load_wikisql(args.infile, config.tables_path)
-    attach_trees(examples, args.trees)
+    examples, tables = load_wikisql(args.infile, config.tables_path, args.trees)
     lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     if args.out:
@@ -88,11 +80,11 @@ def cmd_translate(args):
     tables = load_table_bundles(config.tables_path)
     lexicon, emb = load_side_inputs(config)
     params, vocab = load_model(config, args.checkpoint)
-    out = translate_question(
+    out, ok = translate_or_error(
         args.question, args.table, tables, params, vocab, config, lexicon, emb
     )
     _emit(out, args.out)
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_repl(args):

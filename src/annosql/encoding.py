@@ -93,8 +93,6 @@ class Vocabulary:
             self.stoi[EOS],
             self.stoi[SEP],
         )
-        self._symbol_lo = len(self.SPECIALS)
-        self._symbol_hi = self._symbol_lo + len(symbols)
 
     def __len__(self):
         return len(self.itos)
@@ -104,13 +102,6 @@ class Vocabulary:
 
     def decode(self, ids):
         return [self.itos[i] for i in ids]
-
-    def symbol_parts(self, token_id):
-        """(family, index) when the id is an annotation symbol, else None."""
-        if self._symbol_lo <= token_id < self._symbol_hi:
-            rel = token_id - self._symbol_lo
-            return "cvg"[rel // self.max_index], rel % self.max_index + 1
-        return None
 
     def content_hash(self):
         return hashlib.sha256("\n".join(self.itos).encode("utf-8")).hexdigest()

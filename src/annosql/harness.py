@@ -24,8 +24,6 @@ from .meta import (
 )
 from .resolve import annotate
 from .sqlgen import (
-    AGGREGATES,
-    OPS,
     AlignmentError,
     ConcreteSql,
     SketchParseError,
@@ -37,6 +35,7 @@ from .sqlgen import (
     resolve_symbols,
     result_equal,
     serialize_sketch,
+    serialize_sql,
     sketch_tokens,
     sql_tokens,
 )
@@ -138,7 +137,7 @@ class TableBundle:
 class Example:
     question: str
     table_id: str
-    gold: ConcreteSql
+    gold: ConcreteSql | None  # None for a question asked without a gold query
     tree: object = None
     annotation: object = None
     encoded_src: list = None
@@ -146,18 +145,22 @@ class Example:
     alignment_error: str | None = None
 
 
+def _code(choices, code, what):
+    """choices[code] for a WikiSQL integer code; ValueError when out of range."""
+    index = int(code)
+    if not 0 <= index < len(choices):
+        raise ValueError(f"{what} {code!r} out of range 0..{len(choices) - 1}")
+    return choices[index]
+
+
 def gold_from_wikisql(sql_obj, schema, table_id):
     """Convert a WikiSQL `sql` record ({sel, agg, conds}) to ConcreteSql."""
-    agg = WIKISQL_AGG[int(sql_obj["agg"])]
-    if agg not in AGGREGATES:
-        raise ValueError(f"unsupported aggregate code {sql_obj['agg']}")
-    sel = schema.columns[int(sql_obj["sel"])].name
+    agg = _code(WIKISQL_AGG, sql_obj["agg"], "aggregate code")
+    sel = _code(schema.columns, sql_obj["sel"], "select column").name
     conds = []
     for col_idx, op_idx, value in sql_obj.get("conds", []):
-        op = WIKISQL_OPS[int(op_idx)]
-        if op not in OPS:
-            raise ValueError(f"unsupported operator code {op_idx}")
-        conds.append((schema.columns[int(col_idx)].name, op, cell_str(value)))
+        column = _code(schema.columns, col_idx, "condition column")
+        conds.append((column.name, _code(WIKISQL_OPS, op_idx, "operator code"), cell_str(value)))
     return ConcreteSql(agg, sel, tuple(conds), table_id)
 
 
@@ -169,40 +172,43 @@ def load_table_bundles(tables_path):
     }
 
 
-def load_wikisql(split_path, tables_path):
+def load_wikisql(split_path, tables_path, trees_path=None):
     """Load a WikiSQL-format split joined to its tables.
 
-    Returns (examples, tables) where tables maps id -> TableBundle.
+    Tree line i of `trees_path`, when given, belongs to split line i, so the
+    two files have the same number of lines, blank ones included. Returns
+    (examples, tables) where tables maps id -> TableBundle.
     """
     tables = load_table_bundles(tables_path)
+    with open(split_path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    trees = [None] * len(lines)
+    if trees_path:
+        trees = load_trees(trees_path)
+        if len(trees) != len(lines):
+            raise ValueError(
+                f"{trees_path}: {len(trees)} tree lines for {len(lines)} lines of {split_path}"
+            )
     examples = []
     missing = set()
-    with open(split_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, (line, tree) in enumerate(zip(lines, trees), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             obj = json.loads(line)
             table_id = str(obj["table_id"])
             if table_id not in tables:
                 missing.add(table_id)
                 continue
-            bundle = tables[table_id]
-            gold = gold_from_wikisql(obj["sql"], bundle.schema, table_id)
-            examples.append(Example(str(obj["question"]), table_id, gold))
+            gold = gold_from_wikisql(obj["sql"], tables[table_id].schema, table_id)
+            question = str(obj["question"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{split_path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+        examples.append(Example(question, table_id, gold, tree))
     if missing:
         raise ValueError(f"{split_path}: unknown table ids: {sorted(missing)}")
     return examples, tables
-
-
-def attach_trees(examples, trees_path):
-    if trees_path is None:
-        return
-    trees = load_trees(trees_path)
-    if len(trees) != len(examples):
-        raise ValueError(f"{trees_path}: {len(trees)} tree lines for {len(examples)} questions")
-    for example, tree in zip(examples, trees):
-        example.tree = tree
 
 
 def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_EMBEDDINGS):
@@ -223,6 +229,8 @@ def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_
             ex.annotation, bundle.schema, mode=config.mode, headers=config.headers
         )
         ex.encoded_src = token_strings(encoded)
+        if ex.gold is None:
+            continue
         try:
             ex.aligned = align_gold_sql(
                 ex.gold, ex.annotation, bundle.schema, max_index=config.max_index
@@ -456,8 +464,7 @@ def run_train(config):
     """
     if not (config.tables_path and config.train_path):
         raise ValueError("config needs tables_path and train_path")
-    examples, tables = load_wikisql(config.train_path, config.tables_path)
-    attach_trees(examples, config.train_trees_path)
+    examples, tables = load_wikisql(config.train_path, config.tables_path, config.train_trees_path)
     lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     pairs, vocab, coverage = build_training_pairs(examples, config)
@@ -465,8 +472,9 @@ def run_train(config):
 
     dev_examples = None
     if config.dev_path:
-        dev_examples, dev_tables = load_wikisql(config.dev_path, config.tables_path)
-        attach_trees(dev_examples, config.dev_trees_path)
+        dev_examples, dev_tables = load_wikisql(
+            config.dev_path, config.tables_path, config.dev_trees_path
+        )
         prepare_examples(dev_examples, dev_tables, config, lexicon, emb)
 
     log_lines = []
@@ -536,8 +544,7 @@ def run_eval(config, checkpoint_path=None, split="test"):
     }[split]
     if not (config.tables_path and split_path):
         raise ValueError(f"config needs tables_path and a path for split {split!r}")
-    examples, tables = load_wikisql(split_path, config.tables_path)
-    attach_trees(examples, trees_path)
+    examples, tables = load_wikisql(split_path, config.tables_path, trees_path)
     lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     params, vocab = load_model(config, checkpoint_path)
@@ -548,7 +555,7 @@ def translate_question(question, table_id, tables, params, vocab, config, lexico
     """Annotate and translate a raw question against one table."""
     if table_id not in tables:
         raise KeyError(f"unknown table id {table_id!r}")
-    ex = Example(question, table_id, ConcreteSql("", tables[table_id].schema.columns[0].name, ()))
+    ex = Example(question, table_id, None)
     prepare_examples([ex], tables, config, lexicon, emb)
     result = translate_example(ex, tables, params, vocab, config)
     out = {
@@ -562,13 +569,21 @@ def translate_question(question, table_id, tables, params, vocab, config, lexico
         "error": result.error,
     }
     if result.sql is not None:
-        from .sqlgen import serialize_sql
-
         out["sql"] = serialize_sql(result.sql)
         res = execute(result.sql, tables[table_id].table)
         out["result"] = list(res.values)
         out["flagged"] = res.flagged
     return out
+
+
+def translate_or_error(question, table_id, tables, params, vocab, config, lexicon, emb):
+    """(translate_question's output, True), or ({"error": ...}, False) when the
+    table id is unknown or the question leaves the model nothing to encode."""
+    try:
+        out = translate_question(question, table_id, tables, params, vocab, config, lexicon, emb)
+    except (KeyError, nn.ModelError) as exc:
+        return {"error": str(exc)}, False
+    return out, True
 
 
 def repl_translate(config, checkpoint_path=None, stdin=None, stdout=None):
@@ -590,10 +605,7 @@ def repl_translate(config, checkpoint_path=None, stdin=None, stdout=None):
             print(json.dumps({"error": "expected: table_id<TAB>question"}), file=stdout)
             continue
         table_id, question = line.split("\t", 1)
-        try:
-            out = translate_question(
-                question, table_id.strip(), tables, params, vocab, config, lexicon, emb
-            )
-        except (KeyError, nn.ModelError) as exc:
-            out = {"error": str(exc)}
+        out, _ok = translate_or_error(
+            question, table_id.strip(), tables, params, vocab, config, lexicon, emb
+        )
         print(json.dumps(out), file=stdout)

@@ -122,18 +122,6 @@ def _close_rows(qtokens, column, emb, thresholds):
     return rows
 
 
-def coverage_count(span, qtokens, column, emb, thresholds=DEFAULT_THRESHOLDS):
-    """Number of close pairs between the span's tokens and the column name's."""
-    rows = _close_rows(qtokens, column, emb, thresholds)
-    return sum(len(r) for r in rows[span.start : span.end])
-
-
-def covered_words(span, qtokens, column, emb, thresholds=DEFAULT_THRESHOLDS):
-    """Number of distinct column-name words the span covers."""
-    rows = _close_rows(qtokens, column, emb, thresholds)
-    return len(frozenset().union(*rows[span.start : span.end]))
-
-
 def _coverage_mention(qtokens, column, emb, thresholds):
     """The best span covering the column effectively and efficiently.
 

@@ -5,8 +5,6 @@ Everything here is immutable after load and safe to read concurrently.
 """
 
 import json
-import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -14,10 +12,7 @@ import numpy as np
 
 from .text import normalize, parse_number, tokenize
 
-log = logging.getLogger(__name__)
-
 TEXT, REAL = "text", "real"
-SLOT = "<slot>"
 _SLOT_SPELLINGS = {"<slot>", "⟨slot⟩"}  # ascii and angle-bracket forms
 
 
@@ -91,12 +86,11 @@ class Table:
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """Distinct values, numeric range, and token counts for one column."""
+    """Distinct values and numeric range of one column."""
 
     values: frozenset
     normalized: frozenset
     numeric_range: tuple | None
-    token_counts: Counter
 
 
 @dataclass
@@ -132,19 +126,18 @@ class ValueStats:
 
 
 def build_value_stats(table):
-    """Collect distinct values, numeric ranges, and token counts per column."""
+    """Collect distinct values and numeric ranges per column."""
     per_column = {}
     for col in table.schema.columns:
         cells = table.column_values(col.position)
         values = frozenset(c.casefold() for c in cells)
         normalized = frozenset(normalize(c) for c in cells if normalize(c))
-        counts = Counter(tok for c in cells for tok in tokenize(c))
         numeric_range = None
         if col.col_type == REAL:
             nums = [n for n in (parse_number(c) for c in cells) if n is not None]
             if nums:
                 numeric_range = (min(nums), max(nums))
-        per_column[col.position] = ColumnStats(values, normalized, numeric_range, counts)
+        per_column[col.position] = ColumnStats(values, normalized, numeric_range)
     return ValueStats(per_column)
 
 
@@ -234,12 +227,11 @@ def _split_slots(phrase):
     return parts
 
 
-def load_phrase_lexicon(path, known_columns=None):
+def load_phrase_lexicon(path):
     """Load a lexicon file: one `column<TAB>phrase1|phrase2...` line each.
 
-    `<slot>` (or the angle-bracket form) marks the wildcard. Entries naming
-    columns outside `known_columns` are kept with a warning; lexicons are
-    shared across tables.
+    `<slot>` (or the angle-bracket form) marks the wildcard. Lexicons are
+    shared across tables, so an entry is kept whatever column it names.
     """
     by_column = {}
     with open(path, encoding="utf-8") as fh:
@@ -250,10 +242,7 @@ def load_phrase_lexicon(path, known_columns=None):
             if "\t" not in line:
                 raise MetaError(f"{path}: line {lineno}: expected column<TAB>phrases")
             column, phrases = line.split("\t", 1)
-            key = column.strip().casefold()
-            if known_columns is not None and key not in known_columns:
-                log.warning("%s: line %d: column %r not in any known schema", path, lineno, column)
-            templates = by_column.setdefault(key, set())
+            templates = by_column.setdefault(column.strip().casefold(), set())
             for phrase in phrases.split("|"):
                 phrase = phrase.strip()
                 if not phrase:
@@ -288,9 +277,6 @@ class EmbeddingStore:
 
     def __len__(self):
         return len(self._vectors)
-
-    def __contains__(self, word):
-        return word.casefold() in self._vectors
 
     def get(self, word):
         return self._vectors.get(word.casefold())
@@ -350,7 +336,9 @@ def value_affinity(term, column, stats, emb):
     joined = " ".join(t.casefold() for t in term)
     if joined in cstats.normalized:
         return 1.0
-    num = parse_number("".join(term))
+    num = None
+    if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
+        num = parse_number("".join(term))  # one number token, or "-" and one: "1 2" is not 12
     if num is not None and column.col_type == REAL:
         rng = cstats.numeric_range
         return 1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0

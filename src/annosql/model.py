@@ -60,42 +60,51 @@ class ModelParams:
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
 
+def _param_shapes(config):
+    """Name -> shape of every tensor, in the order init_params draws them."""
+    D, H, Hd, A = config.dim, config.enc_hidden, config.dec_hidden, config.attn_dim
+    shapes = {
+        "emb": (config.vocab_size, D),
+        "type_emb": (3, config.type_dim),
+        "index_emb": (config.max_index, D - config.type_dim),
+    }
+    for l in range(config.enc_layers):
+        shapes[f"enc{l}.affine.W"] = (D if l == 0 else 2 * H, H)
+        shapes[f"enc{l}.affine.b"] = (H,)
+        for direction in ("fwd", "bwd"):
+            shapes[f"enc{l}.{direction}.W"] = (H, 3 * H)
+            shapes[f"enc{l}.{direction}.U"] = (H, 3 * H)
+            shapes[f"enc{l}.{direction}.b"] = (3 * H,)
+    shapes["W1"] = (2 * H, Hd)
+    shapes["dec.W"] = (D + 2 * H, 3 * Hd)
+    shapes["dec.U"] = (Hd, 3 * Hd)
+    shapes["dec.b"] = (3 * Hd,)
+    shapes["attn.W2"] = (2 * H, A)
+    shapes["attn.W3"] = (Hd, A)
+    shapes["attn.v"] = (A,)
+    shapes["out.U"] = (Hd + 2 * H, config.vocab_size)
+    return shapes
+
+
 def init_params(config, seed=0, pretrained=None, vocab=None, weight_scale=0.08, emb_scale=0.1):
     """Fresh parameters; embeddings take pre-trained vectors when given.
 
     `weight_scale` sets the uniform init range; gradient-check setups want
     a larger value than training so gradients stay resolvable by finite
-    differences.
+    differences. Biases start at zero.
     """
     rng = np.random.default_rng(seed)
     dt = config.np_dtype()
-    D, H, Hd, A = config.dim, config.enc_hidden, config.dec_hidden, config.attn_dim
-    Dt = config.type_dim
-    if not 0 < Dt < D:
+    D = config.dim
+    if not 0 < config.type_dim < D:
         raise ModelError("type_dim must split dim into two non-empty parts")
-
-    def uni(shape, scale=weight_scale):
-        return rng.uniform(-scale, scale, size=shape).astype(dt)
-
-    tensors = {"emb": uni((config.vocab_size, D), emb_scale)}
-    tensors["type_emb"] = uni((3, Dt), emb_scale)
-    tensors["index_emb"] = uni((config.max_index, D - Dt), emb_scale)
-    for l in range(config.enc_layers):
-        in_dim = D if l == 0 else 2 * H
-        tensors[f"enc{l}.affine.W"] = uni((in_dim, H))
-        tensors[f"enc{l}.affine.b"] = np.zeros(H, dtype=dt)
-        for direction in ("fwd", "bwd"):
-            tensors[f"enc{l}.{direction}.W"] = uni((H, 3 * H))
-            tensors[f"enc{l}.{direction}.U"] = uni((H, 3 * H))
-            tensors[f"enc{l}.{direction}.b"] = np.zeros(3 * H, dtype=dt)
-    tensors["W1"] = uni((2 * H, Hd))
-    tensors["dec.W"] = uni((D + 2 * H, 3 * Hd))
-    tensors["dec.U"] = uni((Hd, 3 * Hd))
-    tensors["dec.b"] = np.zeros(3 * Hd, dtype=dt)
-    tensors["attn.W2"] = uni((2 * H, A))
-    tensors["attn.W3"] = uni((Hd, A))
-    tensors["attn.v"] = uni(A)
-    tensors["out.U"] = uni((Hd + 2 * H, config.vocab_size))
+    tensors = {}
+    for name, shape in _param_shapes(config).items():
+        if name.endswith(".b"):
+            tensors[name] = np.zeros(shape, dtype=dt)
+        else:
+            scale = emb_scale if name in ("emb", "type_emb", "index_emb") else weight_scale
+            tensors[name] = rng.uniform(-scale, scale, size=shape).astype(dt)
 
     if pretrained is not None and vocab is not None and pretrained.dim == D:
         emb = tensors["emb"]
@@ -478,7 +487,6 @@ class Hypothesis:
     tokens: tuple
     logp: float
     state: DecoderState = field(compare=False)
-    finished: bool = False
 
 
 def beam_search(src_ids, params, width, max_len, bos_id, eos_id, src_mask=None):
@@ -512,7 +520,7 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id, src_mask=None):
                 break
             parent = beam[rank]
             if tok == eos_id:
-                done.append(Hypothesis(parent.tokens, logp, state, finished=True))
+                done.append(Hypothesis(parent.tokens, logp, state))
             else:
                 beam_next.append(Hypothesis(parent.tokens + (tok,), logp, state))
         beam = beam_next
@@ -522,24 +530,6 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id, src_mask=None):
     if not pool:
         return start
     return max(pool, key=lambda h: (h.logp, -len(h.tokens)))
-
-
-def greedy_decode(src_ids, params, max_len, bos_id, eos_id, src_mask=None):
-    """Plain argmax decoding; used as the beam-width-1 reference."""
-    enc = encoder_forward(src_ids, params, src_mask)
-    state = initial_decoder_state(params, enc)
-    tokens = []
-    logp = 0.0
-    prev = bos_id
-    for _ in range(max_len):
-        state, probs = decoder_step([prev], state, enc, params)
-        tok = int(probs[0].argmax())
-        logp += float(np.log(max(probs[0][tok], 1e-300)))
-        if tok == eos_id:
-            return tokens, logp
-        tokens.append(tok)
-        prev = tok
-    return tokens, logp
 
 
 CHECKPOINT_VERSION = 1
@@ -570,4 +560,11 @@ def load_checkpoint(path, expect_vocab_hash=None):
             raise ModelError("checkpoint vocabulary hash does not match")
         config = ModelConfig(**meta["config"])
         tensors = {name: data[f"t{i}"] for i, name in enumerate(meta["tensor_names"])}
+    expected = _param_shapes(config)
+    for name in sorted(set(expected) | set(tensors)):
+        got = tensors[name].shape if name in tensors else None
+        if got != expected.get(name):
+            raise ModelError(
+                f"{path}: tensor {name!r} has shape {got}, expected {expected.get(name)}"
+            )
     return ModelParams(config, tensors), meta

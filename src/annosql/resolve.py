@@ -28,13 +28,12 @@ class Question:
 
     text: str
     tokens: tuple
-    tokens_cased: tuple
     offsets: tuple
 
     @classmethod
     def from_text(cls, text):
-        folded, cased, offsets = tokenize_with_offsets(text)
-        return cls(text, tuple(folded), tuple(cased), tuple(offsets))
+        tokens, offsets = tokenize_with_offsets(text)
+        return cls(text, tuple(tokens), tuple(offsets))
 
     def surface(self, span):
         """The question substring covering `span`, original spelling intact."""
@@ -70,7 +69,6 @@ class ColumnVertex:
     column: object  # ColumnMeta
     span: object = None  # None for a synthetic (unmentioned) column
     score: float = 0.0
-    source: str = "synthetic"
 
     @property
     def synthetic(self):
@@ -85,6 +83,8 @@ class MatchGraph:
 
 
 def _span_closeness(span_a, span_b, closeness_source):
+    """Structural closeness of two spans: max LCA depth over their token
+    pairs, or max negated token distance under the TOKEN_DISTANCE fallback."""
     best = None
     for i in range(span_a.start, span_a.end):
         for j in range(span_b.start, span_b.end):
@@ -96,12 +96,6 @@ def _span_closeness(span_a, span_b, closeness_source):
             if best is None or c > best:
                 best = c
     return best
-
-
-def structural_closeness(value_mention, column_mention, tree):
-    """Closeness of a value and a column mention: max LCA depth over their
-    token pairs, or max negated token distance under the fallback."""
-    return _span_closeness(value_mention.span, column_mention.span, tree)
 
 
 def build_match_graph(values, columns, tree):
@@ -119,7 +113,7 @@ def build_match_graph(values, columns, tree):
         vertices.append(ValueVertex(span, tuple(by_span[span])))
 
     col_vertices = [
-        ColumnVertex(m.column, m.span, m.score, m.source)
+        ColumnVertex(m.column, m.span, m.score)
         for m in sorted(columns, key=lambda m: (m.span.start, m.span.end, m.column.position))
     ]
     vertices_of = {}

@@ -7,6 +7,7 @@ values are carried unquoted everywhere; the serializer adds quotes, so
 quoting never needs normalizing elsewhere.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -217,41 +218,28 @@ class ResultSet:
     flagged: bool = False
 
 
+_COMPARE = {"=": operator.eq, ">": operator.gt, "<": operator.lt}
+
+
 def _rows_matching(sql, table):
-    """Row filter; returns (rows, flagged)."""
-    schema = table.schema
-    for col, op, _val in sql.conds:
-        if schema.column_by_name(col) is None:
-            return [], True
+    """The rows meeting every condition, or None when a condition cannot
+    apply: an unknown column, or an order comparison on text."""
     rows = list(table.rows)
-    flagged = False
     for col, op, val in sql.conds:
-        column = schema.column_by_name(col)
+        column = table.schema.column_by_name(col)
+        if column is None:
+            return None
         pos = column.position
-        sval = str(val)
-        if column.col_type == REAL:
-            num = parse_number(sval)
-            if num is None:
-                if op == "=":
-                    rows = [r for r in rows if r[pos].strip().casefold() == sval.strip().casefold()]
-                else:
-                    return [], True
-            else:
-                kept = []
-                for r in rows:
-                    cell = parse_number(r[pos])
-                    if cell is None:
-                        continue
-                    if (op == "=" and cell == num) or (op == ">" and cell > num) or (
-                        op == "<" and cell < num
-                    ):
-                        kept.append(r)
-                rows = kept
-        else:
+        num = parse_number(str(val)) if column.col_type == REAL else None
+        if num is None:
             if op != "=":
-                return [], True
-            rows = [r for r in rows if r[pos].strip().casefold() == sval.strip().casefold()]
-    return rows, flagged
+                return None
+            want = str(val).strip().casefold()
+            rows = [r for r in rows if r[pos].strip().casefold() == want]
+        else:
+            cells = ((r, parse_number(r[pos])) for r in rows)
+            rows = [r for r, cell in cells if cell is not None and _COMPARE[op](cell, num)]
+    return rows
 
 
 def execute(sql, table):
@@ -266,8 +254,8 @@ def execute(sql, table):
     target = schema.column_by_name(sql.select)
     if target is None:
         return ResultSet((), flagged=True)
-    rows, flagged = _rows_matching(sql, table)
-    if flagged:
+    rows = _rows_matching(sql, table)
+    if rows is None:
         return ResultSet((), flagged=True)
     cells = [r[target.position] for r in rows]
     if not sql.agg:

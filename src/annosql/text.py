@@ -24,13 +24,12 @@ def tokenize(text):
 
 
 def tokenize_with_offsets(text):
-    """(folded tokens, original-case tokens, (start, end) char offsets)."""
-    folded, cased, offsets = [], [], []
+    """(case-folded tokens, (start, end) char offsets)."""
+    folded, offsets = [], []
     for m in _TOKEN_RE.finditer(text):
-        cased.append(m.group())
         folded.append(m.group().casefold())
         offsets.append((m.start(), m.end()))
-    return folded, cased, offsets
+    return folded, offsets
 
 
 def parse_number(text):

@@ -4,6 +4,10 @@ They live outside conftest.py so that test modules import them by a module
 name that no other conftest.py on the test path shadows.
 """
 
+import numpy as np
+
+from annosql import model as nn
+from annosql.mentions import DEFAULT_THRESHOLDS, _close_rows
 from annosql.meta import ColumnMeta, TableSchema
 
 
@@ -46,3 +50,33 @@ def matching_oracle(adjacency, n_right):
         return out
 
     return best(0, 0)
+
+
+def coverage_count(span, qtokens, column, emb, thresholds=DEFAULT_THRESHOLDS):
+    """Number of close pairs between the span's tokens and the column name's."""
+    rows = _close_rows(qtokens, column, emb, thresholds)
+    return sum(len(r) for r in rows[span.start : span.end])
+
+
+def covered_words(span, qtokens, column, emb, thresholds=DEFAULT_THRESHOLDS):
+    """Number of distinct column-name words the span covers."""
+    rows = _close_rows(qtokens, column, emb, thresholds)
+    return len(frozenset().union(*rows[span.start : span.end]))
+
+
+def greedy_decode(src_ids, params, max_len, bos_id, eos_id, src_mask=None):
+    """Plain argmax decoding; the beam-width-1 reference."""
+    enc = nn.encoder_forward(src_ids, params, src_mask)
+    state = nn.initial_decoder_state(params, enc)
+    tokens = []
+    logp = 0.0
+    prev = bos_id
+    for _ in range(max_len):
+        state, probs = nn.decoder_step([prev], state, enc, params)
+        tok = int(probs[0].argmax())
+        logp += float(np.log(max(probs[0][tok], 1e-300)))
+        if tok == eos_id:
+            return tokens, logp
+        tokens.append(tok)
+        prev = tok
+    return tokens, logp

@@ -32,7 +32,7 @@ from annosql.sqlgen import (
 )
 from annosql.synth import generate_corpus
 
-from support import make_schema, matching_oracle
+from support import greedy_decode, make_schema, matching_oracle
 from test_harness import write_film_and_townland_fixtures
 from test_sqlgen import naive_execute, random_query, random_table
 
@@ -231,7 +231,7 @@ def test_criterion_8_beam_sanity():
         params = nn.init_params(cfg, seed=500 + i, weight_scale=0.4)
         src = np.random.default_rng(i).integers(5, 20, size=(6,))
         h1 = nn.beam_search(src, params, width=1, max_len=8, bos_id=2, eos_id=3)
-        toks, logp = nn.greedy_decode(src, params, max_len=8, bos_id=2, eos_id=3)
+        toks, logp = greedy_decode(src, params, max_len=8, bos_id=2, eos_id=3)
         assert h1.tokens == tuple(toks)
         assert h1.logp == pytest.approx(logp, abs=1e-12)
         h5 = nn.beam_search(src, params, width=5, max_len=8, bos_id=2, eos_id=3)

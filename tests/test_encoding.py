@@ -103,16 +103,20 @@ def test_build_vocab_symbols_always_present():
     vocab = build_vocab([["hello"]], [["select", "c1"]], min_count=1, max_index=3)
     for tok in ("c1", "c3", "v2", "g3"):
         assert tok in vocab.stoi
-    assert vocab.symbol_parts(vocab.stoi["c2"]) == ("c", 2)
-    assert vocab.symbol_parts(vocab.stoi["v1"]) == ("v", 1)
-    assert vocab.symbol_parts(vocab.stoi["hello"]) is None
+    # the symbol block follows the specials: c1..c3, v1..v3, g1..g3
+    n = len(vocab.SPECIALS)
+    assert vocab.itos[n : n + 9] == [f"{fam}{i}" for fam in "cvg" for i in (1, 2, 3)]
+    assert vocab.stoi["c2"] == n + 1
+    assert vocab.stoi["v1"] == n + 3
+    assert vocab.stoi["hello"] >= n + 9
 
 
 def test_build_vocab_excludes_symbol_lookalike_words():
     vocab = build_vocab([["c1", "word"]], [], min_count=1, max_index=2)
     # the literal word "c1" may not alias the annotation symbol id
     assert vocab.itos.count("c1") == 1
-    assert vocab.symbol_parts(vocab.stoi["c1"]) == ("c", 1)
+    assert vocab.stoi["c1"] == len(vocab.SPECIALS)
+    assert vocab.itos[len(vocab.SPECIALS) + 3 * 2 :] == ["word"]
 
 
 def test_build_vocab_deterministic():

@@ -429,29 +429,81 @@ def test_repl_townlands_returns_356(tmp_path):
     assert out["result"] == ["356"]
 
 
-def test_attach_trees_by_line_number(tmp_path):
-    from annosql.harness import attach_trees
-
+def test_load_wikisql_trees_by_line_number(tmp_path):
+    """Tree line i belongs to question-file line i, blank lines included."""
     tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
-    examples, _tables = load_wikisql(split_path, tables_path)
+    film, townland = json.dumps(FILM_AWARDS_RECORD), json.dumps(TOWNLANDS_RECORD)
+    gap = tmp_path / "gap.jsonl"
+    gap.write_text(f"{film}\n\n{townland}\n")
     trees_path = tmp_path / "trees.txt"
-    trees_path.write_text("(S (A x) (B y))\n\n")
-    attach_trees(examples, str(trees_path))
-    assert examples[0].tree is not None and examples[0].tree.tokens == ["x", "y"]
-    assert examples[1].tree is None
+    trees_path.write_text("(S (A x) (B y))\n\n(S (A z) (B w))\n")
+    examples, _tables = load_wikisql(str(gap), tables_path, str(trees_path))
+    assert [ex.tree.tokens for ex in examples] == [["x", "y"], ["z", "w"]]
+    trees_path.write_text("\n\n(S (A z) (B w))\n")
+    examples, _tables = load_wikisql(str(gap), tables_path, str(trees_path))
+    assert examples[0].tree is None
+    assert examples[1].tree.tokens == ["z", "w"]
 
 
-def test_attach_trees_rejects_wrong_line_count(tmp_path):
-    from annosql.harness import attach_trees
-
+def test_load_wikisql_rejects_wrong_tree_line_count(tmp_path):
     tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
-    examples, _tables = load_wikisql(split_path, tables_path)
     trees_path = tmp_path / "trees.txt"
     for text, n in (("(S (A x) (B y))\n", 1), ("\n\n\n", 3)):
         trees_path.write_text(text)
-        with pytest.raises(ValueError, match=f"trees.txt: {n} tree lines for 2 questions"):
-            attach_trees(examples, str(trees_path))
-    assert all(ex.tree is None for ex in examples)
+        with pytest.raises(ValueError, match=f"trees.txt: {n} tree lines for 2 lines of "):
+            load_wikisql(split_path, tables_path, str(trees_path))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "{not json",
+        json.dumps({"question": "q", "table_id": "townlands"}),
+        json.dumps([1, 2]),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 5, "agg": 0, "conds": []}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": -1, "agg": 0, "conds": []}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 6, "conds": []}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 0, "conds": [[9, 0, "x"]]}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 0, "conds": [[0, 3, "x"]]}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 0, "conds": [[0, 0]]}}),
+    ],
+    ids=[
+        "json", "missing-key", "not-object", "sel-range", "sel-negative",
+        "agg-code", "cond-column", "op-code", "cond-shape",
+    ],
+)
+def test_load_wikisql_errors_name_file_and_line(tmp_path, bad):
+    tables_path, _split, _lex = write_film_and_townland_fixtures(tmp_path)
+    split = tmp_path / "bad.jsonl"
+    split.write_text(json.dumps(TOWNLANDS_RECORD) + "\n" + bad + "\n")
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
+        load_wikisql(str(split), tables_path)
+
+
+def test_translate_cli_reports_unanswerable_questions(tmp_path, capsys):
+    """An unknown table id and a question with nothing to encode end the
+    translate command with the repl's error line and status 1."""
+    from annosql.cli import main
+    from annosql.harness import run_train
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(epochs=1, headers=False)
+    config.tables_path = tables_path
+    config.train_path = split_path
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    run_train(config)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    for table_id, question, error in (
+        ("synth-0", "___", "empty source sequence"),
+        ("ghost", "what is it ?", "unknown table id 'ghost'"),
+    ):
+        capsys.readouterr()
+        argv = ["translate", "--config", str(config_path), "--question", question]
+        assert main(argv + ["--table", table_id]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["error"] and error in out["error"]
 
 
 def test_substitute_mode_pairs(tmp_path):

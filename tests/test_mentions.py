@@ -8,8 +8,6 @@ from annosql.mentions import (
     CandidateMention,
     Span,
     Thresholds,
-    coverage_count,
-    covered_words,
     detect_column_mentions,
     detect_value_mentions,
     edit_closeness,
@@ -19,7 +17,7 @@ from annosql.mentions import (
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, EmbeddingStore, Table, build_value_stats
 from annosql.text import tokenize
 
-from support import levenshtein_oracle, make_schema
+from support import coverage_count, covered_words, levenshtein_oracle, make_schema
 
 
 def test_edit_closeness_examples():

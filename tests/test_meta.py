@@ -124,13 +124,11 @@ def test_load_phrase_lexicon_empty(tmp_path):
     assert len(load_phrase_lexicon(str(path))) == 0
 
 
-def test_load_phrase_lexicon_unknown_column_warns_but_keeps(tmp_path, caplog):
+def test_load_phrase_lexicon_keeps_unknown_column(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("NoSuchColumn\tsome phrase\n")
-    with caplog.at_level("WARNING"):
-        lex = load_phrase_lexicon(str(path), known_columns={"population"})
+    lex = load_phrase_lexicon(str(path))
     assert "nosuchcolumn" in lex.by_column
-    assert any("NoSuchColumn" in rec.message for rec in caplog.records)
 
 
 def test_load_embeddings(tmp_path):
@@ -182,6 +180,19 @@ def test_value_affinity_numeric_range():
     col = schema.columns[0]
     assert value_affinity(["400"], col, stats_wide, None) == 1.0
     assert value_affinity(["400"], col, stats_narrow, None) == 0.0
+
+
+def test_value_affinity_adjacent_numbers_do_not_merge():
+    """The span "1 2" is two numbers, not 12; "- 5" is still -5."""
+    schema = make_schema("t", [("Points", "real")])
+    col = schema.columns[0]
+    stats = build_value_stats(Table(schema, (("10",), ("20",))))
+    assert value_affinity(["1", "2"], col, stats, None) == 0.0
+    assert value_affinity(["12"], col, stats, None) == 1.0
+    signed = build_value_stats(Table(schema, (("-10",), ("0",))))
+    assert tokenize("-5") == ["-", "5"]
+    assert value_affinity(["-", "5"], col, signed, None) == 1.0
+    assert value_affinity(["-", "5", "1"], col, signed, None) == 0.0
 
 
 def test_value_affinity_casefold_symmetric(film_awards):

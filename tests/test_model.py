@@ -3,6 +3,8 @@ import pytest
 
 from annosql import model as nn
 
+from support import greedy_decode
+
 
 def toy_config(**kw):
     base = dict(
@@ -321,7 +323,7 @@ def test_beam_width_one_is_greedy():
         params = nn.init_params(cfg, seed=seed, weight_scale=0.4)
         src = np.random.default_rng(seed).integers(5, 20, size=(6,))
         hyp = nn.beam_search(src, params, width=1, max_len=8, bos_id=2, eos_id=3)
-        toks, logp = nn.greedy_decode(src, params, max_len=8, bos_id=2, eos_id=3)
+        toks, logp = greedy_decode(src, params, max_len=8, bos_id=2, eos_id=3)
         assert hyp.tokens == tuple(toks)
         assert hyp.logp == pytest.approx(logp, abs=1e-12)
 
@@ -389,3 +391,20 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
     with pytest.raises(nn.ModelError):
         nn.load_checkpoint(path, expect_vocab_hash="wrong")
+
+
+def test_checkpoint_tensor_shapes_checked(tmp_path):
+    """A tensor whose shape disagrees with the stored config fails at load,
+    naming the tensor and both shapes; so does a missing tensor."""
+    cfg = toy_config()
+    path = str(tmp_path / "model.npz")
+    params = nn.init_params(cfg, seed=9)
+    params.tensors["dec.U"] = params.tensors["dec.U"][:, :-1]
+    nn.save_checkpoint(path, params, vocab_hash="abc123")
+    with pytest.raises(nn.ModelError, match=r"'dec\.U' has shape \(8, 23\), expected \(8, 24\)"):
+        nn.load_checkpoint(path)
+    params = nn.init_params(cfg, seed=9)
+    del params.tensors["attn.v"]
+    nn.save_checkpoint(path, params, vocab_hash="abc123")
+    with pytest.raises(nn.ModelError, match=r"'attn\.v' has shape None, expected \(\d+,\)"):
+        nn.load_checkpoint(path)

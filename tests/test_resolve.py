@@ -7,12 +7,12 @@ from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_sta
 from annosql.resolve import (
     TOKEN_DISTANCE,
     Question,
+    _span_closeness,
     annotate,
     assign_indices,
     build_match_graph,
     kuhn_match,
     max_bipartite_matching,
-    structural_closeness,
 )
 from annosql.trees import load_trees, parse_bracketed
 from annosql.text import tokenize
@@ -79,20 +79,20 @@ def test_structural_closeness_singleton_equals_lca(boxscore):
     schema, _table, _stats, tree = boxscore
     col = CandidateMention(Span(4, 5), "column", schema.columns[1], 1.0, "coverage")
     val = CandidateMention(Span(6, 7), "value", schema.columns[1], 1.0, "exact_value")
-    assert structural_closeness(val, col, tree) == tree.lca_depth(6, 4)
+    assert _span_closeness(val.span, col.span, tree) == tree.lca_depth(6, 4)
 
 
 def test_structural_closeness_root_only():
     tree = parse_bracketed("(S a b c d)")
     col = CandidateMention(Span(0, 1), "column", None, 1.0, "coverage")
     val = CandidateMention(Span(3, 4), "value", None, 1.0, "exact_value")
-    assert structural_closeness(val, col, tree) == 0
+    assert _span_closeness(val.span, col.span, tree) == 0
 
 
 def test_structural_closeness_token_distance_fallback():
     col = CandidateMention(Span(0, 2), "column", None, 1.0, "coverage")
     val = CandidateMention(Span(5, 6), "value", None, 1.0, "exact_value")
-    assert structural_closeness(val, col, TOKEN_DISTANCE) == -4  # closest pair: 1 vs 5
+    assert _span_closeness(val.span, col.span, TOKEN_DISTANCE) == -4  # closest pair: 1 vs 5
 
 
 def test_build_match_graph_tree_prunes_to_nested_pairs(boxscore):
