@@ -10,29 +10,18 @@ g_i slot per column so unmentioned columns stay addressable.
 import hashlib
 import re
 from collections import Counter
-from dataclasses import dataclass
+
+from .meta import read_lines
 
 SUBSTITUTE, STACK = "substitute", "stack"
-WORD, COL_SYM, VAL_SYM, HDR_SYM, SEPARATOR = "word", "col", "val", "hdr", "sep"
 
 PAD, UNK, BOS, EOS, SEP = "<pad>", "<unk>", "<bos>", "<eos>", "|"
 
 _SYMBOL_TOKEN_RE = re.compile(r"^[cvg][1-9][0-9]*$")
 
 
-@dataclass(frozen=True)
-class AnnotatedToken:
-    kind: str
-    surface: str
-    index: int = 0
-
-
-def _symbol(kind, family, index):
-    return AnnotatedToken(kind, f"{family}{index}", index)
-
-
 def encode_question(annotation, schema, mode=STACK, headers=True):
-    """Annotated source sequence for the sequence model.
+    """Annotated source token strings for the sequence model.
 
     Substitute drops accepted spans in favor of their symbols; stack keeps
     the surface words after each symbol. With `headers`, a separator and
@@ -47,25 +36,20 @@ def encode_question(annotation, schema, mode=STACK, headers=True):
     while i < len(tokens):
         mention = by_start.get(i)
         if mention is None:
-            out.append(AnnotatedToken(WORD, tokens[i]))
+            out.append(tokens[i])
             i += 1
             continue
-        kind = COL_SYM if mention.family == "c" else VAL_SYM
-        out.append(_symbol(kind, mention.family, mention.index))
+        out.append(f"{mention.family}{mention.index}")
         if mode == STACK:
-            out.extend(AnnotatedToken(WORD, tokens[j]) for j in range(i, mention.span.end))
+            out.extend(tokens[i : mention.span.end])
         i = mention.span.end
     if headers:
-        out.append(AnnotatedToken(SEPARATOR, SEP))
+        out.append(SEP)
         for column in schema.columns:
-            out.append(_symbol(HDR_SYM, "g", column.position + 1))
+            out.append(f"g{column.position + 1}")
             if mode == STACK:
-                out.extend(AnnotatedToken(WORD, t) for t in column.tokens)
+                out.extend(column.tokens)
     return out
-
-
-def token_strings(encoded):
-    return [t.surface for t in encoded]
 
 
 class Vocabulary:
@@ -114,8 +98,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        tokens = read_lines(path, str)
         n = len(cls.SPECIALS)
         if tokens[:n] != list(cls.SPECIALS):
             raise ValueError(f"{path}: not a vocabulary file")

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import model as nn
-from .encoding import build_vocab, encode_question, token_strings
+from .encoding import build_vocab, encode_question
 from .mentions import Thresholds
 from .meta import (
     EMPTY_EMBEDDINGS,
@@ -21,6 +21,7 @@ from .meta import (
     load_embeddings,
     load_phrase_lexicon,
     load_tables,
+    read_lines,
 )
 from .resolve import annotate
 from .sqlgen import (
@@ -175,40 +176,35 @@ def load_table_bundles(tables_path):
 def load_wikisql(split_path, tables_path, trees_path=None):
     """Load a WikiSQL-format split joined to its tables.
 
-    Tree line i of `trees_path`, when given, belongs to split line i, so the
-    two files have the same number of lines, blank ones included. Returns
+    A line without a `sql` object gives an Example whose gold is None. Tree
+    line i of `trees_path`, when given, belongs to split line i, so the two
+    files have the same number of lines, blank ones included. Returns
     (examples, tables) where tables maps id -> TableBundle.
     """
     tables = load_table_bundles(tables_path)
-    with open(split_path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    trees = [None] * len(lines)
-    if trees_path:
-        trees = load_trees(trees_path)
-        if len(trees) != len(lines):
-            raise ValueError(
-                f"{trees_path}: {len(trees)} tree lines for {len(lines)} lines of {split_path}"
-            )
-    examples = []
-    missing = set()
-    for lineno, (line, tree) in enumerate(zip(lines, trees), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            table_id = str(obj["table_id"])
-            if table_id not in tables:
-                missing.add(table_id)
-                continue
+    trees = load_trees(trees_path) if trees_path else []
+    tree_of_line = iter(trees)
+
+    def parse(line):
+        tree = next(tree_of_line, None)
+        if not line.strip():
+            return None
+        obj = json.loads(line)
+        question = str(obj["question"])
+        table_id = str(obj["table_id"])
+        if table_id not in tables:
+            raise ValueError(f"unknown table id {table_id!r}")
+        gold = None
+        if "sql" in obj:
             gold = gold_from_wikisql(obj["sql"], tables[table_id].schema, table_id)
-            question = str(obj["question"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{split_path}:{lineno}: {type(exc).__name__}: {exc}") from exc
-        examples.append(Example(question, table_id, gold, tree))
-    if missing:
-        raise ValueError(f"{split_path}: unknown table ids: {sorted(missing)}")
-    return examples, tables
+        return Example(question, table_id, gold, tree)
+
+    parsed = read_lines(split_path, parse)
+    if trees_path and len(trees) != len(parsed):
+        raise ValueError(
+            f"{trees_path}: {len(trees)} tree lines for {len(parsed)} lines of {split_path}"
+        )
+    return [ex for ex in parsed if ex is not None], tables
 
 
 def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_EMBEDDINGS):
@@ -225,10 +221,9 @@ def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_
             tree=ex.tree,
             thresholds=thresholds,
         )
-        encoded = encode_question(
+        ex.encoded_src = encode_question(
             ex.annotation, bundle.schema, mode=config.mode, headers=config.headers
         )
-        ex.encoded_src = token_strings(encoded)
         if ex.gold is None:
             continue
         try:
@@ -295,9 +290,9 @@ def acc_ex(pred_sql, gold_sql, table):
     return result_equal(execute(pred_sql, table), execute(gold_sql, table))
 
 
-def _pad_batch(rows, pad_id, dtype=np.int64):
+def _pad_batch(rows, pad_id):
     width = max(len(r) for r in rows)
-    ids = np.full((len(rows), width), pad_id, dtype=dtype)
+    ids = np.full((len(rows), width), pad_id, dtype=np.int64)
     mask = np.zeros((len(rows), width), dtype=np.float64)
     for i, r in enumerate(rows):
         ids[i, : len(r)] = r
@@ -305,12 +300,20 @@ def _pad_batch(rows, pad_id, dtype=np.int64):
     return ids, mask
 
 
-def train_model(pairs, vocab, config, stop_fn=None, log_fn=None):
-    """Seeded training loop; returns (params, per-epoch history)."""
+def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBEDDINGS):
+    """Seeded training loop; returns (params, per-epoch history).
+
+    Word embeddings start from `emb`'s vectors when its dimension is the
+    model's. Each history entry carries the pre-clip gradient norm (max and
+    mean over the epoch's batches) and the fraction of batches clipped.
+    """
     if not pairs:
         raise ValueError("no training pairs")
     mcfg = config.model_config(len(vocab))
-    params = nn.init_params(mcfg, seed=config.seed)
+    if emb.dim not in (0, mcfg.dim):
+        msg = "embedding dimension %d is not the model's %d; word embeddings start random"
+        log.warning(msg, emb.dim, mcfg.dim)
+    params = nn.init_params(mcfg, seed=config.seed, pretrained=emb, vocab=vocab)
     optimizer = nn.Adam(params, lr=config.lr)
     rng = np.random.default_rng(config.seed)
     history = []
@@ -318,7 +321,7 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None):
     for epoch in range(1, config.epochs + 1):
         started = time.time()
         rng.shuffle(order)
-        losses, accs = [], []
+        losses, accs, norms = [], [], []
         for lo in range(0, len(order), config.batch_size):
             batch = [pairs[i] for i in order[lo : lo + config.batch_size]]
             src_ids, src_mask = _pad_batch([b[0] for b in batch], vocab.pad)
@@ -327,14 +330,18 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None):
             loss, grads, stats = nn.loss_and_grad(
                 params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=lo
             )
-            grads, _norm = nn.clip_gradients(grads, config.clip)
+            grads, norm = nn.clip_gradients(grads, config.clip)
             optimizer.step(params, grads)
             losses.append(loss)
             accs.append(stats["token_accuracy"])
+            norms.append(norm)
         entry = {
             "epoch": epoch,
             "loss": float(np.mean(losses)),
             "token_accuracy": float(np.mean(accs)),
+            "grad_norm_max": max(norms),
+            "grad_norm_mean": float(np.mean(norms)),
+            "clipped_fraction": sum(n > config.clip for n in norms) / len(norms),
             "seconds": round(time.time() - started, 3),
         }
         history.append(entry)
@@ -347,11 +354,10 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None):
 
 @dataclass
 class Translation:
-    sketch_tokens: list | None
     sketch: str | None
     sql: ConcreteSql | None
+    logp: float
     error: str | None = None
-    logp: float = 0.0
 
 
 def translate_example(example, tables, params, vocab, config):
@@ -361,18 +367,15 @@ def translate_example(example, tables, params, vocab, config):
     hyp = nn.beam_search(
         src, params, config.beam_width, config.max_decode_len, vocab.bos, vocab.eos
     )
-    toks = vocab.decode(hyp.tokens)
     try:
-        ast = parse_annotated_sql(toks)
+        ast = parse_annotated_sql(vocab.decode(hyp.tokens))
     except SketchParseError as exc:
-        return Translation(toks, None, None, error=f"parse: {exc}", logp=hyp.logp)
+        return Translation(None, None, hyp.logp, error=f"parse: {exc}")
     try:
         sql = resolve_symbols(ast, example.annotation.symbols, bundle.schema)
     except SymbolResolutionError as exc:
-        return Translation(
-            toks, serialize_sketch(ast), None, error=f"resolve: {exc}", logp=hyp.logp
-        )
-    return Translation(toks, serialize_sketch(ast), sql, logp=hyp.logp)
+        return Translation(serialize_sketch(ast), None, hyp.logp, error=f"resolve: {exc}")
+    return Translation(serialize_sketch(ast), sql, hyp.logp)
 
 
 @dataclass
@@ -416,7 +419,10 @@ class EvalReport:
 
 
 def evaluate(examples, tables, params, vocab, config):
-    """All three accuracies over prepared examples (aligned or not)."""
+    """All three accuracies over prepared examples (aligned or not) with gold queries."""
+    gold_less = next((ex for ex in examples if ex.gold is None), None)
+    if gold_less is not None:
+        raise ValueError(f"no gold query to evaluate against for {gold_less.question!r}")
     lf = qm = ex_count = aligned = 0
     reasons = Counter()
     for ex in examples:
@@ -507,7 +513,7 @@ def run_train(config):
 
     needs_stop = config.stop_train_acc is not None or dev_examples is not None
     params, history = train_model(
-        pairs, vocab, config, stop_fn=stop_fn if needs_stop else None, log_fn=log_fn
+        pairs, vocab, config, stop_fn=stop_fn if needs_stop else None, log_fn=log_fn, emb=emb
     )
     if state["best_params"] is not None:
         params = state["best_params"]
@@ -564,6 +570,7 @@ def translate_question(question, table_id, tables, params, vocab, config, lexico
         "annotation": ex.annotation.symbols.to_dict(),
         "encoded": ex.encoded_src,
         "sketch": result.sketch,
+        "logp": result.logp,
         "sql": None,
         "result": None,
         "error": result.error,

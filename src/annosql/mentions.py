@@ -85,8 +85,6 @@ def edit_closeness(x, y):
 
 def embedding_closeness(x, y, emb):
     """0.5 * (1 - cosine) of the two word vectors, or None if either is missing."""
-    if emb is None:
-        return None
     vx, vy = emb.get(x), emb.get(y)
     if vx is None or vy is None:
         return None
@@ -219,7 +217,7 @@ def detect_column_mentions(qtokens, schema, lexicon, emb, thresholds=DEFAULT_THR
     """
     mentions = []
     for column in schema.columns:
-        lex = _lexicon_mentions(qtokens, column, lexicon) if lexicon else []
+        lex = _lexicon_mentions(qtokens, column, lexicon)
         cov = _coverage_mention(qtokens, column, emb, thresholds)
         if cov is not None and not any(cov.span.overlaps(m.span) for m in lex):
             lex.append(cov)

@@ -141,38 +141,46 @@ def build_value_stats(table):
     return ValueStats(per_column)
 
 
+def read_lines(path, parse):
+    """`parse(line)` for every line of a text file, newline stripped.
+
+    A KeyError, TypeError or ValueError out of `parse` becomes a MetaError
+    that starts with `path:lineno: ` and names the exception type.
+    """
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                out.append(parse(line.rstrip("\n")))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise MetaError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
+def _parse_table(line):
+    if not line.strip():
+        return None
+    obj = json.loads(line)
+    table_id, header, types, rows = str(obj["id"]), obj["header"], obj["types"], obj["rows"]
+    if not all(isinstance(v, list) for v in (header, types, rows)):
+        raise TypeError("header, types and rows must be lists")
+    if not all(isinstance(row, list) for row in rows):
+        raise TypeError("every row must be a list")
+    if len(types) != len(header):
+        raise MetaError(f"table {table_id!r}: {len(header)} header names, {len(types)} types")
+    columns = tuple(
+        ColumnMeta(str(name), str(typ), pos) for pos, (name, typ) in enumerate(zip(header, types))
+    )
+    schema = TableSchema(table_id, columns)
+    return schema, Table(schema, tuple(tuple(cell_str(v) for v in row) for row in rows))
+
+
 def load_tables(path):
     """Load a JSON-lines table file into (TableSchema, Table) pairs.
 
     Each line carries `id`, `header`, `types`, and `rows`.
     """
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                table_id = obj["id"]
-                header = obj["header"]
-                types = obj["types"]
-                rows = obj["rows"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise MetaError(f"{path}: malformed line {lineno}: {exc}") from exc
-            if len(types) != len(header):
-                raise MetaError(f"{path}: line {lineno}: header/types length mismatch")
-            try:
-                columns = tuple(
-                    ColumnMeta(str(name), str(typ), pos)
-                    for pos, (name, typ) in enumerate(zip(header, types))
-                )
-                schema = TableSchema(str(table_id), columns)
-            except MetaError as exc:
-                raise MetaError(f"{path}: line {lineno} ({table_id}): {exc}") from exc
-            cells = tuple(tuple(cell_str(v) for v in row) for row in rows)
-            out.append((schema, Table(schema, cells)))
-    return out
+    return [pair for pair in read_lines(path, _parse_table) if pair is not None]
 
 
 def cell_str(value):
@@ -210,9 +218,6 @@ class PhraseLexicon:
     def templates_for(self, column):
         return self.by_column.get(column.folded, ())
 
-    def __len__(self):
-        return len(self.by_column)
-
 
 EMPTY_LEXICON = PhraseLexicon({})
 
@@ -234,26 +239,27 @@ def load_phrase_lexicon(path):
     shared across tables, so an entry is kept whatever column it names.
     """
     by_column = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
+
+    def parse(line):
+        if not line.strip():
+            return
+        if "\t" not in line:
+            raise MetaError("expected column<TAB>phrases")
+        column, phrases = line.split("\t", 1)
+        templates = by_column.setdefault(column.strip().casefold(), set())
+        for phrase in phrases.split("|"):
+            phrase = phrase.strip()
+            if not phrase:
                 continue
-            if "\t" not in line:
-                raise MetaError(f"{path}: line {lineno}: expected column<TAB>phrases")
-            column, phrases = line.split("\t", 1)
-            templates = by_column.setdefault(column.strip().casefold(), set())
-            for phrase in phrases.split("|"):
-                phrase = phrase.strip()
-                if not phrase:
-                    continue
-                pieces = _split_slots(phrase)
-                tokens = []
-                for i, piece in enumerate(pieces):
-                    if i > 0:
-                        tokens.append(None)
-                    tokens.extend(piece)
-                templates.add(PhraseTemplate(tuple(tokens)))
+            pieces = _split_slots(phrase)
+            tokens = []
+            for i, piece in enumerate(pieces):
+                if i > 0:
+                    tokens.append(None)
+                tokens.extend(piece)
+            templates.add(PhraseTemplate(tuple(tokens)))
+
+    read_lines(path, parse)
     return PhraseLexicon(
         {k: tuple(sorted(v, key=lambda t: repr(t.tokens))) for k, v in by_column.items()}
     )
@@ -265,18 +271,6 @@ class EmbeddingStore:
     def __init__(self, vectors, dim):
         self._vectors = vectors
         self.dim = dim
-
-    @classmethod
-    def from_dict(cls, mapping):
-        vecs = {w: np.asarray(v, dtype=float) for w, v in mapping.items()}
-        dims = {v.shape for v in vecs.values()}
-        if len(dims) > 1:
-            raise MetaError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        dim = next(iter(dims))[0] if dims else 0
-        return cls(vecs, dim)
-
-    def __len__(self):
-        return len(self._vectors)
 
     def get(self, word):
         return self._vectors.get(word.casefold())
@@ -296,21 +290,21 @@ def load_embeddings(path):
     """Load a GloVe-style text vector file; dimension inferred from line 1."""
     vectors = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip().split()
-            if not parts:
-                continue
-            word, *nums = parts
-            if dim is None:
-                dim = len(nums)
-                if dim == 0:
-                    raise MetaError(f"{path}: line {lineno}: no vector components")
-            elif len(nums) != dim:
-                raise MetaError(
-                    f"{path}: line {lineno}: expected {dim} components, got {len(nums)}"
-                )
-            vectors[word.casefold()] = np.asarray([float(x) for x in nums])
+
+    def parse(line):
+        nonlocal dim
+        if not line.strip():
+            return
+        word, *nums = line.split()
+        if dim is None:
+            dim = len(nums)
+            if dim == 0:
+                raise MetaError("no vector components")
+        elif len(nums) != dim:
+            raise MetaError(f"expected {dim} components, got {len(nums)}")
+        vectors[word.casefold()] = np.asarray([float(x) for x in nums])
+
+    read_lines(path, parse)
     return EmbeddingStore(vectors, dim or 0)
 
 
@@ -342,7 +336,7 @@ def value_affinity(term, column, stats, emb):
     if num is not None and column.col_type == REAL:
         rng = cstats.numeric_range
         return 1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0
-    if emb is None or emb.dim == 0:
+    if emb.dim == 0:
         return 0.0
     tvec = emb.mean(t.casefold() for t in term)
     if tvec is None:

@@ -489,7 +489,7 @@ class Hypothesis:
     state: DecoderState = field(compare=False)
 
 
-def beam_search(src_ids, params, width, max_len, bos_id, eos_id, src_mask=None):
+def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
     """Length-bounded beam search over the copy-augmented distribution.
 
     Width 1 is greedy decoding. The best hypothesis is the finished one with
@@ -498,9 +498,8 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id, src_mask=None):
     """
     if width < 1:
         raise ModelError("beam width must be >= 1")
-    enc = encoder_forward(src_ids, params, src_mask)
-    start = Hypothesis((), 0.0, initial_decoder_state(params, enc))
-    beam = [start]
+    enc = encoder_forward(src_ids, params)
+    beam = [Hypothesis((), 0.0, initial_decoder_state(params, enc))]
     done = []
     for _ in range(max_len):
         candidates = []
@@ -526,10 +525,7 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id, src_mask=None):
         beam = beam_next
         if not beam:
             break
-    pool = done if done else beam
-    if not pool:
-        return start
-    return max(pool, key=lambda h: (h.logp, -len(h.tokens)))
+    return max(done or beam, key=lambda h: (h.logp, -len(h.tokens)))
 
 
 CHECKPOINT_VERSION = 1

@@ -2,9 +2,8 @@
 mentions via structural closeness and maximum bipartite matching, then
 assign annotation indices.
 
-The closeness source for pruning is either a constituency tree (LCA depth),
-the TOKEN_DISTANCE fallback (negated token distance), or None, which
-disables pruning entirely and keeps every candidate edge.
+The closeness source for pruning is either a constituency tree (LCA depth)
+or the TOKEN_DISTANCE fallback (negated token distance).
 """
 
 import logging
@@ -98,10 +97,10 @@ def _span_closeness(span_a, span_b, closeness_source):
     return best
 
 
-def build_match_graph(values, columns, tree):
+def build_match_graph(values, columns, closeness_source):
     """Bipartite graph of value vertices vs. column-mention vertices.
 
-    With a closeness source, only a value's best-closeness edges survive.
+    Only a value's best-closeness edges to column mentions survive.
     Candidate columns with no mention get a synthetic vertex reachable only
     from their triggering value, always kept (nothing to measure against).
     """
@@ -127,16 +126,14 @@ def build_match_graph(values, columns, tree):
         for col in vv.columns:
             if col.position in vertices_of:
                 for ci in vertices_of[col.position]:
-                    closeness = (
-                        0 if tree is None else _span_closeness(vv.span, col_vertices[ci].span, tree)
-                    )
+                    closeness = _span_closeness(vv.span, col_vertices[ci].span, closeness_source)
                     scored.append((ci, closeness))
             else:
                 synthetic_cols.append(col)
         edges = []
         if scored:
             best = max(c for _, c in scored)
-            edges = [ci for ci, c in scored if tree is None or c == best]
+            edges = [ci for ci, c in scored if c == best]
         for col in synthetic_cols:
             col_vertices.append(ColumnVertex(col))
             edges.append(len(col_vertices) - 1)

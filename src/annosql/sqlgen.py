@@ -309,12 +309,13 @@ def _values_match(surface, gold_value):
     return a is not None and b is not None and a == b
 
 
-def align_gold_sql(gold, annotation, schema, max_index=None):
+def align_gold_sql(gold, annotation, schema, max_index):
     """Express a gold concrete query over an annotation's symbols.
 
     Mention symbols are preferred over header symbols; a gold value with no
-    matching v binding makes the example unalignable (reported by raising
-    AlignmentError so callers can count coverage).
+    matching v binding, or a symbol index above `max_index`, makes the
+    example unalignable (reported by raising AlignmentError so callers can
+    count coverage).
     """
     symtab = annotation.symbols
 
@@ -326,10 +327,7 @@ def align_gold_sql(gold, annotation, schema, max_index=None):
         column = schema.column_by_name(name)
         if column is None:
             raise AlignmentError(f"gold column {name!r} not in schema")
-        index = column.position + 1
-        if max_index is not None and index > max_index:
-            raise AlignmentError(f"header symbol g{index} beyond the index cap")
-        return SqlSymbol("g", index)
+        return SqlSymbol("g", column.position + 1)
 
     def condition_symbols(col, value):
         want = col.casefold()
@@ -347,8 +345,7 @@ def align_gold_sql(gold, annotation, schema, max_index=None):
         csym, vsym = condition_symbols(col, value)
         conds.append((csym, op, vsym))
     ast = AnnotatedSqlAst(gold.agg, column_symbol(gold.select), tuple(conds))
-    if max_index is not None:
-        for sym in [ast.select] + [s for c in ast.conds for s in (c[0], c[2])]:
-            if sym.index > max_index:
-                raise AlignmentError(f"symbol {sym} beyond the index cap")
+    for sym in [ast.select] + [s for c in ast.conds for s in (c[0], c[2])]:
+        if sym.index > max_index:
+            raise AlignmentError(f"symbol {sym} beyond the index cap")
     return ast

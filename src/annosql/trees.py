@@ -6,6 +6,8 @@ line, aligned by line number to the question file.
 
 from dataclasses import dataclass, field
 
+from .meta import read_lines
+
 
 class TreeParseError(ValueError):
     pass
@@ -107,9 +109,4 @@ def parse_bracketed(line):
 
 def load_trees(path):
     """One tree per line; blank lines mean "no tree for this question"."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            out.append(parse_bracketed(line) if line else None)
-    return out
+    return read_lines(path, lambda line: parse_bracketed(line) if line.strip() else None)

@@ -1,14 +1,13 @@
 import pytest
 
 from annosql.meta import (
-    EmbeddingStore,
     PhraseLexicon,
     PhraseTemplate,
     Table,
     build_value_stats,
 )
 
-from support import make_schema
+from support import embedding_store, make_schema
 
 
 @pytest.fixture
@@ -83,7 +82,7 @@ def townlands():
 @pytest.fixture
 def actress_emb():
     """Toy vectors making actress~actor close in embedding space only."""
-    return EmbeddingStore.from_dict(
+    return embedding_store(
         {
             "actor": [1.0, 0.0],
             "actress": [0.9, 0.1],

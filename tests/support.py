@@ -8,11 +8,21 @@ import numpy as np
 
 from annosql import model as nn
 from annosql.mentions import DEFAULT_THRESHOLDS, _close_rows
-from annosql.meta import ColumnMeta, TableSchema
+from annosql.meta import ColumnMeta, EmbeddingStore, MetaError, TableSchema
 
 
 def make_schema(table_id, cols):
     return TableSchema(table_id, tuple(ColumnMeta(n, t, i) for i, (n, t) in enumerate(cols)))
+
+
+def embedding_store(mapping):
+    """An EmbeddingStore over a word -> vector dict; all vectors one size."""
+    vecs = {w: np.asarray(v, dtype=float) for w, v in mapping.items()}
+    dims = {v.shape for v in vecs.values()}
+    if len(dims) > 1:
+        raise MetaError(f"inconsistent embedding dimensions: {sorted(dims)}")
+    dim = next(iter(dims))[0] if dims else 0
+    return EmbeddingStore(vecs, dim)
 
 
 def levenshtein_oracle(a, b):

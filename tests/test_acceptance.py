@@ -21,7 +21,7 @@ from annosql.harness import (
     train_model,
 )
 from annosql.mentions import Span, detect_column_mentions
-from annosql.meta import EMPTY_EMBEDDINGS, load_phrase_lexicon
+from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, load_phrase_lexicon
 from annosql.resolve import kuhn_match
 from annosql.sqlgen import (
     ConcreteSql,
@@ -69,7 +69,7 @@ def test_criterion_2_mention_detection_fixture(actress_emb):
     started = time.monotonic()
     schema = make_schema("awards", [("best actor 2011", "text")])
     tokens = "who is the best actress of year 2011 ?".split()
-    mentions = detect_column_mentions(tokens, schema, None, actress_emb)
+    mentions = detect_column_mentions(tokens, schema, EMPTY_LEXICON, actress_emb)
     assert [m.span for m in mentions] == [Span(3, 8)]
     assert tokens[3:8] == ["best", "actress", "of", "year", "2011"]
     spans = {m.span for m in mentions}

@@ -8,7 +8,6 @@ from annosql.encoding import (
     Vocabulary,
     build_vocab,
     encode_question,
-    token_strings,
 )
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
 from annosql.resolve import annotate
@@ -27,13 +26,13 @@ def lebron():
 
 def test_encode_substitute(lebron):
     schema, ann = lebron
-    toks = token_strings(encode_question(ann, schema, mode=SUBSTITUTE, headers=False))
+    toks = encode_question(ann, schema, mode=SUBSTITUTE, headers=False)
     assert " ".join(toks) == "what c1 did the c2 v2 play ?"
 
 
 def test_encode_stack(lebron):
     schema, ann = lebron
-    toks = token_strings(encode_question(ann, schema, mode=STACK, headers=False))
+    toks = encode_question(ann, schema, mode=STACK, headers=False)
     assert " ".join(toks) == "what c1 position did the c2 player v2 lebron james play ?"
 
 
@@ -49,16 +48,16 @@ def test_encode_header_suffix(lebron):
             ("Nomination Date", "text"),
         ],
     )
-    stacked = token_strings(encode_question(ann, schema5, mode=STACK, headers=True))
+    stacked = encode_question(ann, schema5, mode=STACK, headers=True)
     suffix = " ".join(stacked[stacked.index(SEP) :])
     assert suffix == "| g1 nomination g2 actor g3 film name g4 director g5 nomination date"
-    plain = token_strings(encode_question(ann, schema5, mode=SUBSTITUTE, headers=True))
+    plain = encode_question(ann, schema5, mode=SUBSTITUTE, headers=True)
     assert plain[plain.index(SEP) :] == ["|", "g1", "g2", "g3", "g4", "g5"]
 
 
 def test_stack_is_lossless(lebron):
     schema, ann = lebron
-    stacked = token_strings(encode_question(ann, schema, mode=STACK, headers=False))
+    stacked = encode_question(ann, schema, mode=STACK, headers=False)
     it = iter(stacked)
     assert all(tok in it for tok in ann.tokens)  # subsequence check
 
@@ -80,9 +79,9 @@ def test_symbol_surfaces_round_trip(lebron):
 
 def test_separator_appears_at_most_once(lebron):
     schema, ann = lebron
-    toks = token_strings(encode_question(ann, schema, mode=STACK, headers=True))
+    toks = encode_question(ann, schema, mode=STACK, headers=True)
     assert toks.count(SEP) == 1
-    toks = token_strings(encode_question(ann, schema, mode=STACK, headers=False))
+    toks = encode_question(ann, schema, mode=STACK, headers=False)
     assert toks.count(SEP) == 0
 
 

@@ -93,6 +93,25 @@ def test_load_wikisql_dangling_table_id(tmp_path):
         load_wikisql(str(bad), tables_path)
 
 
+def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
+    from annosql.cli import main
+
+    tables_path, _split, _lex = write_film_and_townland_fixtures(tmp_path)
+    split = tmp_path / "asked.jsonl"
+    asked = {k: v for k, v in TOWNLANDS_RECORD.items() if k != "sql"}
+    split.write_text(json.dumps(FILM_AWARDS_RECORD) + "\n" + json.dumps(asked) + "\n")
+    examples, tables = load_wikisql(str(split), tables_path)
+    assert [ex.gold is None for ex in examples] == [False, True]
+    prepare_examples(examples, tables, Config())
+    with pytest.raises(ValueError, match="no gold query .*How many people live in Mayo"):
+        evaluate(examples, tables, None, None, Config())
+    out = tmp_path / "ann.jsonl"
+    assert main(["annotate", "--tables", tables_path, "--in", str(split), "--out", str(out)]) == 0
+    annotated = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [a["aligned_sketch"] is None for a in annotated] == [False, True]
+    assert "Mayo" in {v["surface"] for v in annotated[1]["symbols"]["values"].values()}
+
+
 def test_gold_from_wikisql_codes():
     schema = make_schema("t", [("A", "text"), ("B", "real")])
     gold = gold_from_wikisql({"sel": 1, "agg": 3, "conds": [[0, 1, 5]]}, schema, "t")
@@ -325,7 +344,12 @@ def test_run_train_eval_translate_cli(tmp_path):
     trained = json.loads(out_train.read_text())
     assert len(trained["epochs"]) == 4
     log_lines = [json.loads(l) for l in open(config.log_path) if l.strip()]
-    assert {"epoch", "loss", "token_accuracy", "seconds"} <= set(log_lines[0])
+    assert {
+        "epoch", "loss", "token_accuracy", "grad_norm_max", "grad_norm_mean",
+        "clipped_fraction", "seconds",
+    } <= set(log_lines[0])
+    assert all(0.0 <= e["clipped_fraction"] <= 1.0 for e in trained["epochs"])
+    assert all(e["grad_norm_max"] >= e["grad_norm_mean"] > 0.0 for e in trained["epochs"])
 
     out_eval = tmp_path / "eval.json"
     assert main(["eval", "--config", str(config_path), "--split", "test", "--out", str(out_eval)]) == 0
@@ -348,6 +372,7 @@ def test_run_train_eval_translate_cli(tmp_path):
     assert translated["question"] == record["question"]
     assert "symbols" not in translated or True
     assert "annotation" in translated
+    assert translated["logp"] <= 0.0
 
     out_ann = tmp_path / "ann.jsonl"
     assert main([
@@ -458,7 +483,7 @@ def test_load_wikisql_rejects_wrong_tree_line_count(tmp_path):
     "bad",
     [
         "{not json",
-        json.dumps({"question": "q", "table_id": "townlands"}),
+        json.dumps({"table_id": "townlands", "sql": TOWNLANDS_RECORD["sql"]}),
         json.dumps([1, 2]),
         json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 5, "agg": 0, "conds": []}}),
         json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": -1, "agg": 0, "conds": []}}),
@@ -517,6 +542,37 @@ def test_substitute_mode_pairs(tmp_path):
     pairs, vocab, report = build_training_pairs(examples, config)
     assert report["aligned"] == 2
     assert vocab.encode(ex.encoded_src) == pairs[0][0]
+
+
+def test_embeddings_seed_word_embeddings(tmp_path, caplog):
+    """With lr=0 the checkpoint keeps its initial rows: a word's row is its
+    vector when the dimensions agree, and a random row, with a warning
+    naming both sizes, when they do not."""
+    from annosql import model as nn
+    from annosql.encoding import Vocabulary
+    from annosql.harness import run_train
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(epochs=1, lr=0.0)
+    config.tables_path = tables_path
+    config.train_path = split_path
+    config.embeddings_path = str(tmp_path / "vectors.txt")
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    vectors = {w: np.linspace(-1.0, 1.0, config.dim) * (i + 1) for i, w in enumerate(["select", "where"])}
+    for dim in (config.dim, 3):
+        with open(config.embeddings_path, "w") as fh:
+            for word, vec in vectors.items():
+                fh.write(" ".join([word] + [str(x) for x in vec[:dim].tolist()]) + "\n")
+        caplog.clear()
+        run_train(config)
+        vocab = Vocabulary.load(config.vocab_path)
+        params, _meta = nn.load_checkpoint(config.checkpoint_path)
+        for word, vec in vectors.items():
+            row = params["emb"][vocab.stoi[word]]
+            assert np.allclose(row, vec, atol=1e-6) == (dim == config.dim)
+        warned = any("dimension 3" in r.getMessage() and "32" in r.getMessage() for r in caplog.records)
+        assert warned == (dim != config.dim)
 
 
 def test_dev_early_stopping_with_patience(tmp_path):

@@ -14,10 +14,10 @@ from annosql.mentions import (
     embedding_closeness,
     words_close,
 )
-from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, EmbeddingStore, Table, build_value_stats
+from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
 from annosql.text import tokenize
 
-from support import coverage_count, covered_words, levenshtein_oracle, make_schema
+from support import coverage_count, covered_words, embedding_store, levenshtein_oracle, make_schema
 
 
 def test_edit_closeness_examples():
@@ -44,19 +44,19 @@ def test_edit_closeness_properties_against_oracle():
 
 
 def test_embedding_closeness():
-    emb = EmbeddingStore.from_dict({"w": [1.0, 2.0], "neg": [-1.0, -2.0]})
+    emb = embedding_store({"w": [1.0, 2.0], "neg": [-1.0, -2.0]})
     assert embedding_closeness("w", "w", emb) == pytest.approx(0.0)
     assert embedding_closeness("w", "neg", emb) == pytest.approx(1.0)
     assert embedding_closeness("w", "absent", emb) is None
-    assert embedding_closeness("w", "w", None) is None
+    assert embedding_closeness("w", "w", EMPTY_EMBEDDINGS) is None
 
 
 def test_words_close(actress_emb):
-    assert words_close("film", "film", None, 0.5, 0.15)
-    assert words_close("directed", "director", None, 0.5, 0.15)
+    assert words_close("film", "film", EMPTY_EMBEDDINGS, 0.5, 0.15)
+    assert words_close("directed", "director", EMPTY_EMBEDDINGS, 0.5, 0.15)
     assert not words_close("xyz", "population", EMPTY_EMBEDDINGS, 0.5, 0.15)
     # actress~actor only via the embedding metric
-    assert not words_close("actress", "actor", None, 0.5, 0.15)
+    assert not words_close("actress", "actor", EMPTY_EMBEDDINGS, 0.5, 0.15)
     assert words_close("actress", "actor", actress_emb, 0.5, 0.15)
 
 
@@ -233,4 +233,4 @@ def test_mention_score_bounds():
 
 def test_thresholds_configurable():
     strict = Thresholds(tau_ed=0.1, tau_sim=0.01)
-    assert not words_close("directed", "director", None, strict.tau_ed, strict.tau_sim)
+    assert not words_close("directed", "director", EMPTY_EMBEDDINGS, strict.tau_ed, strict.tau_sim)

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from annosql.meta import (
+    EMPTY_EMBEDDINGS,
     ColumnMeta,
-    EmbeddingStore,
     MetaError,
     Table,
     build_value_stats,
@@ -14,8 +14,9 @@ from annosql.meta import (
     value_affinity,
 )
 from annosql.text import normalize, parse_number, tokenize
+from annosql.trees import load_trees
 
-from support import make_schema
+from support import embedding_store, make_schema
 
 
 def test_tokenize_splits_underscores_and_keeps_numbers():
@@ -70,7 +71,7 @@ def test_load_tables_no_rows_gives_empty_stats(tmp_path):
 def test_load_tables_malformed_line_names_line_number(tmp_path):
     path = tmp_path / "tables.jsonl"
     path.write_text('{"id": "a", "header": ["A"], "types": ["text"], "rows": []}\n{bad json\n')
-    with pytest.raises(MetaError, match="line 2"):
+    with pytest.raises(MetaError, match=":2: "):
         load_tables(str(path))
 
 
@@ -81,6 +82,37 @@ def test_load_tables_duplicate_headers_name_table(tmp_path):
     )
     with pytest.raises(MetaError, match="dup-table"):
         load_tables(path)
+
+
+def _table_line(**fields):
+    return json.dumps({"id": "t", "header": ["A", "B"], "types": ["text", "real"],
+                       "rows": [["x", 1]], **fields})
+
+
+@pytest.mark.parametrize(
+    "load, good, bad",
+    [
+        (load_trees, "(S (A x) (B y))", "(S (A x) (B y)"),
+        (load_embeddings, "a 1.0 0.0", "b 1.0 zero"),
+        (load_embeddings, "a 1.0 0.0", "b 1.0"),
+        (load_tables, _table_line(), _table_line(rows=[["x", 1, "extra"]])),
+        (load_tables, _table_line(), _table_line(types=5)),
+        (load_tables, _table_line(), _table_line(rows=5)),
+        (load_tables, _table_line(), _table_line(rows="xy")),
+        (load_tables, _table_line(), _table_line(header=["A", "a"])),
+        (load_phrase_lexicon, "Population\tpopulation of <slot>", "Rank\tfrom <slot> to <slot>"),
+    ],
+    ids=[
+        "tree", "vector-component", "vector-width", "row-width", "types-not-list",
+        "rows-not-list", "rows-string", "duplicate-column", "two-slots",
+    ],
+)
+def test_malformed_input_names_file_and_line(tmp_path, load, good, bad):
+    path = tmp_path / "input.txt"
+    path.write_text(f"{good}\n{bad}\n")
+    with pytest.raises(MetaError) as info:
+        load(str(path))
+    assert str(info.value).startswith(f"{path}:2: ")
 
 
 def test_build_value_stats_townlands(townlands):
@@ -121,7 +153,7 @@ def test_load_phrase_lexicon(tmp_path):
 def test_load_phrase_lexicon_empty(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("")
-    assert len(load_phrase_lexicon(str(path))) == 0
+    assert load_phrase_lexicon(str(path)).by_column == {}
 
 
 def test_load_phrase_lexicon_keeps_unknown_column(tmp_path):
@@ -137,7 +169,7 @@ def test_load_embeddings(tmp_path):
     lines = [f"w{i} " + " ".join(["0.5"] * dim) for i in range(3)]
     path.write_text("\n".join(lines) + "\n")
     store = load_embeddings(str(path))
-    assert len(store) == 3
+    assert all(store.get(f"W{i}") is not None for i in range(3))
     assert store.dim == 300
     assert store.get("missing-word") is None
 
@@ -157,20 +189,20 @@ def test_load_embeddings_tiny():
 def test_load_embeddings_inconsistent_dim_names_line(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("a 1.0 0.0\nb 1.0\n")
-    with pytest.raises(MetaError, match="line 2"):
+    with pytest.raises(MetaError, match=":2: "):
         load_embeddings(str(path))
 
 
 def test_value_affinity_exact_match(film_awards):
     schema, _table, stats, _lex, _q = film_awards
     actor = schema.columns[1]
-    assert value_affinity(["piotr", "adamczyk"], actor, stats, None) == 1.0
+    assert value_affinity(["piotr", "adamczyk"], actor, stats, EMPTY_EMBEDDINGS) == 1.0
 
 
 def test_value_affinity_no_evidence():
     schema = make_schema("t", [("A", "text")])
     stats = build_value_stats(Table(schema, ()))
-    assert value_affinity(["anything"], schema.columns[0], stats, None) == 0.0
+    assert value_affinity(["anything"], schema.columns[0], stats, EMPTY_EMBEDDINGS) == 0.0
 
 
 def test_value_affinity_numeric_range():
@@ -178,8 +210,8 @@ def test_value_affinity_numeric_range():
     stats_wide = build_value_stats(Table(schema, (("356",), ("1225",))))
     stats_narrow = build_value_stats(Table(schema, (("1",), ("10",))))
     col = schema.columns[0]
-    assert value_affinity(["400"], col, stats_wide, None) == 1.0
-    assert value_affinity(["400"], col, stats_narrow, None) == 0.0
+    assert value_affinity(["400"], col, stats_wide, EMPTY_EMBEDDINGS) == 1.0
+    assert value_affinity(["400"], col, stats_narrow, EMPTY_EMBEDDINGS) == 0.0
 
 
 def test_value_affinity_adjacent_numbers_do_not_merge():
@@ -187,12 +219,12 @@ def test_value_affinity_adjacent_numbers_do_not_merge():
     schema = make_schema("t", [("Points", "real")])
     col = schema.columns[0]
     stats = build_value_stats(Table(schema, (("10",), ("20",))))
-    assert value_affinity(["1", "2"], col, stats, None) == 0.0
-    assert value_affinity(["12"], col, stats, None) == 1.0
+    assert value_affinity(["1", "2"], col, stats, EMPTY_EMBEDDINGS) == 0.0
+    assert value_affinity(["12"], col, stats, EMPTY_EMBEDDINGS) == 1.0
     signed = build_value_stats(Table(schema, (("-10",), ("0",))))
     assert tokenize("-5") == ["-", "5"]
-    assert value_affinity(["-", "5"], col, signed, None) == 1.0
-    assert value_affinity(["-", "5", "1"], col, signed, None) == 0.0
+    assert value_affinity(["-", "5"], col, signed, EMPTY_EMBEDDINGS) == 1.0
+    assert value_affinity(["-", "5", "1"], col, signed, EMPTY_EMBEDDINGS) == 0.0
 
 
 def test_value_affinity_casefold_symmetric(film_awards):
@@ -200,13 +232,13 @@ def test_value_affinity_casefold_symmetric(film_awards):
     for col in schema.columns:
         for term in (["Piotr", "Adamczyk"], ["JERZY"], ["2003", "AUGUST"]):
             folded = [t.casefold() for t in term]
-            assert value_affinity(term, col, stats, None) == value_affinity(
-                folded, col, stats, None
+            assert value_affinity(term, col, stats, EMPTY_EMBEDDINGS) == value_affinity(
+                folded, col, stats, EMPTY_EMBEDDINGS
             )
 
 
 def test_value_affinity_embedding_path_below_exact():
-    emb = EmbeddingStore.from_dict({"cat": [1.0, 0.0], "dog": [0.8, 0.6], "cow": [0.0, 1.0]})
+    emb = embedding_store({"cat": [1.0, 0.0], "dog": [0.8, 0.6], "cow": [0.0, 1.0]})
     schema = make_schema("t", [("Animal", "text")])
     stats = build_value_stats(Table(schema, (("cat",), ("cow",))))
     col = schema.columns[0]
@@ -219,14 +251,14 @@ def test_value_affinity_embedding_path_below_exact():
 def test_empty_term_rejected(film_awards):
     schema, _table, stats, _lex, _q = film_awards
     with pytest.raises(ValueError):
-        value_affinity([], schema.columns[0], stats, None)
+        value_affinity([], schema.columns[0], stats, EMPTY_EMBEDDINGS)
 
 
 def test_embedding_lookups_do_not_mutate():
-    store = EmbeddingStore.from_dict({"a": [1.0, 0.0]})
-    before = len(store)
+    store = embedding_store({"a": [1.0, 0.0]})
+    before = dict(store._vectors)
     assert store.get("absent") is None
     assert store.mean(["absent", "also-absent"]) is None
     first = store.get("a").copy()
-    assert len(store) == before
+    assert store._vectors.keys() == before.keys()
     assert (store.get("a") == first).all()

@@ -1,9 +1,11 @@
 """Property tests over generated inputs: tokenizer offsets, the sketch
-grammar's round trip, and canonical-form idempotence."""
+grammar's round trip, canonical-form idempotence, and the execution engine
+against the naive row-scan oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annosql.meta import REAL, TEXT, Table
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
@@ -11,11 +13,15 @@ from annosql.sqlgen import (
     ConcreteSql,
     SqlSymbol,
     canonicalize,
+    execute,
     parse_annotated_sql,
     serialize_sketch,
     sketch_tokens,
 )
 from annosql.text import tokenize, tokenize_with_offsets
+
+from support import make_schema
+from test_sqlgen import naive_execute
 
 FAST = settings(max_examples=200, deadline=None)
 
@@ -39,6 +45,22 @@ QUERIES = st.builds(
     st.lists(st.tuples(WORDS, st.sampled_from(OPS), WORDS), max_size=4).map(tuple),
     st.one_of(st.none(), WORDS),
 )
+
+
+# numbers with signs, commas, decimals and exponents, padding, and text; no
+# letters that spell nan or inf, since nan never equals itself in a result
+CELLS = st.text(alphabet="0123456789-., ex", max_size=6)
+
+
+@st.composite
+def tables_and_queries(draw):
+    types = draw(st.lists(st.sampled_from([TEXT, REAL]), min_size=1, max_size=4))
+    schema = make_schema("t", [(f"col{i}", t) for i, t in enumerate(types)])
+    rows = draw(st.lists(st.tuples(*[CELLS] * len(types)), max_size=8))
+    names = st.sampled_from([c.name for c in schema.columns] + ["COL0", "nope"])
+    conds = draw(st.lists(st.tuples(names, st.sampled_from(OPS), CELLS), max_size=3))
+    sql = ConcreteSql(draw(st.sampled_from(AGGREGATES)), draw(names), tuple(conds))
+    return Table(schema, tuple(rows)), sql
 
 
 @FAST
@@ -65,3 +87,10 @@ def test_sketch_tokens_parse_back(ast):
 def test_canonicalize_is_idempotent(sql):
     once = canonicalize(sql)
     assert canonicalize(once) == once
+
+
+@FAST
+@given(tables_and_queries())
+def test_execute_matches_naive_oracle(table_and_query):
+    table, sql = table_and_query
+    assert execute(sql, table) == naive_execute(sql, table)

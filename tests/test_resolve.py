@@ -108,24 +108,6 @@ def test_build_match_graph_tree_prunes_to_nested_pairs(boxscore):
     assert edges == {("2", "rebounds"), ("3", "points")}
 
 
-def test_build_match_graph_no_tree_keeps_all_edges(boxscore):
-    schema, _table, stats, _tree = boxscore
-    tokens = tokenize(BOXSCORE_QUESTION)
-    cols = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS)
-    vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, column_mentions=cols)
-    graph = build_match_graph(vals, cols, None)
-    edges = set()
-    for vi, targets in enumerate(graph.adjacency):
-        for ci in targets:
-            edges.add((tokens[graph.values[vi].span.start], graph.columns[ci].column.name))
-    assert edges == {
-        ("2", "rebounds"),
-        ("2", "points"),
-        ("3", "rebounds"),
-        ("3", "points"),
-    }
-
-
 def test_build_match_graph_synthetic_for_unmentioned(townlands):
     schema, _table, stats, lexicon, question = townlands
     tokens = tokenize(question)

@@ -311,7 +311,7 @@ def test_align_gold_film_awards(film_awards):
     gold = ConcreteSql(
         "", "Film_Name", (("Director", "=", "Jerzy Antczak"), ("Actor", "=", "Piotr Adamczyk"))
     )
-    ast = align_gold_sql(gold, ann, schema)
+    ast = align_gold_sql(gold, ann, schema, max_index=25)
     assert serialize_sketch(ast) == "SELECT c1 WHERE c2 = v2 AND c3 = v3"
 
 
@@ -319,7 +319,7 @@ def test_align_gold_unmentioned_select_uses_header(film_awards):
     schema, _table, stats, lexicon, question = film_awards
     ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
     gold = ConcreteSql("", "Nomination Date", (("Actor", "=", "Piotr Adamczyk"),))
-    ast = align_gold_sql(gold, ann, schema)
+    ast = align_gold_sql(gold, ann, schema, max_index=25)
     assert ast.select == SqlSymbol("g", 5)
 
 
@@ -328,7 +328,7 @@ def test_align_gold_missing_value_fails(film_awards):
     ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
     gold = ConcreteSql("", "Film_Name", (("Actor", "=", "Levan Uchaneishvili"),))
     with pytest.raises(AlignmentError):
-        align_gold_sql(gold, ann, schema)
+        align_gold_sql(gold, ann, schema, max_index=25)
 
 
 def test_align_respects_index_cap(film_awards):
@@ -345,7 +345,7 @@ def test_align_round_trip(film_awards, townlands):
         (*townlands, ConcreteSql("", "Population", (("County", "=", "Mayo"), ("English_Name", "=", "Carrowteige")), "townlands")),
     ]:
         ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
-        ast = align_gold_sql(gold, ann, schema)
+        ast = align_gold_sql(gold, ann, schema, max_index=25)
         back = resolve_symbols(ast, ann.symbols, schema)
         assert canonicalize(back) == canonicalize(gold)
 
