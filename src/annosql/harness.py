@@ -240,13 +240,17 @@ def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_
 def build_training_pairs(examples, config, vocab=None):
     """Token-id pairs for the aligned examples plus a coverage report.
 
-    Unaligned examples are excluded from training but stay in evaluation.
+    Unaligned examples are excluded from training but stay in evaluation;
+    examples without a gold query count under `no_gold`.
     """
     sources, targets, aligned = [], [], []
     reasons = Counter()
     for ex in examples:
         if ex.encoded_src is None:
             raise ValueError("examples must be prepared before pairing")
+        if ex.gold is None:
+            reasons["no_gold"] += 1
+            continue
         if ex.aligned is None:
             reasons[ex.alignment_error or "unaligned"] += 1
             continue
@@ -378,6 +382,12 @@ def translate_example(example, tables, params, vocab, config):
     return Translation(serialize_sketch(ast), sql, hyp.logp)
 
 
+# translation failure classes: the sketch does not parse, a symbol does not
+# resolve, or the query resolves but executes to the wrong result
+FAILURE_CLASSES = ("parse", "resolve", "wrong_result")
+FAILURE_EXAMPLES = 3  # example questions kept per class
+
+
 @dataclass
 class EvalReport:
     total: int
@@ -385,8 +395,9 @@ class EvalReport:
     qm: int
     ex: int
     aligned: int
-    failures: dict
+    failures: dict  # alignment failure reason -> count
     config: dict
+    translation_failures: dict  # FAILURE_CLASSES -> {"count", "examples"}
 
     @property
     def acc_lf(self):
@@ -414,17 +425,27 @@ class EvalReport:
                 "failure_rate": 1.0 - coverage,
                 "failures": self.failures,
             },
+            "translation_failures": self.translation_failures,
             "config": self.config,
         }
 
 
-def evaluate(examples, tables, params, vocab, config):
-    """All three accuracies over prepared examples (aligned or not) with gold queries."""
+def _require_gold(examples, source):
+    """ValueError naming `source` and the first question without a gold query."""
     gold_less = next((ex for ex in examples if ex.gold is None), None)
     if gold_less is not None:
-        raise ValueError(f"no gold query to evaluate against for {gold_less.question!r}")
+        raise ValueError(
+            f"{source}: no gold query to evaluate against for {gold_less.question!r}"
+        )
+
+
+def evaluate(examples, tables, params, vocab, config):
+    """All three accuracies over prepared examples (aligned or not) with gold
+    queries, the alignment failures, and the translation failure classes."""
+    _require_gold(examples, "evaluate")
     lf = qm = ex_count = aligned = 0
     reasons = Counter()
+    failed = {name: {"count": 0, "examples": []} for name in FAILURE_CLASSES}
     for ex in examples:
         if ex.aligned is not None:
             aligned += 1
@@ -439,6 +460,12 @@ def evaluate(examples, tables, params, vocab, config):
             qm += 1
         if acc_ex(pred, gold, tables[ex.table_id].table):
             ex_count += 1
+            continue
+        # translate_example's error starts with the failed stage's name
+        kind = "wrong_result" if pred is not None else result.error.split(":", 1)[0]
+        failed[kind]["count"] += 1
+        if len(failed[kind]["examples"]) < FAILURE_EXAMPLES:
+            failed[kind]["examples"].append(ex.question)
     return EvalReport(
         total=len(examples),
         lf=lf,
@@ -447,6 +474,7 @@ def evaluate(examples, tables, params, vocab, config):
         aligned=aligned,
         failures=dict(reasons),
         config=config.to_dict(),
+        translation_failures=failed,
     )
 
 
@@ -471,6 +499,8 @@ def run_train(config):
     if not (config.tables_path and config.train_path):
         raise ValueError("config needs tables_path and train_path")
     examples, tables = load_wikisql(config.train_path, config.tables_path, config.train_trees_path)
+    if config.stop_train_acc is not None:
+        _require_gold(examples, config.train_path)
     lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     pairs, vocab, coverage = build_training_pairs(examples, config)
@@ -481,6 +511,7 @@ def run_train(config):
         dev_examples, dev_tables = load_wikisql(
             config.dev_path, config.tables_path, config.dev_trees_path
         )
+        _require_gold(dev_examples, config.dev_path)
         prepare_examples(dev_examples, dev_tables, config, lexicon, emb)
 
     log_lines = []
@@ -551,6 +582,7 @@ def run_eval(config, checkpoint_path=None, split="test"):
     if not (config.tables_path and split_path):
         raise ValueError(f"config needs tables_path and a path for split {split!r}")
     examples, tables = load_wikisql(split_path, config.tables_path, trees_path)
+    _require_gold(examples, split_path)
     lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     params, vocab = load_model(config, checkpoint_path)

@@ -222,12 +222,19 @@ def _gru_backward(d_hseq, d_hfinal, cache, grads, prefix):
 
 @dataclass
 class EncoderOutput:
+    """Encoder states plus the per-question constants every decoder step reads."""
+
     states: np.ndarray  # (B, S, 2H) top-layer concatenated states
     fwd_final: np.ndarray  # (B, H) forward state at each row's last token
     bwd_final: np.ndarray  # (B, H) backward state at position 0
     mask: np.ndarray  # (B, S)
     src_ids: np.ndarray  # (B, S)
+    keys: np.ndarray  # (B, S, A) attention keys states @ attn.W2
+    pad_bias: np.ndarray  # (B, S) 0 at real tokens, NEG_INF at padding
+    copy_index: np.ndarray  # (B*S,) flat (row, source token) index into (B, V)
     cache: object = None
+    # decoding only: token id -> its input projection row, filled on first use
+    token_inputs: dict = field(default_factory=dict)
 
 
 def encoder_forward(src_ids, params, src_mask=None):
@@ -261,8 +268,14 @@ def encoder_forward(src_ids, params, src_mask=None):
         )
         layer_caches.append((x, cf, cb))
         x = np.concatenate([hf, hb], axis=2)
+    keys = x @ params["attn.W2"]
+    pad_bias = np.where(src_mask > 0, 0.0, NEG_INF).astype(dt)
+    rows = np.arange(len(src_ids))[:, None]
+    copy_index = (rows * params.config.vocab_size + src_ids).reshape(-1)
     cache = (emb_cache, layer_caches)
-    return EncoderOutput(x, fwd_final, bwd_final, src_mask, src_ids, cache)
+    return EncoderOutput(
+        x, fwd_final, bwd_final, src_mask, src_ids, keys, pad_bias, copy_index, cache
+    )
 
 
 def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
@@ -287,17 +300,22 @@ def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
     _embed_backward(params, emb_cache, d_x, grads)
 
 
-def _dec_gru_step(params, inp, h):
-    return _gru_cell(inp @ params["dec.W"] + params["dec.b"], h, params["dec.U"])
+def _token_projection(params, emb):
+    """The token half of the decoder GRU's input projection: the part that
+    depends only on the fed token's embedding."""
+    return emb @ params["dec.W"][: params.config.dim] + params["dec.b"]
 
 
-def _attention(params, d, enc, hw2):
-    """Additive attention energies, exp-normalized weights, and context."""
-    tu = np.tanh(hw2 + (d @ params["attn.W3"])[:, None, :])
-    e_raw = tu @ params["attn.v"]
-    e = np.where(enc.mask > 0, e_raw, NEG_INF)
+def _attention(params, d, enc):
+    """Additive attention energies, exp-normalized weights, and context.
+
+    Padded positions get energy NEG_INF through enc.pad_bias, so their
+    exp underflows to exactly 0.
+    """
+    tu = np.tanh(enc.keys + (d @ params["attn.W3"])[:, None, :])
+    e = tu @ params["attn.v"] + enc.pad_bias
     shift = e.max(axis=1, keepdims=True)
-    ee_att = np.exp(e - shift) * enc.mask
+    ee_att = np.exp(e - shift)
     alpha = ee_att / ee_att.sum(axis=1, keepdims=True)
     beta = np.einsum("bs,bsd->bd", alpha, enc.states)
     return e, alpha, beta, tu
@@ -324,17 +342,16 @@ def _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_extra, grads, d_s
 def _output_distribution(params, d, beta, e, enc):
     """Copy-augmented distribution: p o= exp(U[d,beta]) + sum exp(e_j) per
     source token. A shared shift keeps both exp families stable; p is
-    invariant to the shift so it carries no gradient.
+    invariant to the shift so it carries no gradient. `e` comes from
+    _attention, so padded positions already carry NEG_INF.
     """
     cat = np.concatenate([d, beta], axis=1)
     logits = cat @ params["out.U"]
-    valid_e = np.where(enc.mask > 0, e, NEG_INF)
-    shift = np.maximum(logits.max(axis=1), valid_e.max(axis=1))
+    shift = np.maximum(logits.max(axis=1), e.max(axis=1))
     el = np.exp(logits - shift[:, None])
-    ee = np.exp(valid_e - shift[:, None]) * enc.mask
+    ee = np.exp(e - shift[:, None])
     scores = el.copy()
-    rows = np.repeat(np.arange(scores.shape[0]), enc.src_ids.shape[1])
-    np.add.at(scores, (rows, enc.src_ids.reshape(-1)), ee.reshape(-1))
+    np.add.at(scores.reshape(-1), enc.copy_index, ee.reshape(-1))
     total = scores.sum(axis=1, keepdims=True)
     probs = scores / total
     return probs, (cat, logits, el, ee, scores, total)
@@ -346,16 +363,32 @@ class DecoderState:
     beta: np.ndarray
 
 
+def _step(params, tok3, state, enc):
+    """The decoder step training and decoding share, from the token half of
+    the input projection: the GRU update, attention, and the distribution.
+
+    Returns the new state, the probabilities, and the backward cache.
+    """
+    x3 = tok3 + state.beta @ params["dec.W"][params.config.dim :]
+    d, gru_cache = _gru_cell(x3, state.d, params["dec.U"])
+    e, alpha, beta, tu = _attention(params, d, enc)
+    probs, out_cache = _output_distribution(params, d, beta, e, enc)
+    return DecoderState(d, beta), probs, (gru_cache, alpha, tu, out_cache)
+
+
 def decoder_step(prev_ids, state, enc, params):
-    """One inference step: feed the previous token, return (state, probs)."""
-    prev_ids = np.asarray(prev_ids, dtype=np.int64).reshape(-1, 1)
-    emb, _ = _embed(params, prev_ids)
-    inp = np.concatenate([emb[:, 0, :], state.beta], axis=1)
-    d_new, _ = _dec_gru_step(params, inp, state.d)
-    hw2 = enc.states @ params["attn.W2"]
-    e, _alpha, beta, _tu = _attention(params, d_new, enc, hw2)
-    probs, _ = _output_distribution(params, d_new, beta, e, enc)
-    return DecoderState(d_new, beta), probs
+    """One inference step: feed the previous token, return (state, probs).
+
+    Each token id's input projection is computed once per encoder output.
+    """
+    memo = enc.token_inputs
+    rows = []
+    for tok in np.asarray(prev_ids, dtype=np.int64).reshape(-1).tolist():
+        if tok not in memo:
+            memo[tok] = _token_projection(params, _embed(params, np.array([tok]))[0])
+        rows.append(memo[tok])
+    new_state, probs, _cache = _step(params, np.concatenate(rows), state, enc)
+    return new_state, probs
 
 
 def initial_decoder_state(params, enc):
@@ -387,24 +420,22 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         raise ModelError("batch has no target tokens")
 
     enc = encoder_forward(src_ids, params, src_mask)
-    hw2 = enc.states @ params["attn.W2"]
     start = initial_decoder_state(params, enc)
     tgt_emb, tgt_emb_cache = _embed(params, tgt_in)
+    tok3 = _token_projection(params, tgt_emb)
 
-    d, beta = start.d, start.beta
+    states = [start]  # states[t] feeds step t
     steps = []
     loss = 0.0
     correct = 0.0
     for t in range(T):
-        inp = np.concatenate([tgt_emb[:, t, :], beta], axis=1)
-        d, gru_cache = _dec_gru_step(params, inp, d)
-        e, alpha, beta, tu = _attention(params, d, enc, hw2)
-        probs, out_cache = _output_distribution(params, d, beta, e, enc)
+        state, probs, cache = _step(params, tok3[:, t], states[-1], enc)
         w = tgt_mask[:, t] / total_tokens
         py = probs[np.arange(B), tgt_out[:, t]]
         loss += float(np.sum(-np.log(np.maximum(py, 1e-300)) * w))
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
-        steps.append((inp, gru_cache, d, alpha, tu, out_cache, w))
+        states.append(state)
+        steps.append((cache, w))
     if not np.isfinite(loss):
         label = f" (batch {batch_label})" if batch_label is not None else ""
         raise ModelError(f"non-finite loss{label}")
@@ -412,12 +443,13 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
     grads = zero_grads(params)
     d_states = np.zeros_like(enc.states)
     Hd, D, S = params.config.dec_hidden, params.config.dim, src_ids.shape[1]
-    d_emb_steps = np.zeros((B, T, D), dtype=dt)
+    W_beta = params["dec.W"][D:]
+    dX3 = np.zeros_like(tok3)
     carry_d = np.zeros_like(start.d)
     carry_beta = np.zeros_like(start.beta)
-    rows = np.repeat(np.arange(B), S)
     for t in reversed(range(T)):
-        inp, gru_cache, d, alpha, tu, out_cache, w = steps[t]
+        (gru_cache, alpha, tu, out_cache), w = steps[t]
+        d = states[t + 1].d
         cat, logits, el, ee, scores, total = out_cache
         ds = (w / total[:, 0])[:, None] * np.ones_like(scores)
         ds[np.arange(B), tgt_out[:, t]] -= w / scores[np.arange(B), tgt_out[:, t]]
@@ -425,23 +457,26 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         grads["out.U"] += cat.T @ d_logits
         d_cat = d_logits @ params["out.U"].T
         d_beta = d_cat[:, Hd:] + carry_beta
-        d_e_copy = ds[rows, enc.src_ids.reshape(-1)].reshape(B, S) * ee
+        d_e_copy = ds.reshape(-1)[enc.copy_index].reshape(B, S) * ee
         d_d = d_cat[:, :Hd] + _attention_backward(
             params, d, enc, tu, alpha, d_beta, d_e_copy, grads, d_states
         )
         d_d = d_d + carry_d
         d_x3, carry_d = _gru_cell_backward(d_d, gru_cache, params["dec.U"], grads["dec.U"])
-        grads["dec.W"] += inp.T @ d_x3
-        grads["dec.b"] += d_x3.sum(axis=0)
-        d_inp = d_x3 @ params["dec.W"].T
-        d_emb_steps[:, t, :] = d_inp[:, :D]
-        carry_beta = d_inp[:, D:]
+        dX3[:, t] = d_x3
+        carry_beta = d_x3 @ W_beta.T
+    # the input projection's weight gradients, for all steps at once
+    betas_in = np.stack([s.beta for s in states[:-1]], axis=1)
+    inputs = np.concatenate([tgt_emb, betas_in], axis=2)
+    dX3_flat = dX3.reshape(B * T, -1)
+    grads["dec.W"] += inputs.reshape(B * T, -1).T @ dX3_flat
+    grads["dec.b"] += dX3_flat.sum(axis=0)
+    _embed_backward(params, tgt_emb_cache, dX3 @ params["dec.W"][:D].T, grads)
     # step 1 consumed beta_0 = 0 (a constant) and d_0 = tanh(W1 [...])
     d_d0_pre = carry_d * (1.0 - start.d * start.d)
     grads["W1"] += np.concatenate([enc.fwd_final, enc.bwd_final], axis=1).T @ d_d0_pre
     d_pre = d_d0_pre @ params["W1"].T
     H = params.config.enc_hidden
-    _embed_backward(params, tgt_emb_cache, d_emb_steps, grads)
     _encoder_backward(params, enc, d_states, d_pre[:, :H], d_pre[:, H:], grads)
     token_acc = correct / total_tokens
     return loss, grads, {"token_accuracy": token_acc, "tokens": total_tokens}
@@ -499,6 +534,7 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
     if width < 1:
         raise ModelError("beam width must be >= 1")
     enc = encoder_forward(src_ids, params)
+    k = min(width, params.config.vocab_size)
     beam = [Hypothesis((), 0.0, initial_decoder_state(params, enc))]
     done = []
     for _ in range(max_len):
@@ -507,11 +543,12 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
             prev = hyp.tokens[-1] if hyp.tokens else bos_id
             state, probs = decoder_step([prev], hyp.state, enc, params)
             p = probs[0]
-            k = min(width, p.shape[0])
             top = np.argpartition(-p, k - 1)[:k]
-            for tok in sorted(top, key=lambda i: (-p[i], i)):
-                logp = hyp.logp + float(np.log(max(p[tok], 1e-300)))
-                candidates.append((logp, int(tok), rank, state))
+            # float64 log with the 1e-300 floor: a zero probability scores
+            # log(1e-300), not -inf
+            logps = hyp.logp + np.log(np.maximum(p[top], 1e-300, dtype=np.float64))
+            candidates.extend(zip(logps.tolist(), top.tolist(), [rank] * k, [state] * k))
+        # (-logp, tok, rank) is a total order: the per-hypothesis order does not matter
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         beam_next = []
         for logp, tok, rank, state in candidates:

@@ -90,3 +90,70 @@ def greedy_decode(src_ids, params, max_len, bos_id, eos_id, src_mask=None):
         tokens.append(tok)
         prev = tok
     return tokens, logp
+
+
+def _reference_attention(params, d, enc, hw2):
+    tu = np.tanh(hw2 + (d @ params["attn.W3"])[:, None, :])
+    e_raw = tu @ params["attn.v"]
+    e = np.where(enc.mask > 0, e_raw, nn.NEG_INF)
+    shift = e.max(axis=1, keepdims=True)
+    ee_att = np.exp(e - shift) * enc.mask
+    alpha = ee_att / ee_att.sum(axis=1, keepdims=True)
+    return e, np.einsum("bs,bsd->bd", alpha, enc.states)
+
+
+def _reference_output_distribution(params, d, beta, e, enc):
+    logits = np.concatenate([d, beta], axis=1) @ params["out.U"]
+    valid_e = np.where(enc.mask > 0, e, nn.NEG_INF)
+    shift = np.maximum(logits.max(axis=1), valid_e.max(axis=1))
+    scores = np.exp(logits - shift[:, None])
+    ee = np.exp(valid_e - shift[:, None]) * enc.mask
+    rows = np.repeat(np.arange(scores.shape[0]), enc.src_ids.shape[1])
+    np.add.at(scores, (rows, enc.src_ids.reshape(-1)), ee.reshape(-1))
+    return scores / scores.sum(axis=1, keepdims=True)
+
+
+def reference_decoder_step(prev_ids, state, enc, params):
+    """The decoder step as first written: every product recomputed per call,
+    the full input projection on [embed(prev); beta]. The oracle for the
+    hoisted decoder_step."""
+    prev_ids = np.asarray(prev_ids, dtype=np.int64).reshape(-1, 1)
+    emb, _ = nn._embed(params, prev_ids)
+    inp = np.concatenate([emb[:, 0, :], state.beta], axis=1)
+    d_new, _ = nn._gru_cell(inp @ params["dec.W"] + params["dec.b"], state.d, params["dec.U"])
+    e, beta = _reference_attention(params, d_new, enc, enc.states @ params["attn.W2"])
+    probs = _reference_output_distribution(params, d_new, beta, e, enc)
+    return nn.DecoderState(d_new, beta), probs
+
+
+def reference_beam_search(src_ids, params, width, max_len, bos_id, eos_id):
+    """beam_search as first written, on reference_decoder_step: per-candidate
+    float logs and a per-hypothesis sort. The oracle for the trimmed beam."""
+    enc = nn.encoder_forward(src_ids, params)
+    beam = [nn.Hypothesis((), 0.0, nn.initial_decoder_state(params, enc))]
+    done = []
+    for _ in range(max_len):
+        candidates = []
+        for rank, hyp in enumerate(beam):
+            prev = hyp.tokens[-1] if hyp.tokens else bos_id
+            state, probs = reference_decoder_step([prev], hyp.state, enc, params)
+            p = probs[0]
+            k = min(width, p.shape[0])
+            top = np.argpartition(-p, k - 1)[:k]
+            for tok in sorted(top, key=lambda i: (-p[i], i)):
+                logp = hyp.logp + float(np.log(max(p[tok], 1e-300)))
+                candidates.append((logp, int(tok), rank, state))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        beam_next = []
+        for logp, tok, rank, state in candidates:
+            if len(beam_next) >= width:
+                break
+            parent = beam[rank]
+            if tok == eos_id:
+                done.append(nn.Hypothesis(parent.tokens, logp, state))
+            else:
+                beam_next.append(nn.Hypothesis(parent.tokens + (tok,), logp, state))
+        beam = beam_next
+        if not beam:
+            break
+    return max(done or beam, key=lambda h: (h.logp, -len(h.tokens)))

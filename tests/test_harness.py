@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -618,3 +619,88 @@ def test_config_round_trip(tmp_path):
     path.write_text(json.dumps({"nonsense_key": 1}))
     with pytest.raises(ValueError, match="nonsense_key"):
         Config.from_file(str(path))
+
+
+def write_corpus_with_gold_less_line(data_dir):
+    """The 8-question seed-31 synth split plus one line without `sql`."""
+    tables_path, split_path = write_corpus(str(data_dir), 8, n_tables=2, seed=31)
+    with open(split_path, encoding="utf-8") as fh:
+        asked = json.loads(fh.readline())
+    del asked["sql"]
+    asked["question"] = "What is asked without a gold query ?"
+    with open(split_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(asked) + "\n")
+    return tables_path, split_path
+
+
+@pytest.mark.parametrize("evaluated", ["train", "dev"])
+def test_gold_less_line_in_evaluated_split_fails_at_load(tmp_path, monkeypatch, evaluated):
+    """A split that run_train evaluates (train under stop_train_acc, dev
+    always) is checked for gold queries before the first epoch."""
+    from annosql import harness
+
+    tables_path, asked_path = write_corpus_with_gold_less_line(tmp_path / "asked")
+    _tables, clean_path = write_corpus(str(tmp_path / "clean"), 8, n_tables=2, seed=31)
+    config = tiny_config(epochs=3, eval_every=2)
+    config.tables_path = tables_path
+    if evaluated == "train":
+        config.train_path, config.stop_train_acc = asked_path, 0.99
+    else:
+        config.train_path, config.dev_path = clean_path, asked_path
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+
+    def no_training(*_args, **_kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(harness, "train_model", no_training)
+    message = f"{re.escape(asked_path)}: no gold query .*asked without a gold query"
+    with pytest.raises(ValueError, match=message):
+        harness.run_train(config)
+
+
+def test_coverage_report_counts_gold_less_examples_apart(tmp_path):
+    tables_path, split_path = write_corpus_with_gold_less_line(tmp_path)
+    config = tiny_config()
+    examples, tables = load_wikisql(split_path, tables_path)
+    prepare_examples(examples, tables, config)
+    _pairs, _vocab, report = build_training_pairs(examples, config)
+    assert report["total"] == 9
+    assert report["aligned"] == 8
+    assert report["failures"] == {"no_gold": 1}
+
+
+def test_eval_report_failure_classes(monkeypatch):
+    """Each question that misses acc_ex lands in one class: the sketch does
+    not parse, a symbol does not resolve, or the query runs to the wrong
+    result; each class keeps at most three example questions."""
+    from annosql import model as nn
+
+    config = tiny_config()
+    examples, bundles, _records = generate_corpus(8, n_tables=2, seed=23, config=config)
+    _pairs, vocab, _report = build_training_pairs(examples, config)
+    gold = [sketch_tokens(ex.aligned) for ex in examples]
+    assert gold[3] == ["select", "c1"] and gold[4][:2] == ["select", "c1"] and "where" in gold[4]
+    predicted = {
+        0: gold[0],  # correct
+        2: ["select", "c24"],  # c24 is not in the question
+        3: ["select", "c1", "where", "c1", "=", "v24"],  # c1 = v24 resolves to nothing
+        4: ["select", "c1"],  # the condition dropped
+    }
+    by_source = {
+        tuple(vocab.encode(ex.encoded_src)): vocab.encode(predicted.get(i, ["where", "select"]))
+        for i, ex in enumerate(examples)
+    }
+
+    def fake_beam(src_ids, *_args):
+        return nn.Hypothesis(tuple(by_source[tuple(src_ids)]), -1.0, None)
+
+    monkeypatch.setattr(nn, "beam_search", fake_beam)
+    report = evaluate(examples, bundles, None, vocab, config)
+    questions = [ex.question for ex in examples]
+    assert report.ex == 1
+    assert report.to_dict()["translation_failures"] == {
+        "parse": {"count": 4, "examples": [questions[1], questions[5], questions[6]]},
+        "resolve": {"count": 2, "examples": [questions[2], questions[3]]},
+        "wrong_result": {"count": 1, "examples": [questions[4]]},
+    }

@@ -3,7 +3,7 @@ import pytest
 
 from annosql import model as nn
 
-from support import greedy_decode
+from support import greedy_decode, reference_beam_search, reference_decoder_step
 
 
 def toy_config(**kw):
@@ -103,7 +103,7 @@ def test_attention_uniform_when_energies_equal():
     params.tensors["attn.W3"][:] = 0.0
     enc = nn.encoder_forward(np.array([[1, 2, 3, 4]]), params)
     state = nn.initial_decoder_state(params, enc)
-    _e, alpha, beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
+    _e, alpha, beta, _tu = nn._attention(params, state.d, enc)
     assert np.allclose(alpha, 0.25)
     assert np.allclose(beta, enc.states.mean(axis=1))
 
@@ -113,7 +113,7 @@ def test_attention_single_position():
     params = nn.init_params(cfg, seed=4)
     enc = nn.encoder_forward(np.array([[5]]), params)
     state = nn.initial_decoder_state(params, enc)
-    _e, alpha, beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
+    _e, alpha, beta, _tu = nn._attention(params, state.d, enc)
     assert np.allclose(alpha, 1.0)
     assert np.allclose(beta, enc.states[:, 0, :])
 
@@ -128,8 +128,9 @@ def test_attention_large_gap_dominates():
     enc = nn.encoder_forward(np.array([[1, 2]]), params)
     enc.states = np.zeros_like(enc.states)
     enc.states[0, 0, 0] = 1.0  # energy ~ 100*tanh(100) vs 0
+    enc.keys = enc.states @ params["attn.W2"]
     state = nn.initial_decoder_state(params, enc)
-    _e, alpha, _beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
+    _e, alpha, _beta, _tu = nn._attention(params, state.d, enc)
     assert alpha[0, 0] >= 1.0 - 1e-20
 
 
@@ -139,7 +140,7 @@ def test_attention_masks_padding():
     mask = np.array([[1.0, 1.0, 0.0, 0.0]])
     enc = nn.encoder_forward(np.array([[1, 2, 3, 4]]), params, mask)
     state = nn.initial_decoder_state(params, enc)
-    _e, alpha, _beta, _tu = nn._attention(params, state.d, enc, enc.states @ params["attn.W2"])
+    _e, alpha, _beta, _tu = nn._attention(params, state.d, enc)
     assert np.all(alpha[0, 2:] == 0.0)
     assert alpha.sum() == pytest.approx(1.0)
 
@@ -177,11 +178,8 @@ def test_copy_contribution_sums_over_positions():
     src = np.array([[4, 6, 11, 7, 8, 11]])  # token 11 at positions 2 and 5
     enc = nn.encoder_forward(src, params)
     state = nn.initial_decoder_state(params, enc)
-    emb, _ = nn._embed(params, np.array([[3]]))
-    inp = np.concatenate([emb[:, 0, :], state.beta], axis=1)
-    d_new, _ = nn._dec_gru_step(params, inp, state.d)
-    hw2 = enc.states @ params["attn.W2"]
-    e, _alpha, beta, _tu = nn._attention(params, d_new, enc, hw2)
+    d_new = nn.decoder_step([3], state, enc, params)[0].d
+    e, _alpha, beta, _tu = nn._attention(params, d_new, enc)
     probs, _ = nn._output_distribution(params, d_new, beta, e, enc)
 
     logits = np.concatenate([d_new, beta], axis=1) @ params["out.U"]
@@ -200,11 +198,8 @@ def test_copy_monotone_in_energy():
     src = np.array([[4, 6, 11]])
     enc = nn.encoder_forward(src, params)
     state = nn.initial_decoder_state(params, enc)
-    emb, _ = nn._embed(params, np.array([[3]]))
-    inp = np.concatenate([emb[:, 0, :], state.beta], axis=1)
-    d_new, _ = nn._dec_gru_step(params, inp, state.d)
-    hw2 = enc.states @ params["attn.W2"]
-    e, _alpha, beta, _tu = nn._attention(params, d_new, enc, hw2)
+    d_new = nn.decoder_step([3], state, enc, params)[0].d
+    e, _alpha, beta, _tu = nn._attention(params, d_new, enc)
     p_before, _ = nn._output_distribution(params, d_new, beta, e, enc)
     e_up = e.copy()
     e_up[0, 2] += 1.0
@@ -336,6 +331,42 @@ def test_beam_five_at_least_greedy_100_draws():
         h5 = nn.beam_search(src, params, width=5, max_len=8, bos_id=2, eos_id=3)
         h1 = nn.beam_search(src, params, width=1, max_len=8, bos_id=2, eos_id=3)
         assert h5.logp >= h1.logp - 1e-9
+
+
+def test_decoder_step_gives_the_training_loss():
+    """Feeding the gold prefix through decoder_step, row by row, gives
+    loss_and_grad's mean -log p(gold): decoding and training share one step."""
+    cfg = toy_config()
+    params = nn.init_params(cfg, seed=13, weight_scale=0.4)
+    src, src_mask, tgt_in, tgt_out, tgt_mask = toy_batch(seed=4)
+    loss, _grads, _stats = nn.loss_and_grad(params, src, src_mask, tgt_in, tgt_out, tgt_mask)
+    nll = []
+    for b in range(src.shape[0]):
+        enc = nn.encoder_forward(src[b : b + 1], params, src_mask[b : b + 1])
+        state = nn.initial_decoder_state(params, enc)
+        for t in range(int(tgt_mask[b].sum())):
+            state, probs = nn.decoder_step([tgt_in[b, t]], state, enc, params)
+            nll.append(-np.log(probs[0, tgt_out[b, t]]))
+    assert abs(np.mean(nll) - loss) <= 1e-9
+
+
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-9)])
+def test_beam_matches_reference_100_draws(dtype, tol):
+    """The hoisted decoder step and the trimmed beam pick the tokens the
+    first-written ones pick, with the same log-probability."""
+    cfg = toy_config(dtype=dtype)
+    for i in range(100):
+        params = nn.init_params(cfg, seed=100 + i, weight_scale=0.4)
+        src = np.random.default_rng(i).integers(5, 20, size=(6,))
+        hyp = nn.beam_search(src, params, width=5, max_len=8, bos_id=2, eos_id=3)
+        ref = reference_beam_search(src, params, width=5, max_len=8, bos_id=2, eos_id=3)
+        assert hyp.tokens == ref.tokens, i
+        assert abs(hyp.logp - ref.logp) <= tol, i
+        enc = nn.encoder_forward(src, params)
+        state = nn.initial_decoder_state(params, enc)
+        _state, probs = nn.decoder_step([2], state, enc, params)
+        _ref_state, ref_probs = reference_decoder_step([2], state, enc, params)
+        assert np.allclose(probs, ref_probs, rtol=tol, atol=0.0), i
 
 
 def test_beam_max_len_one():
