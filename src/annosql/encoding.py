@@ -8,19 +8,17 @@ g_i slot per column so unmentioned columns stay addressable.
 """
 
 import hashlib
-import re
 from collections import Counter
 
 from .meta import read_lines
+from .sqlgen import parse_symbol
 
 SUBSTITUTE, STACK = "substitute", "stack"
 
 PAD, UNK, BOS, EOS, SEP = "<pad>", "<unk>", "<bos>", "<eos>", "|"
 
-_SYMBOL_TOKEN_RE = re.compile(r"^[cvg][1-9][0-9]*$")
 
-
-def encode_question(annotation, schema, mode=STACK, headers=True):
+def encode_question(annotation, schema, mode, headers):
     """Annotated source token strings for the sequence model.
 
     Substitute drops accepted spans in favor of their symbols; stack keeps
@@ -63,19 +61,18 @@ class Vocabulary:
 
     SPECIALS = (PAD, UNK, BOS, EOS, SEP)
 
-    def __init__(self, words, max_index=25):
+    def __init__(self, words, max_index):
         self.max_index = max_index
         symbols = [f"{fam}{i}" for fam in "cvg" for i in range(1, max_index + 1)]
         self.itos = list(self.SPECIALS) + symbols + list(words)
         self.stoi = {tok: i for i, tok in enumerate(self.itos)}
         if len(self.stoi) != len(self.itos):
             raise ValueError("duplicate tokens in vocabulary")
-        self.pad, self.unk, self.bos, self.eos, self.sep = (
+        self.pad, self.unk, self.bos, self.eos = (
             self.stoi[PAD],
             self.stoi[UNK],
             self.stoi[BOS],
             self.stoi[EOS],
-            self.stoi[SEP],
         )
 
     def __len__(self):
@@ -111,7 +108,7 @@ class Vocabulary:
         return cls(tokens[n + 3 * max_index :], max_index=max_index)
 
 
-def build_vocab(sources, targets, min_count=1, max_index=25):
+def build_vocab(sources, targets, min_count, max_index):
     """Vocabulary over encoded source sequences and target sketches.
 
     Symbols are always included regardless of count; words under
@@ -126,6 +123,6 @@ def build_vocab(sources, targets, min_count=1, max_index=25):
     words = [
         tok
         for tok, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if n >= min_count and tok not in Vocabulary.SPECIALS and not _SYMBOL_TOKEN_RE.match(tok)
+        if n >= min_count and tok not in Vocabulary.SPECIALS and parse_symbol(tok) is None
     ]
     return Vocabulary(words, max_index=max_index)

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import model as nn
 from .encoding import build_vocab, encode_question
-from .mentions import Thresholds
 from .meta import (
     EMPTY_EMBEDDINGS,
     EMPTY_LEXICON,
@@ -25,6 +24,8 @@ from .meta import (
 )
 from .resolve import annotate
 from .sqlgen import (
+    AGGREGATES,
+    OPS,
     AlignmentError,
     ConcreteSql,
     SketchParseError,
@@ -47,7 +48,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class Config:
-    """One flat bundle of every knob; serialized into all run outputs."""
+    """One flat bundle of every knob and the one place its default lives;
+    serialized into all run outputs."""
 
     # annotation thresholds
     tau_ed: float = 0.5
@@ -93,9 +95,6 @@ class Config:
     vocab_path: str = "vocab.txt"
     log_path: str | None = None
 
-    def thresholds(self):
-        return Thresholds(self.tau_ed, self.tau_sim, self.max_value_span, self.theta_val)
-
     def model_config(self, vocab_size):
         return nn.ModelConfig(
             vocab_size=vocab_size,
@@ -120,11 +119,6 @@ class Config:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
-
-
-# WikiSQL integer codes for aggregates and operators
-WIKISQL_AGG = ("", "MAX", "MIN", "COUNT", "SUM", "AVG")
-WIKISQL_OPS = ("=", ">", "<")
 
 
 @dataclass
@@ -156,12 +150,12 @@ def _code(choices, code, what):
 
 def gold_from_wikisql(sql_obj, schema, table_id):
     """Convert a WikiSQL `sql` record ({sel, agg, conds}) to ConcreteSql."""
-    agg = _code(WIKISQL_AGG, sql_obj["agg"], "aggregate code")
+    agg = _code(AGGREGATES, sql_obj["agg"], "aggregate code")
     sel = _code(schema.columns, sql_obj["sel"], "select column").name
     conds = []
     for col_idx, op_idx, value in sql_obj.get("conds", []):
         column = _code(schema.columns, col_idx, "condition column")
-        conds.append((column.name, _code(WIKISQL_OPS, op_idx, "operator code"), cell_str(value)))
+        conds.append((column.name, _code(OPS, op_idx, "operator code"), cell_str(value)))
     return ConcreteSql(agg, sel, tuple(conds), table_id)
 
 
@@ -173,11 +167,11 @@ def load_table_bundles(tables_path):
     }
 
 
-def load_wikisql(split_path, tables_path, trees_path=None):
+def load_wikisql(split_path, tables_path, trees_path):
     """Load a WikiSQL-format split joined to its tables.
 
     A line without a `sql` object gives an Example whose gold is None. Tree
-    line i of `trees_path`, when given, belongs to split line i, so the two
+    line i of `trees_path`, when not None, belongs to split line i, so the two
     files have the same number of lines, blank ones included. Returns
     (examples, tables) where tables maps id -> TableBundle.
     """
@@ -209,21 +203,12 @@ def load_wikisql(split_path, tables_path, trees_path=None):
 
 def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_EMBEDDINGS):
     """Annotate, encode, and align every example in place."""
-    thresholds = config.thresholds()
     for ex in examples:
         bundle = tables[ex.table_id]
         ex.annotation = annotate(
-            ex.question,
-            bundle.schema,
-            bundle.stats,
-            lexicon,
-            emb,
-            tree=ex.tree,
-            thresholds=thresholds,
+            ex.question, bundle.schema, bundle.stats, lexicon, emb, ex.tree, config
         )
-        ex.encoded_src = encode_question(
-            ex.annotation, bundle.schema, mode=config.mode, headers=config.headers
-        )
+        ex.encoded_src = encode_question(ex.annotation, bundle.schema, config.mode, config.headers)
         if ex.gold is None:
             continue
         try:
@@ -237,8 +222,9 @@ def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_
     return examples
 
 
-def build_training_pairs(examples, config, vocab=None):
-    """Token-id pairs for the aligned examples plus a coverage report.
+def build_training_pairs(examples, config):
+    """Token-id pairs for the aligned examples, the vocabulary built from
+    them, and a coverage report.
 
     Unaligned examples are excluded from training but stay in evaluation;
     examples without a gold query count under `no_gold`.
@@ -257,10 +243,9 @@ def build_training_pairs(examples, config, vocab=None):
         sources.append(ex.encoded_src)
         targets.append(sketch_tokens(ex.aligned))
         aligned.append(ex)
-    if vocab is None:
-        if not sources:
-            raise ValueError("no aligned examples to build a vocabulary from")
-        vocab = build_vocab(sources, targets, min_count=config.min_count, max_index=config.max_index)
+    if not sources:
+        raise ValueError("no aligned examples to build a vocabulary from")
+    vocab = build_vocab(sources, targets, config.min_count, config.max_index)
     pairs = [
         (vocab.encode(src), vocab.encode(tgt)) for src, tgt in zip(sources, targets)
     ]
@@ -313,12 +298,16 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
     """
     if not pairs:
         raise ValueError("no training pairs")
-    mcfg = config.model_config(len(vocab))
-    if emb.dim not in (0, mcfg.dim):
+    params = nn.init_params(config.model_config(len(vocab)), config.seed)
+    if emb.dim == config.dim:
+        for idx, tok in enumerate(vocab.itos):
+            vec = emb.get(tok)
+            if vec is not None:
+                params["emb"][idx] = vec
+    elif emb.dim != 0:
         msg = "embedding dimension %d is not the model's %d; word embeddings start random"
-        log.warning(msg, emb.dim, mcfg.dim)
-    params = nn.init_params(mcfg, seed=config.seed, pretrained=emb, vocab=vocab)
-    optimizer = nn.Adam(params, lr=config.lr)
+        log.warning(msg, emb.dim, config.dim)
+    optimizer = nn.Adam(params, config.lr)
     rng = np.random.default_rng(config.seed)
     history = []
     order = np.arange(len(pairs))
@@ -382,9 +371,10 @@ def translate_example(example, tables, params, vocab, config):
     return Translation(serialize_sketch(ast), sql, hyp.logp)
 
 
-# translation failure classes: the sketch does not parse, a symbol does not
+# translation failure classes: the model cannot encode the question (its
+# encoded source is empty), the sketch does not parse, a symbol does not
 # resolve, or the query resolves but executes to the wrong result
-FAILURE_CLASSES = ("parse", "resolve", "wrong_result")
+FAILURE_CLASSES = ("encode", "parse", "resolve", "wrong_result")
 FAILURE_EXAMPLES = 3  # example questions kept per class
 
 
@@ -451,8 +441,12 @@ def evaluate(examples, tables, params, vocab, config):
             aligned += 1
         else:
             reasons[ex.alignment_error or "unaligned"] += 1
-        result = translate_example(ex, tables, params, vocab, config)
-        pred = result.sql
+        try:
+            result = translate_example(ex, tables, params, vocab, config)
+        except nn.ModelError as exc:
+            pred, error = None, f"encode: {exc}"
+        else:
+            pred, error = result.sql, result.error
         gold = ex.gold
         if pred is not None and acc_lf(sql_tokens(pred), sql_tokens(gold)):
             lf += 1
@@ -461,8 +455,8 @@ def evaluate(examples, tables, params, vocab, config):
         if acc_ex(pred, gold, tables[ex.table_id].table):
             ex_count += 1
             continue
-        # translate_example's error starts with the failed stage's name
-        kind = "wrong_result" if pred is not None else result.error.split(":", 1)[0]
+        # the error starts with the failed stage's name
+        kind = "wrong_result" if pred is not None else error.split(":", 1)[0]
         failed[kind]["count"] += 1
         if len(failed[kind]["examples"]) < FAILURE_EXAMPLES:
             failed[kind]["examples"].append(ex.question)
@@ -605,6 +599,7 @@ def translate_question(question, table_id, tables, params, vocab, config, lexico
         "logp": result.logp,
         "sql": None,
         "result": None,
+        "flagged": None,
         "error": result.error,
     }
     if result.sql is not None:

@@ -10,14 +10,6 @@ from dataclasses import dataclass
 from .meta import cosine, value_affinity
 from .text import is_content_token
 
-COLUMN, VALUE = "column", "value"
-COVERAGE, LEXICON, EXACT_VALUE, AFFINITY_VALUE = (
-    "coverage",
-    "lexicon",
-    "exact_value",
-    "affinity_value",
-)
-
 
 @dataclass(frozen=True, order=True)
 class Span:
@@ -43,29 +35,12 @@ class Span:
 @dataclass(frozen=True)
 class CandidateMention:
     span: Span
-    kind: str
-    column: object  # ColumnMeta; for VALUE, the column the value likely belongs to
+    column: object  # ColumnMeta; for a value, the column it likely belongs to
     score: float
-    source: str
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
-        if self.kind == COLUMN and self.source not in (COVERAGE, LEXICON):
-            raise ValueError(f"column mention with source {self.source!r}")
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Detection knobs; tau_* follow the training setup, the rest are ours."""
-
-    tau_ed: float = 0.5
-    tau_sim: float = 0.15
-    max_value_span: int = 6
-    theta_val: float = 0.6
-
-
-DEFAULT_THRESHOLDS = Thresholds()
 
 
 def edit_closeness(x, y):
@@ -99,7 +74,7 @@ def words_close(x, y, emb, tau_ed, tau_sim):
     return sem is not None and sem < tau_sim
 
 
-def _close_rows(qtokens, column, emb, thresholds):
+def _close_rows(qtokens, column, emb, config):
     """Per question position: the set of column-word indices it is close to.
 
     Stop words and punctuation never form pairs, on either side.
@@ -114,13 +89,13 @@ def _close_rows(qtokens, column, emb, thresholds):
             frozenset(
                 j
                 for j, c in enumerate(ctoks)
-                if words_close(tok, c, emb, thresholds.tau_ed, thresholds.tau_sim)
+                if words_close(tok, c, emb, config.tau_ed, config.tau_sim)
             )
         )
     return rows
 
 
-def _coverage_mention(qtokens, column, emb, thresholds):
+def _coverage_mention(qtokens, column, emb, config):
     """The best span covering the column effectively and efficiently.
 
     A span qualifies when (1) no containing span covers more column words
@@ -130,7 +105,7 @@ def _coverage_mention(qtokens, column, emb, thresholds):
     with column "player" must not stretch a mention that already covers
     the word.
     """
-    rows = _close_rows(qtokens, column, emb, thresholds)
+    rows = _close_rows(qtokens, column, emb, config)
     total = frozenset().union(*rows) if rows else frozenset()
     if not total:
         return None
@@ -156,7 +131,7 @@ def _coverage_mention(qtokens, column, emb, thresholds):
         return None
     _length, neg_pairs, a, end = min(candidates)
     score = min(1.0, -neg_pairs / len(column.tokens))
-    return CandidateMention(Span(a, end), COLUMN, column, score, COVERAGE)
+    return CandidateMention(Span(a, end), column, score)
 
 
 def _match_template_at(template, qtokens, start):
@@ -204,13 +179,14 @@ def _lexicon_mentions(qtokens, column, lexicon):
             end, span = hit
             if span not in seen:
                 seen.add(span)
-                out.append(CandidateMention(span, COLUMN, column, 1.0, LEXICON))
+                out.append(CandidateMention(span, column, 1.0))
             pos = end
     return out
 
 
-def detect_column_mentions(qtokens, schema, lexicon, emb, thresholds=DEFAULT_THRESHOLDS):
-    """Candidate column mentions: maximal coverage spans plus template hits.
+def detect_column_mentions(qtokens, schema, lexicon, emb, config):
+    """Candidate column mentions: maximal coverage spans plus template hits,
+    under `config`'s tau_ed and tau_sim.
 
     When a coverage span overlaps a template hit for the same column, the
     template wins; curated phrases are higher precision.
@@ -218,17 +194,16 @@ def detect_column_mentions(qtokens, schema, lexicon, emb, thresholds=DEFAULT_THR
     mentions = []
     for column in schema.columns:
         lex = _lexicon_mentions(qtokens, column, lexicon)
-        cov = _coverage_mention(qtokens, column, emb, thresholds)
+        cov = _coverage_mention(qtokens, column, emb, config)
         if cov is not None and not any(cov.span.overlaps(m.span) for m in lex):
             lex.append(cov)
         mentions.extend(sorted(lex, key=lambda m: (m.span.start, m.span.end)))
     return mentions
 
 
-def detect_value_mentions(
-    qtokens, schema, stats, emb, thresholds=DEFAULT_THRESHOLDS, column_mentions=()
-):
-    """Candidate value mentions for every column whose affinity clears the bar.
+def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
+    """Candidate value mentions of up to `config.max_value_span` tokens for
+    every column whose affinity clears `config.theta_val`.
 
     Spans fully inside an already-accepted column mention are skipped; for
     one column, only maximal-length spans survive among overlapping hits.
@@ -238,18 +213,15 @@ def detect_value_mentions(
     col_spans = [m.span for m in column_mentions]
     per_column = {c.position: [] for c in schema.columns}
     for start in range(n):
-        for end in range(start + 1, min(start + thresholds.max_value_span, n) + 1):
+        for end in range(start + 1, min(start + config.max_value_span, n) + 1):
             span = Span(start, end)
             if any(cs.contains(span) for cs in col_spans):
                 continue
             term = qtokens[start:end]
             for column in schema.columns:
                 score = value_affinity(term, column, stats, emb)
-                if score > thresholds.theta_val:
-                    source = EXACT_VALUE if score >= 1.0 else AFFINITY_VALUE
-                    per_column[column.position].append(
-                        CandidateMention(span, VALUE, column, score, source)
-                    )
+                if score > config.theta_val:
+                    per_column[column.position].append(CandidateMention(span, column, score))
     out = []
     for position in sorted(per_column):
         kept = []

@@ -22,15 +22,15 @@ class ModelError(RuntimeError):
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    dim: int = 300  # embedding size D
-    type_dim: int = 150  # symbol type part D'; index part is dim - type_dim
-    enc_hidden: int = 200  # per direction
-    enc_layers: int = 2
-    dec_hidden: int = 400
-    attn_dim: int = 200
-    max_index: int = 25
+    dim: int  # embedding size D
+    type_dim: int  # symbol type part D'; index part is dim - type_dim
+    enc_hidden: int  # per direction
+    enc_layers: int
+    dec_hidden: int
+    attn_dim: int
+    max_index: int
+    dtype: str
     n_specials: int = 5
-    dtype: str = "float32"
 
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
@@ -86,8 +86,8 @@ def _param_shapes(config):
     return shapes
 
 
-def init_params(config, seed=0, pretrained=None, vocab=None, weight_scale=0.08, emb_scale=0.1):
-    """Fresh parameters; embeddings take pre-trained vectors when given.
+def init_params(config, seed, weight_scale=0.08, emb_scale=0.1):
+    """Fresh parameters drawn from `seed`.
 
     `weight_scale` sets the uniform init range; gradient-check setups want
     a larger value than training so gradients stay resolvable by finite
@@ -95,8 +95,7 @@ def init_params(config, seed=0, pretrained=None, vocab=None, weight_scale=0.08, 
     """
     rng = np.random.default_rng(seed)
     dt = config.np_dtype()
-    D = config.dim
-    if not 0 < config.type_dim < D:
+    if not 0 < config.type_dim < config.dim:
         raise ModelError("type_dim must split dim into two non-empty parts")
     tensors = {}
     for name, shape in _param_shapes(config).items():
@@ -105,13 +104,6 @@ def init_params(config, seed=0, pretrained=None, vocab=None, weight_scale=0.08, 
         else:
             scale = emb_scale if name in ("emb", "type_emb", "index_emb") else weight_scale
             tensors[name] = rng.uniform(-scale, scale, size=shape).astype(dt)
-
-    if pretrained is not None and vocab is not None and pretrained.dim == D:
-        emb = tensors["emb"]
-        for idx, tok in enumerate(vocab.itos):
-            vec = pretrained.get(tok)
-            if vec is not None:
-                emb[idx] = vec.astype(dt)
     return ModelParams(config, tensors)
 
 
@@ -482,7 +474,7 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
     return loss, grads, {"token_accuracy": token_acc, "tokens": total_tokens}
 
 
-def clip_gradients(grads, threshold=5.0):
+def clip_gradients(grads, threshold):
     """Scale all gradients so the global L2 norm is at most `threshold`."""
     total = 0.0
     for g in grads.values():
@@ -497,7 +489,7 @@ def clip_gradients(grads, threshold=5.0):
 class Adam:
     """Adaptive-moment optimizer; state keyed by parameter name."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
@@ -583,13 +575,13 @@ def save_checkpoint(path, params, vocab_hash, extra=None):
     np.savez(path, meta=meta_bytes, **arrays)
 
 
-def load_checkpoint(path, expect_vocab_hash=None):
-    """Load a checkpoint; verifies the vocabulary hash when one is given."""
+def load_checkpoint(path, expect_vocab_hash):
+    """Load a checkpoint trained with the vocabulary of `expect_vocab_hash`."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ModelError(f"unsupported checkpoint version {meta.get('version')}")
-        if expect_vocab_hash is not None and meta["vocab_hash"] != expect_vocab_hash:
+        if meta["vocab_hash"] != expect_vocab_hash:
             raise ModelError("checkpoint vocabulary hash does not match")
         config = ModelConfig(**meta["config"])
         tensors = {name: data[f"t{i}"] for i, name in enumerate(meta["tensor_names"])}

@@ -9,11 +9,7 @@ or the TOKEN_DISTANCE fallback (negated token distance).
 import logging
 from dataclasses import dataclass
 
-from .mentions import (
-    DEFAULT_THRESHOLDS,
-    detect_column_mentions,
-    detect_value_mentions,
-)
+from .mentions import detect_column_mentions, detect_value_mentions
 from .text import tokenize_with_offsets
 
 log = logging.getLogger(__name__)
@@ -150,11 +146,11 @@ def build_match_graph(values, columns, closeness_source):
     return MatchGraph(tuple(vertices), tuple(col_vertices), tuple(adjacency))
 
 
-def kuhn_match(adjacency, left_order=None):
+def kuhn_match(adjacency, left_order):
     """Maximum bipartite matching over adjacency lists (augmenting paths).
 
-    Returns {left index: right index}. Visit order is deterministic; pass
-    `left_order` to control which maximum matching ties break toward.
+    Returns {left index: right index}. Left vertices are tried in
+    `left_order`, which decides the maximum matching ties break toward.
     """
     match_right = {}
     match_left = {}
@@ -170,7 +166,7 @@ def kuhn_match(adjacency, left_order=None):
                 return True
         return False
 
-    for u in left_order if left_order is not None else range(len(adjacency)):
+    for u in left_order:
         try_augment(u, set())
     return match_left
 
@@ -333,16 +329,9 @@ def assign_indices(graph, matching, question, schema):
     return Annotation(question, schema, tuple(accepted), SymbolTable(columns, values))
 
 
-def annotate(
-    question_text,
-    schema,
-    stats,
-    lexicon,
-    emb,
-    tree=None,
-    thresholds=DEFAULT_THRESHOLDS,
-):
-    """Full annotation pipeline: detect, prune, match, and index.
+def annotate(question_text, schema, stats, lexicon, emb, tree, config):
+    """Full annotation pipeline: detect, prune, match, and index, under the
+    detection thresholds of `config`.
 
     `tree` may be a ConstituencyTree; when it is None, token distance is
     used as the closeness fallback so pruning still applies. A tree whose
@@ -359,10 +348,8 @@ def annotate(
                 len(tree),
                 len(question),
             )
-    col_mentions = detect_column_mentions(question.tokens, schema, lexicon, emb, thresholds)
-    val_mentions = detect_value_mentions(
-        question.tokens, schema, stats, emb, thresholds, column_mentions=col_mentions
-    )
+    col_mentions = detect_column_mentions(question.tokens, schema, lexicon, emb, config)
+    val_mentions = detect_value_mentions(question.tokens, schema, stats, emb, config, col_mentions)
     graph = build_match_graph(val_mentions, col_mentions, closeness)
     matching = max_bipartite_matching(graph)
     return assign_indices(graph, matching, question, schema)

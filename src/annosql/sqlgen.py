@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .meta import REAL
 from .text import normalize, parse_number
 
+# a tuple's index is the element's WikiSQL integer code
 AGGREGATES = ("", "MAX", "MIN", "COUNT", "SUM", "AVG")
 OPS = ("=", ">", "<")
 

@@ -180,14 +180,13 @@ def make_question(rng, schema, table):
     return q, {"sel": sel.position, "agg": 0, "conds": [[col.position, 0, val]]}
 
 
-def generate_corpus(n_questions, n_tables=20, seed=7, config=None):
+def generate_corpus(n_questions, n_tables, seed, config):
     """Aligned fixture corpus: (examples, tables dict, records).
 
-    Every returned example annotates and aligns under `config` (or the
-    defaults); candidates that fail are discarded. `records` carry the
-    WikiSQL-shaped dicts for serialization.
+    Every returned example annotates and aligns under `config`; candidates
+    that fail are discarded. `records` carry the WikiSQL-shaped dicts for
+    serialization.
     """
-    config = config or Config()
     rng = random.Random(seed)
     tables = {}
     bundles = {}
@@ -221,12 +220,13 @@ def generate_corpus(n_questions, n_tables=20, seed=7, config=None):
     return examples, bundles, records
 
 
-def write_corpus(out_dir, n_questions, n_tables=20, seed=7):
-    """Write tables.jsonl and train.jsonl fixtures; returns their paths."""
+def write_corpus(out_dir, n_questions, n_tables, seed):
+    """Write tables.jsonl and train.jsonl fixtures whose questions align under
+    the default Config; returns their paths."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
-    _examples, bundles, records = generate_corpus(n_questions, n_tables, seed)
+    _examples, bundles, records = generate_corpus(n_questions, n_tables, seed, Config())
     tables_path = os.path.join(out_dir, "tables.jsonl")
     split_path = os.path.join(out_dir, "train.jsonl")
     with open(tables_path, "w", encoding="utf-8") as fh:

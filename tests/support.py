@@ -7,7 +7,8 @@ name that no other conftest.py on the test path shadows.
 import numpy as np
 
 from annosql import model as nn
-from annosql.mentions import DEFAULT_THRESHOLDS, _close_rows
+from annosql.harness import Config
+from annosql.mentions import _close_rows
 from annosql.meta import ColumnMeta, EmbeddingStore, MetaError, TableSchema
 
 
@@ -62,15 +63,17 @@ def matching_oracle(adjacency, n_right):
     return best(0, 0)
 
 
-def coverage_count(span, qtokens, column, emb, thresholds=DEFAULT_THRESHOLDS):
-    """Number of close pairs between the span's tokens and the column name's."""
-    rows = _close_rows(qtokens, column, emb, thresholds)
+def coverage_count(span, qtokens, column, emb):
+    """Number of close pairs between the span's tokens and the column name's,
+    under the default Config's thresholds."""
+    rows = _close_rows(qtokens, column, emb, Config())
     return sum(len(r) for r in rows[span.start : span.end])
 
 
-def covered_words(span, qtokens, column, emb, thresholds=DEFAULT_THRESHOLDS):
-    """Number of distinct column-name words the span covers."""
-    rows = _close_rows(qtokens, column, emb, thresholds)
+def covered_words(span, qtokens, column, emb):
+    """Number of distinct column-name words the span covers, under the
+    default Config's thresholds."""
+    rows = _close_rows(qtokens, column, emb, Config())
     return len(frozenset().union(*rows[span.start : span.end]))
 
 

@@ -49,7 +49,7 @@ def test_criterion_1_fixture_questions(tmp_path):
     started = time.monotonic()
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = Config()
-    examples, tables = load_wikisql(split_path, tables_path)
+    examples, tables = load_wikisql(split_path, tables_path, None)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)
 
@@ -69,7 +69,7 @@ def test_criterion_2_mention_detection_fixture(actress_emb):
     started = time.monotonic()
     schema = make_schema("awards", [("best actor 2011", "text")])
     tokens = "who is the best actress of year 2011 ?".split()
-    mentions = detect_column_mentions(tokens, schema, EMPTY_LEXICON, actress_emb)
+    mentions = detect_column_mentions(tokens, schema, EMPTY_LEXICON, actress_emb, Config())
     assert [m.span for m in mentions] == [Span(3, 8)]
     assert tokens[3:8] == ["best", "actress", "of", "year", "2011"]
     spans = {m.span for m in mentions}
@@ -87,7 +87,7 @@ def test_criterion_3_mbm_oracle():
             tuple(sorted(rng.sample(range(n_right), rng.randint(0, n_right))))
             for _ in range(n_left)
         )
-        assert len(kuhn_match(adjacency)) == matching_oracle(adjacency, n_right)
+        assert len(kuhn_match(adjacency, range(n_left))) == matching_oracle(adjacency, n_right)
     report(3, started, 10.0, "(1000 graphs)")
 
 

@@ -1,5 +1,6 @@
 """Every public module-level function and class of the package, and every
-public method of its classes, has a caller.
+public method of its classes, has a caller; and every setting has its one
+default in harness.Config.
 
 A public name that only tests use is dead weight on the package's surface:
 the test belongs on the production function it mirrors, or the helper in
@@ -50,3 +51,38 @@ def test_every_public_definition_is_referenced():
             if not used:
                 unused.append(f"{path.name}:{node.lineno} {label}")
     assert not unused, f"public definitions nothing references: {unused}"
+
+
+def _config_fields():
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    config = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Config")
+    return {n.target.id for n in config.body if isinstance(n, ast.AnnAssign)}
+
+
+def _defaults(node):
+    """(name, default) of a function's parameters or a class's fields."""
+    if isinstance(node, ast.ClassDef):
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and item.value is not None:
+                yield item.target.id, item.value
+        return
+    args = node.args
+    positional = args.posonlyargs + args.args
+    with_default = positional[len(positional) - len(args.defaults) :]
+    yield from ((a.arg, d) for a, d in zip(with_default, args.defaults))
+    yield from ((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def test_settings_have_their_default_only_in_config():
+    """Outside Config, a parameter or field named like a Config field has no
+    default but None: a second default drifts from Config's unseen."""
+    fields = _config_fields()
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name == "Config":
+                continue
+            for name, default in _defaults(node):
+                if name in fields and not (isinstance(default, ast.Constant) and default.value is None):
+                    copies.append(f"{path.name}:{node.lineno} {node.name}({name})")
+    assert not copies, f"defaults that copy a Config setting: {copies}"

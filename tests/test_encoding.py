@@ -9,6 +9,7 @@ from annosql.encoding import (
     build_vocab,
     encode_question,
 )
+from annosql.harness import Config
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
 from annosql.resolve import annotate
 
@@ -20,7 +21,8 @@ def lebron():
     schema = make_schema("roster", [("Position", "text"), ("Player", "text")])
     table = Table(schema, (("Small Forward", "LeBron James"), ("Point Guard", "Stephen Curry")))
     question = "What position did the player LeBron James play ?"
-    ann = annotate(question, schema, build_value_stats(table), EMPTY_LEXICON, EMPTY_EMBEDDINGS)
+    stats = build_value_stats(table)
+    ann = annotate(question, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, None, Config())
     return schema, ann
 
 
@@ -88,11 +90,11 @@ def test_separator_appears_at_most_once(lebron):
 def test_bad_mode_rejected(lebron):
     schema, ann = lebron
     with pytest.raises(ValueError):
-        encode_question(ann, schema, mode="inline")
+        encode_question(ann, schema, mode="inline", headers=True)
 
 
 def test_build_vocab_min_count():
-    vocab = build_vocab([["a", "a", "b"]], [], min_count=2)
+    vocab = build_vocab([["a", "a", "b"]], [], min_count=2, max_index=25)
     assert "a" in vocab.stoi
     assert "b" not in vocab.stoi
     assert vocab.encode(["b"]) == [vocab.unk]
@@ -120,19 +122,19 @@ def test_build_vocab_excludes_symbol_lookalike_words():
 
 def test_build_vocab_deterministic():
     seqs = [["b", "a"], ["a", "c"]]
-    va = build_vocab(seqs, [["select"]], min_count=1)
-    vb = build_vocab(seqs, [["select"]], min_count=1)
+    va = build_vocab(seqs, [["select"]], min_count=1, max_index=25)
+    vb = build_vocab(seqs, [["select"]], min_count=1, max_index=25)
     assert va.itos == vb.itos
     assert va.content_hash() == vb.content_hash()
 
 
 def test_build_vocab_empty_corpus():
     with pytest.raises(ValueError):
-        build_vocab([], [], min_count=1)
+        build_vocab([], [], min_count=1, max_index=25)
 
 
 def test_vocab_save_load_round_trip(tmp_path):
-    vocab = build_vocab([["alpha", "beta"]], [["select", "c1"]], max_index=4)
+    vocab = build_vocab([["alpha", "beta"]], [["select", "c1"]], min_count=1, max_index=4)
     path = tmp_path / "vocab.txt"
     vocab.save(str(path))
     loaded = Vocabulary.load(str(path))
@@ -148,7 +150,7 @@ def test_model_symbol_rows_share_halves():
                          enc_layers=1, dec_hidden=4, attn_dim=4, max_index=25,
                          dtype="float64")
     params = nn.init_params(cfg, seed=0)
-    vocab = build_vocab([["word"]], [], max_index=25)
+    vocab = build_vocab([["word"]], [], min_count=1, max_index=25)
     ids = np.array([[vocab.stoi["c1"], vocab.stoi["c2"], vocab.stoi["v1"]]])
     emb, _ = nn._embed(params, ids)
     c1, c2, v1 = emb[0]

@@ -19,8 +19,9 @@ from annosql.harness import (
     prepare_examples,
     train_model,
     translate_example,
+    translate_question,
 )
-from annosql.meta import EMPTY_EMBEDDINGS, Table
+from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table
 from annosql.sqlgen import ConcreteSql, serialize_sketch, sketch_tokens, sql_tokens
 from annosql.synth import generate_corpus, write_corpus
 
@@ -69,7 +70,7 @@ def write_film_and_townland_fixtures(tmp_path):
 
 def test_load_wikisql_two_examples(tmp_path):
     tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
-    examples, tables = load_wikisql(split_path, tables_path)
+    examples, tables = load_wikisql(split_path, tables_path, None)
     assert len(examples) == 2
     assert set(tables) == {"film_awards", "townlands"}
     gold = examples[0].gold
@@ -82,7 +83,7 @@ def test_load_wikisql_empty_split(tmp_path):
     tables_path, _split, _lex = write_film_and_townland_fixtures(tmp_path)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    examples, _tables = load_wikisql(str(empty), tables_path)
+    examples, _tables = load_wikisql(str(empty), tables_path, None)
     assert examples == []
 
 
@@ -91,7 +92,7 @@ def test_load_wikisql_dangling_table_id(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({**FILM_AWARDS_RECORD, "table_id": "ghost"}) + "\n")
     with pytest.raises(ValueError, match="ghost"):
-        load_wikisql(str(bad), tables_path)
+        load_wikisql(str(bad), tables_path, None)
 
 
 def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
@@ -101,7 +102,7 @@ def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
     split = tmp_path / "asked.jsonl"
     asked = {k: v for k, v in TOWNLANDS_RECORD.items() if k != "sql"}
     split.write_text(json.dumps(FILM_AWARDS_RECORD) + "\n" + json.dumps(asked) + "\n")
-    examples, tables = load_wikisql(str(split), tables_path)
+    examples, tables = load_wikisql(str(split), tables_path, None)
     assert [ex.gold is None for ex in examples] == [False, True]
     prepare_examples(examples, tables, Config())
     with pytest.raises(ValueError, match="no gold query .*How many people live in Mayo"):
@@ -125,7 +126,7 @@ def film_fixtures_prepared(tmp_path, config=None):
 
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = config or Config()
-    examples, tables = load_wikisql(split_path, tables_path)
+    examples, tables = load_wikisql(split_path, tables_path, None)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)
     return examples, tables, config
@@ -265,7 +266,7 @@ def test_synth_corpus_aligns_and_round_trips():
 
 def test_synth_write_corpus_round_trip(tmp_path):
     tables_path, split_path = write_corpus(str(tmp_path), 10, n_tables=4, seed=5)
-    examples, tables = load_wikisql(split_path, tables_path)
+    examples, tables = load_wikisql(split_path, tables_path, None)
     assert len(examples) == 10
     config = Config()
     prepare_examples(examples, tables, config)
@@ -503,7 +504,7 @@ def test_load_wikisql_errors_name_file_and_line(tmp_path, bad):
     split = tmp_path / "bad.jsonl"
     split.write_text(json.dumps(TOWNLANDS_RECORD) + "\n" + bad + "\n")
     with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
-        load_wikisql(str(split), tables_path)
+        load_wikisql(str(split), tables_path, None)
 
 
 def test_translate_cli_reports_unanswerable_questions(tmp_path, capsys):
@@ -568,7 +569,7 @@ def test_embeddings_seed_word_embeddings(tmp_path, caplog):
         caplog.clear()
         run_train(config)
         vocab = Vocabulary.load(config.vocab_path)
-        params, _meta = nn.load_checkpoint(config.checkpoint_path)
+        params, _meta = nn.load_checkpoint(config.checkpoint_path, vocab.content_hash())
         for word, vec in vectors.items():
             row = params["emb"][vocab.stoi[word]]
             assert np.allclose(row, vec, atol=1e-6) == (dim == config.dim)
@@ -662,7 +663,7 @@ def test_gold_less_line_in_evaluated_split_fails_at_load(tmp_path, monkeypatch, 
 def test_coverage_report_counts_gold_less_examples_apart(tmp_path):
     tables_path, split_path = write_corpus_with_gold_less_line(tmp_path)
     config = tiny_config()
-    examples, tables = load_wikisql(split_path, tables_path)
+    examples, tables = load_wikisql(split_path, tables_path, None)
     prepare_examples(examples, tables, config)
     _pairs, _vocab, report = build_training_pairs(examples, config)
     assert report["total"] == 9
@@ -700,7 +701,55 @@ def test_eval_report_failure_classes(monkeypatch):
     questions = [ex.question for ex in examples]
     assert report.ex == 1
     assert report.to_dict()["translation_failures"] == {
+        "encode": {"count": 0, "examples": []},
         "parse": {"count": 4, "examples": [questions[1], questions[5], questions[6]]},
         "resolve": {"count": 2, "examples": [questions[2], questions[3]]},
         "wrong_result": {"count": 1, "examples": [questions[4]]},
     }
+
+
+def test_evaluate_counts_unencodable_question_and_goes_on():
+    """Without header slots a question of only punctuation encodes to an
+    empty source; evaluate counts and names it under `encode` and still
+    scores every other question."""
+    config = tiny_config(epochs=1, headers=False)
+    examples, bundles, _records = generate_corpus(6, 2, 23, config)
+    pairs, vocab, _report = build_training_pairs(examples, config)
+    params, _hist = train_model(pairs, vocab, config)
+    blank = Example("___", examples[0].table_id, examples[0].gold)
+    prepare_examples([blank], bundles, config)
+    assert blank.encoded_src == []
+    report = evaluate(examples + [blank], bundles, params, vocab, config)
+    assert report.total == 7
+    failures = report.to_dict()["translation_failures"]
+    assert failures["encode"] == {"count": 1, "examples": ["___"]}
+    assert sum(f["count"] for f in failures.values()) == report.total - report.ex
+
+
+def test_translate_question_output_has_one_shape(monkeypatch):
+    """An answered and an unanswered question give the same keys, with
+    `flagged` None when there is no SQL."""
+    from annosql import model as nn
+
+    config = tiny_config()
+    examples, bundles, _records = generate_corpus(2, 2, 23, config)
+    _pairs, vocab, _report = build_training_pairs(examples, config)
+    answered, unanswered = examples
+    by_source = {
+        tuple(vocab.encode(answered.encoded_src)): vocab.encode(sketch_tokens(answered.aligned)),
+        tuple(vocab.encode(unanswered.encoded_src)): vocab.encode(["where", "select"]),
+    }
+
+    def fake_beam(src_ids, *_args):
+        return nn.Hypothesis(tuple(by_source[tuple(src_ids)]), -1.0, None)
+
+    monkeypatch.setattr(nn, "beam_search", fake_beam)
+    outs = [
+        translate_question(
+            ex.question, ex.table_id, bundles, None, vocab, config, EMPTY_LEXICON, EMPTY_EMBEDDINGS
+        )
+        for ex in examples
+    ]
+    assert outs[0]["sql"] is not None and isinstance(outs[0]["flagged"], bool)
+    assert outs[1]["sql"] is None and outs[1]["flagged"] is None
+    assert list(outs[0]) == list(outs[1])

@@ -2,12 +2,10 @@ import random
 
 import pytest
 
+from annosql.harness import Config
 from annosql.mentions import (
-    COVERAGE,
-    LEXICON,
     CandidateMention,
     Span,
-    Thresholds,
     detect_column_mentions,
     detect_value_mentions,
     edit_closeness,
@@ -18,6 +16,8 @@ from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_sta
 from annosql.text import tokenize
 
 from support import coverage_count, covered_words, embedding_store, levenshtein_oracle, make_schema
+
+CONFIG = Config()
 
 
 def test_edit_closeness_examples():
@@ -80,7 +80,7 @@ def test_detect_column_mentions_paraphrased_column(best_actor):
     """The span is exactly "best actress of year 2011"; the over- and
     under-extended alternatives must not appear."""
     schema, tokens, emb = best_actor
-    mentions = detect_column_mentions(tokens, schema, EMPTY_LEXICON, emb)
+    mentions = detect_column_mentions(tokens, schema, EMPTY_LEXICON, emb, CONFIG)
     assert [m.span for m in mentions] == [Span(3, 8)]
     assert tokens[3:8] == ["best", "actress", "of", "year", "2011"]
     spans = {m.span for m in mentions}
@@ -91,18 +91,18 @@ def test_detect_column_mentions_paraphrased_column(best_actor):
 def test_detect_column_mentions_lexicon(townlands):
     schema, _table, _stats, lexicon, question = townlands
     tokens = tokenize(question)
-    mentions = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS)
+    mentions = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
     population = [m for m in mentions if m.column.name == "Population"]
     assert len(population) == 1
-    assert population[0].source == LEXICON
     assert population[0].span == Span(0, 5)
+    assert population[0].score == 1.0
     assert tokens[0:5] == ["how", "many", "people", "live", "in"]
 
 
 def test_detect_column_mentions_no_match():
     schema = make_schema("t", [("quarterly revenue", "real")])
     tokens = tokenize("does the moon orbit anything ?")
-    assert detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS) == []
+    assert detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS, CONFIG) == []
 
 
 def test_coverage_maximality_by_enumeration(best_actor):
@@ -110,7 +110,7 @@ def test_coverage_maximality_by_enumeration(best_actor):
     proper sub-span covers fewer (checked by brute force)."""
     schema, tokens, emb = best_actor
     column = schema.columns[0]
-    [mention] = detect_column_mentions(tokens, schema, EMPTY_LEXICON, emb)
+    [mention] = detect_column_mentions(tokens, schema, EMPTY_LEXICON, emb, CONFIG)
     n = len(tokens)
     full = covered_words(Span(0, n), tokens, column, emb)
     got = covered_words(mention.span, tokens, column, emb)
@@ -130,7 +130,7 @@ def test_coverage_maximality_random():
         schema = make_schema("t", [(name, "text")])
         column = schema.columns[0]
         tokens = [rng.choice(words + ["the", "of", "xx"]) for _ in range(rng.randint(3, 10))]
-        mentions = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS)
+        mentions = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS, CONFIG)
         n = len(tokens)
         full = covered_words(Span(0, n), tokens, column, EMPTY_EMBEDDINGS)
         for m in mentions:
@@ -151,7 +151,7 @@ def test_coverage_maximality_random():
 def test_detect_value_mentions_exact(film_awards):
     schema, _table, stats, _lex, question = film_awards
     tokens = tokenize(question)
-    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS)
+    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, ())
     actor_hits = [m for m in mentions if m.column.name == "Actor"]
     assert len(actor_hits) == 1
     assert actor_hits[0].span == Span(7, 9)
@@ -161,7 +161,7 @@ def test_detect_value_mentions_exact(film_awards):
 def test_detect_value_mentions_unmentioned_column(townlands):
     schema, _table, stats, _lex, question = townlands
     tokens = tokenize(question)
-    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS)
+    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, ())
     county_hits = [m for m in mentions if m.column.name == "County"]
     assert [m.span for m in county_hits] == [Span(5, 6)]
     assert tokens[5] == "mayo"
@@ -175,7 +175,7 @@ def test_detect_value_mentions_preserves_ambiguity():
     )
     stats = build_value_stats(table)
     tokens = tokenize("for which player his rebounds is 2 and points is 3 ?")
-    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS)
+    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, ())
     two = {m.column.name for m in mentions if tokens[m.span.start] == "2" and len(m.span) == 1}
     three = {m.column.name for m in mentions if tokens[m.span.start] == "3" and len(m.span) == 1}
     assert two == {"rebounds", "points"}
@@ -185,10 +185,10 @@ def test_detect_value_mentions_preserves_ambiguity():
 def test_detect_value_mentions_skips_inside_column_mentions(townlands):
     schema, _table, stats, lexicon, question = townlands
     tokens = tokenize(question)
-    col_mentions = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS)
-    inside = CandidateMention(Span(5, 6), "column", schema.columns[0], 1.0, COVERAGE)
+    col_mentions = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
+    inside = CandidateMention(Span(5, 6), schema.columns[0], 1.0)
     mentions = detect_value_mentions(
-        tokens, schema, stats, EMPTY_EMBEDDINGS, column_mentions=list(col_mentions) + [inside]
+        tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, list(col_mentions) + [inside]
     )
     assert not any(m.span == Span(5, 6) for m in mentions)
 
@@ -198,7 +198,7 @@ def test_detect_value_mentions_keeps_maximal_spans():
     table = Table(schema, (("john smith",), ("john",)))
     stats = build_value_stats(table)
     tokens = tokenize("is john smith here ?")
-    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS)
+    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, ())
     # "john smith" [1,3) and "john" [1,2) both exact-match; only the longer stays
     assert [m.span for m in mentions] == [Span(1, 3)]
 
@@ -206,11 +206,11 @@ def test_detect_value_mentions_keeps_maximal_spans():
 def test_detection_determinism(townlands, actress_emb):
     schema, _table, stats, lexicon, question = townlands
     tokens = tokenize(question)
-    a = detect_column_mentions(tokens, schema, lexicon, actress_emb)
-    b = detect_column_mentions(tokens, schema, lexicon, actress_emb)
+    a = detect_column_mentions(tokens, schema, lexicon, actress_emb, CONFIG)
+    b = detect_column_mentions(tokens, schema, lexicon, actress_emb, CONFIG)
     assert a == b
-    va = detect_value_mentions(tokens, schema, stats, actress_emb, column_mentions=a)
-    vb = detect_value_mentions(tokens, schema, stats, actress_emb, column_mentions=b)
+    va = detect_value_mentions(tokens, schema, stats, actress_emb, CONFIG, a)
+    vb = detect_value_mentions(tokens, schema, stats, actress_emb, CONFIG, b)
     assert va == vb
 
 
@@ -226,11 +226,11 @@ def test_span_validation():
 
 def test_mention_score_bounds():
     with pytest.raises(ValueError):
-        CandidateMention(Span(0, 1), "column", None, 1.5, COVERAGE)
+        CandidateMention(Span(0, 1), None, 1.5)
     with pytest.raises(ValueError):
-        CandidateMention(Span(0, 1), "column", None, 0.5, "exact_value")
+        CandidateMention(Span(0, 1), None, -0.5)
 
 
 def test_thresholds_configurable():
-    strict = Thresholds(tau_ed=0.1, tau_sim=0.01)
+    strict = Config(tau_ed=0.1, tau_sim=0.01)
     assert not words_close("directed", "director", EMPTY_EMBEDDINGS, strict.tau_ed, strict.tau_sim)

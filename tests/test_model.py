@@ -433,9 +433,9 @@ def test_checkpoint_tensor_shapes_checked(tmp_path):
     params.tensors["dec.U"] = params.tensors["dec.U"][:, :-1]
     nn.save_checkpoint(path, params, vocab_hash="abc123")
     with pytest.raises(nn.ModelError, match=r"'dec\.U' has shape \(8, 23\), expected \(8, 24\)"):
-        nn.load_checkpoint(path)
+        nn.load_checkpoint(path, expect_vocab_hash="abc123")
     params = nn.init_params(cfg, seed=9)
     del params.tensors["attn.v"]
     nn.save_checkpoint(path, params, vocab_hash="abc123")
     with pytest.raises(nn.ModelError, match=r"'attn\.v' has shape None, expected \(\d+,\)"):
-        nn.load_checkpoint(path)
+        nn.load_checkpoint(path, expect_vocab_hash="abc123")

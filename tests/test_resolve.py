@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from annosql.harness import Config
 from annosql.mentions import CandidateMention, Span, detect_column_mentions, detect_value_mentions
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
 from annosql.resolve import (
@@ -18,6 +19,8 @@ from annosql.trees import load_trees, parse_bracketed
 from annosql.text import tokenize
 
 from support import make_schema, matching_oracle
+
+CONFIG = Config()
 
 BOXSCORE_QUESTION = "for which player his rebounds is 2 and points is 3 ?"
 BOXSCORE_TREE = (
@@ -77,29 +80,29 @@ def test_lca_depth_boxscore_pairs(boxscore):
 
 def test_structural_closeness_singleton_equals_lca(boxscore):
     schema, _table, _stats, tree = boxscore
-    col = CandidateMention(Span(4, 5), "column", schema.columns[1], 1.0, "coverage")
-    val = CandidateMention(Span(6, 7), "value", schema.columns[1], 1.0, "exact_value")
+    col = CandidateMention(Span(4, 5), schema.columns[1], 1.0)
+    val = CandidateMention(Span(6, 7), schema.columns[1], 1.0)
     assert _span_closeness(val.span, col.span, tree) == tree.lca_depth(6, 4)
 
 
 def test_structural_closeness_root_only():
     tree = parse_bracketed("(S a b c d)")
-    col = CandidateMention(Span(0, 1), "column", None, 1.0, "coverage")
-    val = CandidateMention(Span(3, 4), "value", None, 1.0, "exact_value")
+    col = CandidateMention(Span(0, 1), None, 1.0)
+    val = CandidateMention(Span(3, 4), None, 1.0)
     assert _span_closeness(val.span, col.span, tree) == 0
 
 
 def test_structural_closeness_token_distance_fallback():
-    col = CandidateMention(Span(0, 2), "column", None, 1.0, "coverage")
-    val = CandidateMention(Span(5, 6), "value", None, 1.0, "exact_value")
+    col = CandidateMention(Span(0, 2), None, 1.0)
+    val = CandidateMention(Span(5, 6), None, 1.0)
     assert _span_closeness(val.span, col.span, TOKEN_DISTANCE) == -4  # closest pair: 1 vs 5
 
 
 def test_build_match_graph_tree_prunes_to_nested_pairs(boxscore):
     schema, _table, stats, tree = boxscore
     tokens = tokenize(BOXSCORE_QUESTION)
-    cols = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS)
-    vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, column_mentions=cols)
+    cols = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS, CONFIG)
+    vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
     graph = build_match_graph(vals, cols, tree)
     edges = set()
     for vi, targets in enumerate(graph.adjacency):
@@ -111,8 +114,8 @@ def test_build_match_graph_tree_prunes_to_nested_pairs(boxscore):
 def test_build_match_graph_synthetic_for_unmentioned(townlands):
     schema, _table, stats, lexicon, question = townlands
     tokens = tokenize(question)
-    cols = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS)
-    vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, column_mentions=cols)
+    cols = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
+    vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
     graph = build_match_graph(vals, cols, TOKEN_DISTANCE)
     mayo = next(vi for vi, vv in enumerate(graph.values) if tokens[vv.span.start] == "mayo")
     [target] = graph.adjacency[mayo]
@@ -121,14 +124,14 @@ def test_build_match_graph_synthetic_for_unmentioned(townlands):
 
 
 def test_kuhn_single_edge_and_empty():
-    assert kuhn_match([[0]]) == {0: 0}
-    assert kuhn_match([]) == {}
-    assert kuhn_match([[], []]) == {}
+    assert kuhn_match([[0]], [0]) == {0: 0}
+    assert kuhn_match([], []) == {}
+    assert kuhn_match([[], []], [0, 1]) == {}
 
 
 def test_kuhn_k22_example():
     # edges {(v1,c1),(v1,c2),(v2,c1)}: the only size-2 matching is v1-c2, v2-c1
-    match = kuhn_match([[0, 1], [0]])
+    match = kuhn_match([[0, 1], [0]], [0, 1])
     assert match == {0: 1, 1: 0}
 
 
@@ -140,7 +143,7 @@ def test_mbm_matches_bruteforce_on_random_graphs():
             tuple(sorted(rng.sample(range(n_right), rng.randint(0, n_right))))
             for _ in range(n_left)
         ]
-        got = len(kuhn_match(adjacency))
+        got = len(kuhn_match(adjacency, range(n_left)))
         assert got == matching_oracle(tuple(adjacency), n_right)
 
 
@@ -152,14 +155,14 @@ def test_isolated_vertex_never_changes_matching():
             tuple(sorted(rng.sample(range(n_right), rng.randint(0, n_right))))
             for _ in range(n_left)
         ]
-        base = kuhn_match(adjacency)
-        with_isolated = kuhn_match(adjacency + [()])
+        base = kuhn_match(adjacency, range(n_left))
+        with_isolated = kuhn_match(adjacency + [()], range(n_left + 1))
         assert with_isolated == base
 
 
 def test_assign_indices_film_awards(film_awards):
     schema, _table, stats, lexicon, question = film_awards
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, CONFIG)
     syms = ann.symbols
     assert syms.columns[1].name == "Film_Name"
     assert syms.columns[2].name == "Director"
@@ -171,7 +174,7 @@ def test_assign_indices_film_awards(film_awards):
 
 def test_assign_indices_townlands(townlands):
     schema, _table, stats, lexicon, question = townlands
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, CONFIG)
     syms = ann.symbols
     assert syms.columns[1].name == "Population"
     assert syms.columns[2] == type(syms.columns[2])("County", None)  # unmentioned
@@ -183,7 +186,8 @@ def test_assign_indices_townlands(townlands):
 def test_assign_indices_empty():
     schema = make_schema("t", [("quarterly revenue", "real")])
     stats = build_value_stats(Table(schema, ()))
-    ann = annotate("does the moon orbit anything ?", schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS)
+    question = "does the moon orbit anything ?"
+    ann = annotate(question, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, None, CONFIG)
     assert ann.symbols.columns == {}
     assert ann.symbols.values == {}
     assert ann.accepted == ()
@@ -191,7 +195,7 @@ def test_assign_indices_empty():
 
 def test_assign_indices_shared_and_ordered(boxscore):
     schema, _table, stats, tree = boxscore
-    ann = annotate(BOXSCORE_QUESTION, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, tree=tree)
+    ann = annotate(BOXSCORE_QUESTION, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, tree, CONFIG)
     syms = ann.symbols
     # player mentioned first -> c1; (rebounds, 2) -> c2/v2; (points, 3) -> c3/v3
     assert syms.columns[1].name == "player"
@@ -208,7 +212,7 @@ def test_accepted_spans_never_overlap(film_awards, townlands, boxscore):
     schema3, _t3, stats3, tree3 = boxscore
     cases.append((BOXSCORE_QUESTION, schema3, stats3, EMPTY_LEXICON, tree3))
     for question, schema, stats, lexicon, tree in cases:
-        ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, tree=tree)
+        ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, tree, CONFIG)
         spans = [m.span for m in ann.accepted]
         for i, a in enumerate(spans):
             for b in spans[i + 1 :]:
@@ -218,8 +222,8 @@ def test_accepted_spans_never_overlap(film_awards, townlands, boxscore):
 def test_assign_indices_direct(townlands):
     schema, _table, stats, lexicon, question = townlands
     q = Question.from_text(question)
-    cols = detect_column_mentions(q.tokens, schema, lexicon, EMPTY_EMBEDDINGS)
-    vals = detect_value_mentions(q.tokens, schema, stats, EMPTY_EMBEDDINGS, column_mentions=cols)
+    cols = detect_column_mentions(q.tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
+    vals = detect_value_mentions(q.tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
     graph = build_match_graph(vals, cols, TOKEN_DISTANCE)
     matching = max_bipartite_matching(graph)
     ann = assign_indices(graph, matching, q, schema)
@@ -229,8 +233,8 @@ def test_assign_indices_direct(townlands):
 
 def test_annotate_deterministic(townlands):
     schema, _table, stats, lexicon, question = townlands
-    a = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
-    b = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    a = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, CONFIG)
+    b = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, CONFIG)
     assert a.symbols.to_dict() == b.symbols.to_dict()
     assert a.accepted == b.accepted
 
@@ -244,10 +248,10 @@ def test_tree_overrides_token_distance_tie():
     question = "points 2 rebounds"
     tree = parse_bracketed("(S (A points) (B (C 2) (D rebounds)))")
 
-    flat = annotate(question, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS)
+    flat = annotate(question, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, None, CONFIG)
     assert flat.symbols.values[1].column == "points"  # tie broken by earlier mention
 
-    grouped = annotate(question, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, tree=tree)
+    grouped = annotate(question, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, tree, CONFIG)
     paired = next(
         grouped.symbols.values[i].column
         for i in grouped.symbols.values
@@ -259,7 +263,7 @@ def test_annotate_mismatched_tree_falls_back(townlands, caplog):
     schema, _table, stats, lexicon, question = townlands
     short_tree = parse_bracketed("(S (A x) (B y))")
     with caplog.at_level("WARNING"):
-        ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, tree=short_tree)
+        ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, short_tree, CONFIG)
     assert ann.symbols.columns[1].name == "Population"
     assert any("falling back" in rec.message for rec in caplog.records)
 

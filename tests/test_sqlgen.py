@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from annosql.harness import Config
 from annosql.meta import EMPTY_EMBEDDINGS, REAL, Table
 from annosql.resolve import annotate
 from annosql.sqlgen import (
@@ -99,7 +100,7 @@ def test_parse_serialize_identity_random():
 
 def test_resolve_symbols_townlands(townlands):
     schema, table, stats, lexicon, question = townlands
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
     ast = parse_annotated_sql("select c1 where c2 = v2 and c3 = v3".split())
     sql = resolve_symbols(ast, ann.symbols, schema)
     assert sql.select == "Population"
@@ -111,14 +112,14 @@ def test_resolve_symbols_townlands(townlands):
 
 def test_resolve_header_symbol(film_awards):
     schema, _table, stats, lexicon, question = film_awards
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
     ast = parse_annotated_sql(["select", "g5"])
     assert resolve_symbols(ast, ann.symbols, schema).select == "Nomination Date"
 
 
 def test_resolve_unbound_symbol(film_awards):
     schema, _table, stats, lexicon, question = film_awards
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
     with pytest.raises(SymbolResolutionError):
         resolve_symbols(
             parse_annotated_sql("select c1 where c2 = v9".split()), ann.symbols, schema
@@ -307,7 +308,7 @@ def test_result_equal_semantics():
 
 def test_align_gold_film_awards(film_awards):
     schema, _table, stats, lexicon, question = film_awards
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
     gold = ConcreteSql(
         "", "Film_Name", (("Director", "=", "Jerzy Antczak"), ("Actor", "=", "Piotr Adamczyk"))
     )
@@ -317,7 +318,7 @@ def test_align_gold_film_awards(film_awards):
 
 def test_align_gold_unmentioned_select_uses_header(film_awards):
     schema, _table, stats, lexicon, question = film_awards
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
     gold = ConcreteSql("", "Nomination Date", (("Actor", "=", "Piotr Adamczyk"),))
     ast = align_gold_sql(gold, ann, schema, max_index=25)
     assert ast.select == SqlSymbol("g", 5)
@@ -325,7 +326,7 @@ def test_align_gold_unmentioned_select_uses_header(film_awards):
 
 def test_align_gold_missing_value_fails(film_awards):
     schema, _table, stats, lexicon, question = film_awards
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
     gold = ConcreteSql("", "Film_Name", (("Actor", "=", "Levan Uchaneishvili"),))
     with pytest.raises(AlignmentError):
         align_gold_sql(gold, ann, schema, max_index=25)
@@ -333,7 +334,7 @@ def test_align_gold_missing_value_fails(film_awards):
 
 def test_align_respects_index_cap(film_awards):
     schema, _table, stats, lexicon, question = film_awards
-    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+    ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
     gold = ConcreteSql("", "Nomination Date", (("Actor", "=", "Piotr Adamczyk"),))
     with pytest.raises(AlignmentError):
         align_gold_sql(gold, ann, schema, max_index=4)
@@ -344,7 +345,7 @@ def test_align_round_trip(film_awards, townlands):
         (*film_awards, ConcreteSql("", "Film_Name", (("Director", "=", "Jerzy Antczak"), ("Actor", "=", "Piotr Adamczyk")), "film_awards")),
         (*townlands, ConcreteSql("", "Population", (("County", "=", "Mayo"), ("English_Name", "=", "Carrowteige")), "townlands")),
     ]:
-        ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS)
+        ann = annotate(question, schema, stats, lexicon, EMPTY_EMBEDDINGS, None, Config())
         ast = align_gold_sql(gold, ann, schema, max_index=25)
         back = resolve_symbols(ast, ann.symbols, schema)
         assert canonicalize(back) == canonicalize(gold)
