@@ -9,15 +9,15 @@ import sys
 
 from .harness import (
     Config,
-    load_model,
     load_side_inputs,
     load_table_bundles,
+    load_translator,
     load_wikisql,
     prepare_examples,
     repl_translate,
     run_eval,
     run_train,
-    translate_or_error,
+    translate_question,
 )
 from .sqlgen import serialize_sketch, sketch_tokens
 
@@ -42,7 +42,8 @@ def _emit(obj, out_path):
 
 def cmd_annotate(args):
     config = _config_from(args)
-    examples, tables = load_wikisql(args.infile, config.tables_path, args.trees)
+    tables = load_table_bundles(config.tables_path)
+    examples = load_wikisql(args.infile, tables, args.trees)
     lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     if args.out:
@@ -77,14 +78,10 @@ def cmd_eval(args):
 
 def cmd_translate(args):
     config = Config.from_file(args.config)
-    tables = load_table_bundles(config.tables_path)
-    lexicon, emb = load_side_inputs(config)
-    params, vocab = load_model(config, args.checkpoint)
-    out, ok = translate_or_error(
-        args.question, args.table, tables, params, vocab, config, lexicon, emb
-    )
+    tables, params, vocab, lexicon, emb = load_translator(config, args.checkpoint)
+    out = translate_question(args.question, args.table, tables, params, vocab, config, lexicon, emb)
     _emit(out, args.out)
-    return 0 if ok else 1
+    return 0 if out["logp"] is not None else 1  # 1: the question never reached the model
 
 
 def cmd_repl(args):

@@ -4,6 +4,7 @@ metrics, and the train / eval / translate entry points used by the CLI.
 
 import json
 import logging
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -11,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import model as nn
-from .encoding import build_vocab, encode_question
+from .encoding import Vocabulary, build_vocab, encode_question
 from .meta import (
     EMPTY_EMBEDDINGS,
     EMPTY_LEXICON,
@@ -167,15 +168,13 @@ def load_table_bundles(tables_path):
     }
 
 
-def load_wikisql(split_path, tables_path, trees_path):
-    """Load a WikiSQL-format split joined to its tables.
+def load_wikisql(split_path, tables, trees_path):
+    """The Examples of a WikiSQL-format split joined to `tables` (id -> TableBundle).
 
     A line without a `sql` object gives an Example whose gold is None. Tree
     line i of `trees_path`, when not None, belongs to split line i, so the two
-    files have the same number of lines, blank ones included. Returns
-    (examples, tables) where tables maps id -> TableBundle.
+    files have the same number of lines, blank ones included.
     """
-    tables = load_table_bundles(tables_path)
     trees = load_trees(trees_path) if trees_path else []
     tree_of_line = iter(trees)
 
@@ -198,7 +197,7 @@ def load_wikisql(split_path, tables_path, trees_path):
         raise ValueError(
             f"{trees_path}: {len(trees)} tree lines for {len(parsed)} lines of {split_path}"
         )
-    return [ex for ex in parsed if ex is not None], tables
+    return [ex for ex in parsed if ex is not None]
 
 
 def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_EMBEDDINGS):
@@ -349,12 +348,19 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
 class Translation:
     sketch: str | None
     sql: ConcreteSql | None
-    logp: float
+    logp: float | None  # None when the model did not run
+    failure: str | None = None  # the FAILURE_CLASSES stage that stopped it
     error: str | None = None
 
 
+def _failed(stage, message, sketch=None, logp=None):
+    return Translation(sketch, None, logp, stage, f"{stage}: {message}")
+
+
 def translate_example(example, tables, params, vocab, config):
-    """Question -> sketch -> concrete SQL for one prepared example."""
+    """Question -> sketch -> concrete SQL, or the stage that failed, for one prepared example."""
+    if not example.encoded_src:
+        return _failed("encode", "empty source sequence")
     bundle = tables[example.table_id]
     src = vocab.encode(example.encoded_src)
     hyp = nn.beam_search(
@@ -363,18 +369,18 @@ def translate_example(example, tables, params, vocab, config):
     try:
         ast = parse_annotated_sql(vocab.decode(hyp.tokens))
     except SketchParseError as exc:
-        return Translation(None, None, hyp.logp, error=f"parse: {exc}")
+        return _failed("parse", exc, logp=hyp.logp)
     try:
         sql = resolve_symbols(ast, example.annotation.symbols, bundle.schema)
     except SymbolResolutionError as exc:
-        return Translation(serialize_sketch(ast), None, hyp.logp, error=f"resolve: {exc}")
+        return _failed("resolve", exc, serialize_sketch(ast), hyp.logp)
     return Translation(serialize_sketch(ast), sql, hyp.logp)
 
 
-# translation failure classes: the model cannot encode the question (its
-# encoded source is empty), the sketch does not parse, a symbol does not
-# resolve, or the query resolves but executes to the wrong result
-FAILURE_CLASSES = ("encode", "parse", "resolve", "wrong_result")
+# translation failure classes: the question leaves the model nothing to
+# encode, the sketch does not parse, a symbol does not resolve, the query
+# resolves but execution flags its result, or it runs to the wrong result
+FAILURE_CLASSES = ("encode", "parse", "resolve", "flagged", "wrong_result")
 FAILURE_EXAMPLES = 3  # example questions kept per class
 
 
@@ -441,22 +447,16 @@ def evaluate(examples, tables, params, vocab, config):
             aligned += 1
         else:
             reasons[ex.alignment_error or "unaligned"] += 1
-        try:
-            result = translate_example(ex, tables, params, vocab, config)
-        except nn.ModelError as exc:
-            pred, error = None, f"encode: {exc}"
-        else:
-            pred, error = result.sql, result.error
-        gold = ex.gold
+        result = translate_example(ex, tables, params, vocab, config)
+        pred, gold, table = result.sql, ex.gold, tables[ex.table_id].table
         if pred is not None and acc_lf(sql_tokens(pred), sql_tokens(gold)):
             lf += 1
         if acc_qm(pred, gold):
             qm += 1
-        if acc_ex(pred, gold, tables[ex.table_id].table):
+        if acc_ex(pred, gold, table):
             ex_count += 1
             continue
-        # the error starts with the failed stage's name
-        kind = "wrong_result" if pred is not None else error.split(":", 1)[0]
+        kind = result.failure or ("flagged" if execute(pred, table).flagged else "wrong_result")
         failed[kind]["count"] += 1
         if len(failed[kind]["examples"]) < FAILURE_EXAMPLES:
             failed[kind]["examples"].append(ex.question)
@@ -492,7 +492,8 @@ def run_train(config):
     """
     if not (config.tables_path and config.train_path):
         raise ValueError("config needs tables_path and train_path")
-    examples, tables = load_wikisql(config.train_path, config.tables_path, config.train_trees_path)
+    tables = load_table_bundles(config.tables_path)
+    examples = load_wikisql(config.train_path, tables, config.train_trees_path)
     if config.stop_train_acc is not None:
         _require_gold(examples, config.train_path)
     lexicon, emb = load_side_inputs(config)
@@ -502,11 +503,9 @@ def run_train(config):
 
     dev_examples = None
     if config.dev_path:
-        dev_examples, dev_tables = load_wikisql(
-            config.dev_path, config.tables_path, config.dev_trees_path
-        )
+        dev_examples = load_wikisql(config.dev_path, tables, config.dev_trees_path)
         _require_gold(dev_examples, config.dev_path)
-        prepare_examples(dev_examples, dev_tables, config, lexicon, emb)
+        prepare_examples(dev_examples, tables, config, lexicon, emb)
 
     log_lines = []
 
@@ -526,7 +525,7 @@ def run_train(config):
             if report.acc_lf >= config.stop_train_acc:
                 stop = True
         if dev_examples is not None:
-            report = evaluate(dev_examples, dev_tables, params, vocab, config)
+            report = evaluate(dev_examples, tables, params, vocab, config)
             log.info("epoch %d dev acc_qm %.4f", epoch, report.acc_qm)
             if report.acc_qm > state["best_qm"]:
                 state.update(best_qm=report.acc_qm, best_params=params.clone(), stall=0)
@@ -557,8 +556,6 @@ def run_train(config):
 
 def load_model(config, checkpoint_path=None):
     """The configured vocabulary and a checkpoint trained with it."""
-    from .encoding import Vocabulary
-
     vocab = Vocabulary.load(config.vocab_path)
     params, _meta = nn.load_checkpoint(
         checkpoint_path or config.checkpoint_path, expect_vocab_hash=vocab.content_hash()
@@ -575,7 +572,8 @@ def run_eval(config, checkpoint_path=None, split="test"):
     }[split]
     if not (config.tables_path and split_path):
         raise ValueError(f"config needs tables_path and a path for split {split!r}")
-    examples, tables = load_wikisql(split_path, config.tables_path, trees_path)
+    tables = load_table_bundles(config.tables_path)
+    examples = load_wikisql(split_path, tables, trees_path)
     _require_gold(examples, split_path)
     lexicon, emb = load_side_inputs(config)
     prepare_examples(examples, tables, config, lexicon, emb)
@@ -583,25 +581,36 @@ def run_eval(config, checkpoint_path=None, split="test"):
     return evaluate(examples, tables, params, vocab, config)
 
 
+def load_translator(config, checkpoint_path=None):
+    """(tables, params, vocab, lexicon, emb) for translate_question."""
+    if not config.tables_path:
+        raise ValueError("config needs tables_path")
+    tables = load_table_bundles(config.tables_path)
+    lexicon, emb = load_side_inputs(config)
+    params, vocab = load_model(config, checkpoint_path)
+    return tables, params, vocab, lexicon, emb
+
+
+# the keys of every translate_question output, in order
+ANSWER_KEYS = (
+    "question", "table_id", "annotation", "encoded", "sketch",
+    "logp", "sql", "result", "flagged", "error",
+)
+
+
 def translate_question(question, table_id, tables, params, vocab, config, lexicon, emb):
-    """Annotate and translate a raw question against one table."""
+    """Annotate and translate a raw question against one table; the output has
+    the ANSWER_KEYS, None where the question did not get that far."""
+    out = dict.fromkeys(ANSWER_KEYS)
+    out.update(question=question, table_id=table_id)
     if table_id not in tables:
-        raise KeyError(f"unknown table id {table_id!r}")
+        out["error"] = f"unknown table id {table_id!r}"
+        return out
     ex = Example(question, table_id, None)
     prepare_examples([ex], tables, config, lexicon, emb)
     result = translate_example(ex, tables, params, vocab, config)
-    out = {
-        "question": question,
-        "table_id": table_id,
-        "annotation": ex.annotation.symbols.to_dict(),
-        "encoded": ex.encoded_src,
-        "sketch": result.sketch,
-        "logp": result.logp,
-        "sql": None,
-        "result": None,
-        "flagged": None,
-        "error": result.error,
-    }
+    out.update(annotation=ex.annotation.symbols.to_dict(), encoded=ex.encoded_src)
+    out.update(sketch=result.sketch, logp=result.logp, error=result.error)
     if result.sql is not None:
         out["sql"] = serialize_sql(result.sql)
         res = execute(result.sql, tables[table_id].table)
@@ -610,27 +619,11 @@ def translate_question(question, table_id, tables, params, vocab, config, lexico
     return out
 
 
-def translate_or_error(question, table_id, tables, params, vocab, config, lexicon, emb):
-    """(translate_question's output, True), or ({"error": ...}, False) when the
-    table id is unknown or the question leaves the model nothing to encode."""
-    try:
-        out = translate_question(question, table_id, tables, params, vocab, config, lexicon, emb)
-    except (KeyError, nn.ModelError) as exc:
-        return {"error": str(exc)}, False
-    return out, True
-
-
 def repl_translate(config, checkpoint_path=None, stdin=None, stdout=None):
     """Interactive loop: one `table_id<TAB>question` per line, JSON out."""
-    import sys
-
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    if not config.tables_path:
-        raise ValueError("config needs tables_path")
-    tables = load_table_bundles(config.tables_path)
-    lexicon, emb = load_side_inputs(config)
-    params, vocab = load_model(config, checkpoint_path)
+    tables, params, vocab, lexicon, emb = load_translator(config, checkpoint_path)
     for line in stdin:
         line = line.strip()
         if not line:
@@ -639,7 +632,7 @@ def repl_translate(config, checkpoint_path=None, stdin=None, stdout=None):
             print(json.dumps({"error": "expected: table_id<TAB>question"}), file=stdout)
             continue
         table_id, question = line.split("\t", 1)
-        out, _ok = translate_or_error(
+        out = translate_question(
             question, table_id.strip(), tables, params, vocab, config, lexicon, emb
         )
         print(json.dumps(out), file=stdout)

@@ -109,10 +109,10 @@ class ValueStats:
         Returns an (n, dim) array, possibly with zero rows when no cell
         has embedding evidence.
         """
-        key = (id(emb), position)
+        key = (emb, position)  # an EmbeddingStore hashes by identity
         hit = self._cell_embeds.get(key)
         if hit is not None:
-            return hit[1]
+            return hit
         rows = []
         for value in sorted(self.per_column[position].values):
             vec = emb.mean(tokenize(value))
@@ -121,7 +121,7 @@ class ValueStats:
                 if norm > 0:
                     rows.append(vec / norm)
         matrix = np.vstack(rows) if rows else np.zeros((0, emb.dim))
-        self._cell_embeds[key] = (emb, matrix)  # keep emb alive so id() stays valid
+        self._cell_embeds[key] = matrix
         return matrix
 
 

@@ -224,13 +224,11 @@ class AcceptedMention:
     span: object
     family: str  # "c" or "v"
     index: int
-    column: str
 
 
 @dataclass(frozen=True)
 class Annotation:
     question: Question
-    schema: object
     accepted: tuple  # AcceptedMention, sorted by span
     symbols: SymbolTable
 
@@ -252,7 +250,7 @@ class _Group:
     val_alive: bool = True
 
 
-def assign_indices(graph, matching, question, schema):
+def assign_indices(graph, matching, question):
     """Turn a matching into an Annotation with 1-based shared indices.
 
     Matched pairs share an index; unmatched mentions get their own. Indices
@@ -318,15 +316,15 @@ def assign_indices(graph, matching, question, schema):
                 column.name, col_span.start if col_span is not None else None
             )
             if col_span is not None:
-                accepted.append(AcceptedMention(col_span, "c", index, column.name))
+                accepted.append(AcceptedMention(col_span, "c", index))
         if value is not None:
             values[index] = ValueBinding(
                 question.surface(value.span), value.span.start, column.name
             )
-            accepted.append(AcceptedMention(value.span, "v", index, column.name))
+            accepted.append(AcceptedMention(value.span, "v", index))
 
     accepted.sort(key=lambda m: (m.span.start, m.span.end))
-    return Annotation(question, schema, tuple(accepted), SymbolTable(columns, values))
+    return Annotation(question, tuple(accepted), SymbolTable(columns, values))
 
 
 def annotate(question_text, schema, stats, lexicon, emb, tree, config):
@@ -352,4 +350,4 @@ def annotate(question_text, schema, stats, lexicon, emb, tree, config):
     val_mentions = detect_value_mentions(question.tokens, schema, stats, emb, config, col_mentions)
     graph = build_match_graph(val_mentions, col_mentions, closeness)
     matching = max_bipartite_matching(graph)
-    return assign_indices(graph, matching, question, schema)
+    return assign_indices(graph, matching, question)

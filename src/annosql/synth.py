@@ -10,6 +10,7 @@ import random
 
 from .harness import Config, Example, TableBundle, gold_from_wikisql, prepare_examples
 from .meta import ColumnMeta, Table, TableSchema, build_value_stats
+from .sqlgen import AGGREGATES, OPS
 
 FIRST = (
     "Magic Ada Grace Alan Rosa Leo Ella Omar Ivy Hugo Nina Ravi Mia Kofi "
@@ -98,6 +99,11 @@ def _pick_cond(rng, table, want_type=None, exclude=()):
     return None
 
 
+# WikiSQL codes: the index of an aggregate in AGGREGATES, of an operator in OPS
+NO_AGG = AGGREGATES.index("")
+EQ = OPS.index("=")
+
+
 def make_question(rng, schema, table):
     """One (question, wikisql sql dict) for the table, or None to retry."""
     text_cols = [c for c in schema.columns if c.col_type == "text"]
@@ -111,7 +117,8 @@ def make_question(rng, schema, table):
 
     if kind == "all":
         sel = rng.choice(schema.columns)
-        return f"What are all the {sel.name.lower()} ?", {"sel": sel.position, "agg": 0, "conds": []}
+        q = f"What are all the {sel.name.lower()} ?"
+        return q, {"sel": sel.position, "agg": NO_AGG, "conds": []}
     if kind == "who":
         people = [c for c in text_cols if c.name in ("Player", "Coach")]
         if not people:
@@ -122,7 +129,7 @@ def make_question(rng, schema, table):
             return None
         col, val = cond
         q = f"Who has a {col.name.lower()} of {val} ?"
-        return q, {"sel": sel.position, "agg": 0, "conds": [[col.position, 0, val]]}
+        return q, {"sel": sel.position, "agg": NO_AGG, "conds": [[col.position, EQ, val]]}
     if kind in ("max", "min", "sum", "avg"):
         if not real_cols:
             return None
@@ -132,25 +139,26 @@ def make_question(rng, schema, table):
             return None
         col, val = cond
         word = {"max": "highest", "min": "lowest", "sum": "total", "avg": "average"}[kind]
-        agg = {"max": 1, "min": 2, "sum": 4, "avg": 5}[kind]
+        agg = AGGREGATES.index(kind.upper())
         q = f"What is the {word} {sel.name.lower()} when the {col.name.lower()} is {val} ?"
-        return q, {"sel": sel.position, "agg": agg, "conds": [[col.position, 0, val]]}
+        return q, {"sel": sel.position, "agg": agg, "conds": [[col.position, EQ, val]]}
     if kind == "count":
         cond = _pick_cond(rng, table)
         if cond is None:
             return None
         col, val = cond
         q = f"How many rows have a {col.name.lower()} of {val} ?"
-        return q, {"sel": col.position, "agg": 3, "conds": [[col.position, 0, val]]}
+        agg = AGGREGATES.index("COUNT")
+        return q, {"sel": col.position, "agg": agg, "conds": [[col.position, EQ, val]]}
     if kind in ("greater", "less"):
         sel = rng.choice(schema.columns)
         cond = cond_for(sel, want_type="real")
         if cond is None:
             return None
         col, val = cond
-        cmp_word, op = ("more", 1) if kind == "greater" else ("less", 2)
+        cmp_word, op = ("more", OPS.index(">")) if kind == "greater" else ("less", OPS.index("<"))
         q = f"What is the {sel.name.lower()} when the {col.name.lower()} is {cmp_word} than {val} ?"
-        return q, {"sel": sel.position, "agg": 0, "conds": [[col.position, op, val]]}
+        return q, {"sel": sel.position, "agg": NO_AGG, "conds": [[col.position, op, val]]}
     if kind == "two_conds":
         sel = rng.choice(schema.columns)
         first = cond_for(sel)
@@ -167,8 +175,8 @@ def make_question(rng, schema, table):
         )
         return q, {
             "sel": sel.position,
-            "agg": 0,
-            "conds": [[col1.position, 0, val1], [col2.position, 0, val2]],
+            "agg": NO_AGG,
+            "conds": [[col1.position, EQ, val1], [col2.position, EQ, val2]],
         }
     # plain: one equality condition
     sel = rng.choice(schema.columns)
@@ -177,7 +185,7 @@ def make_question(rng, schema, table):
         return None
     col, val = cond
     q = f"What is the {sel.name.lower()} when the {col.name.lower()} is {val} ?"
-    return q, {"sel": sel.position, "agg": 0, "conds": [[col.position, 0, val]]}
+    return q, {"sel": sel.position, "agg": NO_AGG, "conds": [[col.position, EQ, val]]}
 
 
 def generate_corpus(n_questions, n_tables, seed, config):

@@ -28,7 +28,6 @@ class ConstituencyTree:
     """Rooted ordered tree whose leaves align 1:1 with question tokens."""
 
     def __init__(self, root):
-        self.root = root
         self._paths = []
         self.leaves = []
         stack = [(root, (root,))]

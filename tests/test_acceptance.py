@@ -16,6 +16,7 @@ from annosql.harness import (
     Config,
     build_training_pairs,
     evaluate,
+    load_table_bundles,
     load_wikisql,
     prepare_examples,
     train_model,
@@ -49,7 +50,8 @@ def test_criterion_1_fixture_questions(tmp_path):
     started = time.monotonic()
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = Config()
-    examples, tables = load_wikisql(split_path, tables_path, None)
+    tables = load_table_bundles(tables_path)
+    examples = load_wikisql(split_path, tables, None)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from annosql.harness import (
+    ANSWER_KEYS,
     Config,
     Example,
     acc_ex,
@@ -15,6 +16,7 @@ from annosql.harness import (
     build_training_pairs,
     evaluate,
     gold_from_wikisql,
+    load_table_bundles,
     load_wikisql,
     prepare_examples,
     train_model,
@@ -70,7 +72,8 @@ def write_film_and_townland_fixtures(tmp_path):
 
 def test_load_wikisql_two_examples(tmp_path):
     tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
-    examples, tables = load_wikisql(split_path, tables_path, None)
+    tables = load_table_bundles(tables_path)
+    examples = load_wikisql(split_path, tables, None)
     assert len(examples) == 2
     assert set(tables) == {"film_awards", "townlands"}
     gold = examples[0].gold
@@ -83,7 +86,7 @@ def test_load_wikisql_empty_split(tmp_path):
     tables_path, _split, _lex = write_film_and_townland_fixtures(tmp_path)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    examples, _tables = load_wikisql(str(empty), tables_path, None)
+    examples = load_wikisql(str(empty), load_table_bundles(tables_path), None)
     assert examples == []
 
 
@@ -92,7 +95,7 @@ def test_load_wikisql_dangling_table_id(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({**FILM_AWARDS_RECORD, "table_id": "ghost"}) + "\n")
     with pytest.raises(ValueError, match="ghost"):
-        load_wikisql(str(bad), tables_path, None)
+        load_wikisql(str(bad), load_table_bundles(tables_path), None)
 
 
 def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
@@ -102,7 +105,8 @@ def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
     split = tmp_path / "asked.jsonl"
     asked = {k: v for k, v in TOWNLANDS_RECORD.items() if k != "sql"}
     split.write_text(json.dumps(FILM_AWARDS_RECORD) + "\n" + json.dumps(asked) + "\n")
-    examples, tables = load_wikisql(str(split), tables_path, None)
+    tables = load_table_bundles(tables_path)
+    examples = load_wikisql(str(split), tables, None)
     assert [ex.gold is None for ex in examples] == [False, True]
     prepare_examples(examples, tables, Config())
     with pytest.raises(ValueError, match="no gold query .*How many people live in Mayo"):
@@ -126,7 +130,8 @@ def film_fixtures_prepared(tmp_path, config=None):
 
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = config or Config()
-    examples, tables = load_wikisql(split_path, tables_path, None)
+    tables = load_table_bundles(tables_path)
+    examples = load_wikisql(split_path, tables, None)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)
     return examples, tables, config
@@ -266,7 +271,8 @@ def test_synth_corpus_aligns_and_round_trips():
 
 def test_synth_write_corpus_round_trip(tmp_path):
     tables_path, split_path = write_corpus(str(tmp_path), 10, n_tables=4, seed=5)
-    examples, tables = load_wikisql(split_path, tables_path, None)
+    tables = load_table_bundles(tables_path)
+    examples = load_wikisql(split_path, tables, None)
     assert len(examples) == 10
     config = Config()
     prepare_examples(examples, tables, config)
@@ -372,7 +378,7 @@ def test_run_train_eval_translate_cli(tmp_path):
     ]) == 0
     translated = json.loads(out_tr.read_text())
     assert translated["question"] == record["question"]
-    assert "symbols" not in translated or True
+    assert list(translated) == list(ANSWER_KEYS)
     assert "annotation" in translated
     assert translated["logp"] <= 0.0
 
@@ -412,7 +418,8 @@ def test_repl_translate(tmp_path):
 
 def test_repl_survives_question_with_no_tokens(tmp_path):
     """Without header slots a question of only punctuation encodes to an
-    empty source; the repl reports it and goes on to the next line."""
+    empty source; the repl reports it in the one output shape, with no
+    logp, and goes on to the next line."""
     from annosql.harness import repl_translate, run_train
 
     tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
@@ -428,7 +435,9 @@ def test_repl_survives_question_with_no_tokens(tmp_path):
     stdout = io.StringIO()
     repl_translate(config, stdin=stdin, stdout=stdout)
     lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
-    assert lines[0] == {"error": "empty source sequence"}
+    assert list(lines[0]) == list(ANSWER_KEYS)
+    assert lines[0]["encoded"] == [] and lines[0]["logp"] is None
+    assert lines[0]["error"] == "encode: empty source sequence"
     assert lines[1]["question"] == record["question"]
 
 
@@ -464,10 +473,10 @@ def test_load_wikisql_trees_by_line_number(tmp_path):
     gap.write_text(f"{film}\n\n{townland}\n")
     trees_path = tmp_path / "trees.txt"
     trees_path.write_text("(S (A x) (B y))\n\n(S (A z) (B w))\n")
-    examples, _tables = load_wikisql(str(gap), tables_path, str(trees_path))
+    examples = load_wikisql(str(gap), load_table_bundles(tables_path), str(trees_path))
     assert [ex.tree.tokens for ex in examples] == [["x", "y"], ["z", "w"]]
     trees_path.write_text("\n\n(S (A z) (B w))\n")
-    examples, _tables = load_wikisql(str(gap), tables_path, str(trees_path))
+    examples = load_wikisql(str(gap), load_table_bundles(tables_path), str(trees_path))
     assert examples[0].tree is None
     assert examples[1].tree.tokens == ["z", "w"]
 
@@ -478,7 +487,7 @@ def test_load_wikisql_rejects_wrong_tree_line_count(tmp_path):
     for text, n in (("(S (A x) (B y))\n", 1), ("\n\n\n", 3)):
         trees_path.write_text(text)
         with pytest.raises(ValueError, match=f"trees.txt: {n} tree lines for 2 lines of "):
-            load_wikisql(split_path, tables_path, str(trees_path))
+            load_wikisql(split_path, load_table_bundles(tables_path), str(trees_path))
 
 
 @pytest.mark.parametrize(
@@ -504,12 +513,12 @@ def test_load_wikisql_errors_name_file_and_line(tmp_path, bad):
     split = tmp_path / "bad.jsonl"
     split.write_text(json.dumps(TOWNLANDS_RECORD) + "\n" + bad + "\n")
     with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
-        load_wikisql(str(split), tables_path, None)
+        load_wikisql(str(split), load_table_bundles(tables_path), None)
 
 
 def test_translate_cli_reports_unanswerable_questions(tmp_path, capsys):
     """An unknown table id and a question with nothing to encode end the
-    translate command with the repl's error line and status 1."""
+    translate command with the one output shape, no logp, and status 1."""
     from annosql.cli import main
     from annosql.harness import run_train
 
@@ -530,7 +539,19 @@ def test_translate_cli_reports_unanswerable_questions(tmp_path, capsys):
         argv = ["translate", "--config", str(config_path), "--question", question]
         assert main(argv + ["--table", table_id]) == 1
         out = json.loads(capsys.readouterr().out)
-        assert list(out) == ["error"] and error in out["error"]
+        assert list(out) == list(ANSWER_KEYS) and error in out["error"]
+        assert out["table_id"] == table_id and out["logp"] is None and out["sql"] is None
+
+
+def test_translate_and_repl_need_tables_path(tmp_path):
+    from annosql.cli import main
+
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"checkpoint_path": str(tmp_path / "m.npz")}))
+    with pytest.raises(ValueError, match="config needs tables_path"):
+        main(["translate", "--config", str(config_path), "--question", "q ?", "--table", "t"])
+    with pytest.raises(ValueError, match="config needs tables_path"):
+        main(["repl", "--config", str(config_path)])
 
 
 def test_substitute_mode_pairs(tmp_path):
@@ -663,7 +684,8 @@ def test_gold_less_line_in_evaluated_split_fails_at_load(tmp_path, monkeypatch, 
 def test_coverage_report_counts_gold_less_examples_apart(tmp_path):
     tables_path, split_path = write_corpus_with_gold_less_line(tmp_path)
     config = tiny_config()
-    examples, tables = load_wikisql(split_path, tables_path, None)
+    tables = load_table_bundles(tables_path)
+    examples = load_wikisql(split_path, tables, None)
     prepare_examples(examples, tables, config)
     _pairs, _vocab, report = build_training_pairs(examples, config)
     assert report["total"] == 9
@@ -673,8 +695,9 @@ def test_coverage_report_counts_gold_less_examples_apart(tmp_path):
 
 def test_eval_report_failure_classes(monkeypatch):
     """Each question that misses acc_ex lands in one class: the sketch does
-    not parse, a symbol does not resolve, or the query runs to the wrong
-    result; each class keeps at most three example questions."""
+    not parse, a symbol does not resolve, execution flags the query, or the
+    query runs to the wrong result; each class keeps at most three example
+    questions."""
     from annosql import model as nn
 
     config = tiny_config()
@@ -687,6 +710,7 @@ def test_eval_report_failure_classes(monkeypatch):
         2: ["select", "c24"],  # c24 is not in the question
         3: ["select", "c1", "where", "c1", "=", "v24"],  # c1 = v24 resolves to nothing
         4: ["select", "c1"],  # the condition dropped
+        7: ["max", "select", "g4"],  # MAX of the text column Team
     }
     by_source = {
         tuple(vocab.encode(ex.encoded_src)): vocab.encode(predicted.get(i, ["where", "select"]))
@@ -700,12 +724,15 @@ def test_eval_report_failure_classes(monkeypatch):
     report = evaluate(examples, bundles, None, vocab, config)
     questions = [ex.question for ex in examples]
     assert report.ex == 1
-    assert report.to_dict()["translation_failures"] == {
+    failures = report.to_dict()["translation_failures"]
+    assert failures == {
         "encode": {"count": 0, "examples": []},
-        "parse": {"count": 4, "examples": [questions[1], questions[5], questions[6]]},
+        "parse": {"count": 3, "examples": [questions[1], questions[5], questions[6]]},
         "resolve": {"count": 2, "examples": [questions[2], questions[3]]},
+        "flagged": {"count": 1, "examples": [questions[7]]},
         "wrong_result": {"count": 1, "examples": [questions[4]]},
     }
+    assert sum(f["count"] for f in failures.values()) == report.total - report.ex
 
 
 def test_evaluate_counts_unencodable_question_and_goes_on():
@@ -726,9 +753,22 @@ def test_evaluate_counts_unencodable_question_and_goes_on():
     assert sum(f["count"] for f in failures.values()) == report.total - report.ex
 
 
+def test_evaluate_raises_on_beam_width_zero():
+    """A configuration error in decoding ends the evaluation with its own
+    message; it is not counted as a failed question."""
+    from annosql import model as nn
+
+    config = tiny_config(beam_width=0)
+    examples, bundles, _records = generate_corpus(6, 2, 23, config)
+    _pairs, vocab, _report = build_training_pairs(examples, config)
+    params = nn.init_params(config.model_config(len(vocab)), 0)
+    with pytest.raises(nn.ModelError, match="beam width must be >= 1"):
+        evaluate(examples, bundles, params, vocab, config)
+
+
 def test_translate_question_output_has_one_shape(monkeypatch):
-    """An answered and an unanswered question give the same keys, with
-    `flagged` None when there is no SQL."""
+    """An answered question, an unanswered one and one asked of an unknown
+    table give the same keys, with `flagged` None when there is no SQL."""
     from annosql import model as nn
 
     config = tiny_config()
@@ -750,6 +790,10 @@ def test_translate_question_output_has_one_shape(monkeypatch):
         )
         for ex in examples
     ]
+    ghost = translate_question(
+        "what is it ?", "ghost", bundles, None, vocab, config, EMPTY_LEXICON, EMPTY_EMBEDDINGS
+    )
     assert outs[0]["sql"] is not None and isinstance(outs[0]["flagged"], bool)
     assert outs[1]["sql"] is None and outs[1]["flagged"] is None
-    assert list(outs[0]) == list(outs[1])
+    assert ghost["error"] == "unknown table id 'ghost'" and ghost["annotation"] is None
+    assert list(outs[0]) == list(outs[1]) == list(ghost) == list(ANSWER_KEYS)

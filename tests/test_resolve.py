@@ -226,7 +226,7 @@ def test_assign_indices_direct(townlands):
     vals = detect_value_mentions(q.tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
     graph = build_match_graph(vals, cols, TOKEN_DISTANCE)
     matching = max_bipartite_matching(graph)
-    ann = assign_indices(graph, matching, q, schema)
+    ann = assign_indices(graph, matching, q)
     assert ann.symbols.columns[2].name == "County"
     assert ann.symbols.columns[2].position is None
 
