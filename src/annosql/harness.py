@@ -354,7 +354,7 @@ class Translation:
 
 
 def _failed(stage, message, sketch=None, logp=None):
-    return Translation(sketch, None, logp, stage, f"{stage}: {message}")
+    return Translation(sketch, None, logp, stage, str(message))
 
 
 def translate_example(example, tables, params, vocab, config):
@@ -453,10 +453,11 @@ def evaluate(examples, tables, params, vocab, config):
             lf += 1
         if acc_qm(pred, gold):
             qm += 1
-        if acc_ex(pred, gold, table):
+        ran = None if pred is None else execute(pred, table)
+        if ran is not None and result_equal(ran, execute(gold, table)):
             ex_count += 1
             continue
-        kind = result.failure or ("flagged" if execute(pred, table).flagged else "wrong_result")
+        kind = result.failure or ("flagged" if ran.flagged else "wrong_result")
         failed[kind]["count"] += 1
         if len(failed[kind]["examples"]) < FAILURE_EXAMPLES:
             failed[kind]["examples"].append(ex.question)
@@ -610,8 +611,10 @@ def translate_question(question, table_id, tables, params, vocab, config, lexico
     prepare_examples([ex], tables, config, lexicon, emb)
     result = translate_example(ex, tables, params, vocab, config)
     out.update(annotation=ex.annotation.symbols.to_dict(), encoded=ex.encoded_src)
-    out.update(sketch=result.sketch, logp=result.logp, error=result.error)
-    if result.sql is not None:
+    out.update(sketch=result.sketch, logp=result.logp)
+    if result.failure is not None:
+        out["error"] = f"{result.failure}: {result.error}"
+    else:
         out["sql"] = serialize_sql(result.sql)
         res = execute(result.sql, tables[table_id].table)
         out["result"] = list(res.values)

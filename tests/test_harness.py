@@ -701,7 +701,7 @@ def test_eval_report_failure_classes(monkeypatch):
     from annosql import model as nn
 
     config = tiny_config()
-    examples, bundles, _records = generate_corpus(8, n_tables=2, seed=23, config=config)
+    examples, bundles, _records = generate_corpus(10, n_tables=2, seed=23, config=config)
     _pairs, vocab, _report = build_training_pairs(examples, config)
     gold = [sketch_tokens(ex.aligned) for ex in examples]
     assert gold[3] == ["select", "c1"] and gold[4][:2] == ["select", "c1"] and "where" in gold[4]
@@ -710,7 +710,7 @@ def test_eval_report_failure_classes(monkeypatch):
         2: ["select", "c24"],  # c24 is not in the question
         3: ["select", "c1", "where", "c1", "=", "v24"],  # c1 = v24 resolves to nothing
         4: ["select", "c1"],  # the condition dropped
-        7: ["max", "select", "g4"],  # MAX of the text column Team
+        9: ["max", "select", "g4"],  # MAX of the text column Team
     }
     by_source = {
         tuple(vocab.encode(ex.encoded_src)): vocab.encode(predicted.get(i, ["where", "select"]))
@@ -727,9 +727,9 @@ def test_eval_report_failure_classes(monkeypatch):
     failures = report.to_dict()["translation_failures"]
     assert failures == {
         "encode": {"count": 0, "examples": []},
-        "parse": {"count": 3, "examples": [questions[1], questions[5], questions[6]]},
+        "parse": {"count": 5, "examples": [questions[1], questions[5], questions[6]]},
         "resolve": {"count": 2, "examples": [questions[2], questions[3]]},
-        "flagged": {"count": 1, "examples": [questions[7]]},
+        "flagged": {"count": 1, "examples": [questions[9]]},
         "wrong_result": {"count": 1, "examples": [questions[4]]},
     }
     assert sum(f["count"] for f in failures.values()) == report.total - report.ex
