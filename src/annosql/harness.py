@@ -7,7 +7,9 @@ import logging
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -114,12 +116,30 @@ class Config:
 
     @classmethod
     def from_file(cls, path):
+        """A Config from a JSON object; ValueError naming `path` for an
+        unknown key or a value of the wrong type."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        unknown = set(data) - set(cls().__dict__)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a JSON object, not {type(data).__name__}")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if not _fits(value, types[key]):
+                expected = getattr(types[key], "__name__", types[key])
+                raise ValueError(f"{path}: config key {key!r} must be {expected}, not {value!r}")
         return cls(**data)
+
+
+def _fits(value, annotation):
+    """Whether a JSON value fits a Config field's type: an int serves for a
+    float, a bool is never a number, and null fits only an optional field."""
+    allowed = get_args(annotation) or (annotation,)
+    if isinstance(value, int) and not isinstance(value, bool) and float in allowed:
+        return True
+    return type(value) in allowed
 
 
 @dataclass
@@ -320,7 +340,8 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
             tgt_in, _ = _pad_batch([[vocab.bos] + b[1] for b in batch], vocab.pad)
             tgt_out, tgt_mask = _pad_batch([b[1] + [vocab.eos] for b in batch], vocab.pad)
             loss, grads, stats = nn.loss_and_grad(
-                params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=lo
+                params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask,
+                batch_label=f"{lo // config.batch_size} of epoch {epoch}",
             )
             grads, norm = nn.clip_gradients(grads, config.clip)
             optimizer.step(params, grads)
@@ -508,11 +529,11 @@ def run_train(config):
         _require_gold(dev_examples, config.dev_path)
         prepare_examples(dev_examples, tables, config, lexicon, emb)
 
-    log_lines = []
-
     def log_fn(entry):
-        log_lines.append(json.dumps(entry))
         log.info("epoch %(epoch)d loss %(loss).4f acc %(token_accuracy).4f", entry)
+        if log_file is not None:
+            log_file.write(json.dumps(entry) + "\n")
+            log_file.flush()  # the epochs so far survive a run that fails later
 
     state = {"best_qm": -1.0, "best_params": None, "stall": 0}
 
@@ -537,9 +558,11 @@ def run_train(config):
         return stop
 
     needs_stop = config.stop_train_acc is not None or dev_examples is not None
-    params, history = train_model(
-        pairs, vocab, config, stop_fn=stop_fn if needs_stop else None, log_fn=log_fn, emb=emb
-    )
+    log_to = open(config.log_path, "w", encoding="utf-8") if config.log_path else nullcontext()
+    with log_to as log_file:
+        params, history = train_model(
+            pairs, vocab, config, stop_fn=stop_fn if needs_stop else None, log_fn=log_fn, emb=emb
+        )
     if state["best_params"] is not None:
         params = state["best_params"]
     vocab.save(config.vocab_path)
@@ -549,9 +572,6 @@ def run_train(config):
         vocab.content_hash(),
         extra={"config": config.to_dict(), "coverage": coverage},
     )
-    if config.log_path:
-        with open(config.log_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_lines) + "\n")
     return params, vocab, history, coverage
 
 

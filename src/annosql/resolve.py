@@ -2,19 +2,18 @@
 mentions via structural closeness and maximum bipartite matching, then
 assign annotation indices.
 
-The closeness source for pruning is either a constituency tree (LCA depth)
-or the TOKEN_DISTANCE fallback (negated token distance).
+Closeness for pruning is a function of two token positions: a
+constituency tree's LCA depth, or token_closeness (negated token distance)
+when there is no usable tree.
 """
 
 import logging
 from dataclasses import dataclass
 
-from .mentions import detect_column_mentions, detect_value_mentions
+from .mentions import CandidateMention, detect_column_mentions, detect_value_mentions
 from .text import tokenize_with_offsets
 
 log = logging.getLogger(__name__)
-
-TOKEN_DISTANCE = "token-distance"
 
 
 @dataclass(frozen=True)
@@ -60,45 +59,34 @@ class ValueVertex:
 
 
 @dataclass(frozen=True)
-class ColumnVertex:
-    column: object  # ColumnMeta
-    span: object = None  # None for a synthetic (unmentioned) column
-    score: float = 0.0
-
-    @property
-    def synthetic(self):
-        return self.span is None
-
-
-@dataclass(frozen=True)
 class MatchGraph:
     values: tuple  # ValueVertex
-    columns: tuple  # ColumnVertex
+    columns: tuple  # CandidateMention; span None for a synthetic (unmentioned) column
     adjacency: tuple  # per value vertex: tuple of column-vertex indices
 
 
-def _span_closeness(span_a, span_b, closeness_source):
-    """Structural closeness of two spans: max LCA depth over their token
-    pairs, or max negated token distance under the TOKEN_DISTANCE fallback."""
-    best = None
-    for i in range(span_a.start, span_a.end):
-        for j in range(span_b.start, span_b.end):
-            c = (
-                -abs(i - j)
-                if closeness_source == TOKEN_DISTANCE
-                else closeness_source.lca_depth(i, j)
-            )
-            if best is None or c > best:
-                best = c
-    return best
+def token_closeness(i, j):
+    """Closeness of two token positions without a tree: negated distance."""
+    return -abs(i - j)
 
 
-def build_match_graph(values, columns, closeness_source):
+def _span_closeness(span_a, span_b, closeness):
+    """Structural closeness of two spans: the best `closeness(i, j)` over
+    their token pairs."""
+    return max(
+        closeness(i, j)
+        for i in range(span_a.start, span_a.end)
+        for j in range(span_b.start, span_b.end)
+    )
+
+
+def build_match_graph(values, columns, closeness):
     """Bipartite graph of value vertices vs. column-mention vertices.
 
-    Only a value's best-closeness edges to column mentions survive.
-    Candidate columns with no mention get a synthetic vertex reachable only
-    from their triggering value, always kept (nothing to measure against).
+    Only a value's best-closeness edges to column mentions survive, under
+    `closeness(i, j)` of two token positions. Candidate columns with no
+    mention get a synthetic vertex reachable only from their triggering
+    value, always kept (nothing to measure against).
     """
     vertices = []
     by_span = {}
@@ -107,10 +95,7 @@ def build_match_graph(values, columns, closeness_source):
     for span in sorted(by_span):
         vertices.append(ValueVertex(span, tuple(by_span[span])))
 
-    col_vertices = [
-        ColumnVertex(m.column, m.span, m.score)
-        for m in sorted(columns, key=lambda m: (m.span.start, m.span.end, m.column.position))
-    ]
+    col_vertices = sorted(columns, key=lambda m: (m.span.start, m.span.end, m.column.position))
     vertices_of = {}
     for ci, cv in enumerate(col_vertices):
         vertices_of.setdefault(cv.column.position, []).append(ci)
@@ -122,8 +107,7 @@ def build_match_graph(values, columns, closeness_source):
         for col in vv.columns:
             if col.position in vertices_of:
                 for ci in vertices_of[col.position]:
-                    closeness = _span_closeness(vv.span, col_vertices[ci].span, closeness_source)
-                    scored.append((ci, closeness))
+                    scored.append((ci, _span_closeness(vv.span, col_vertices[ci].span, closeness)))
             else:
                 synthetic_cols.append(col)
         edges = []
@@ -131,12 +115,12 @@ def build_match_graph(values, columns, closeness_source):
             best = max(c for _, c in scored)
             edges = [ci for ci, c in scored if c == best]
         for col in synthetic_cols:
-            col_vertices.append(ColumnVertex(col))
+            col_vertices.append(CandidateMention(None, col, 0.0))
             edges.append(len(col_vertices) - 1)
         # mentioned targets first (score desc, position asc), synthetics last
         edges.sort(
             key=lambda ci: (
-                col_vertices[ci].synthetic,
+                col_vertices[ci].span is None,
                 -col_vertices[ci].score,
                 col_vertices[ci].span.start if col_vertices[ci].span else 0,
                 col_vertices[ci].column.position,
@@ -200,12 +184,6 @@ class SymbolTable:
     columns: dict
     values: dict
 
-    def column_name(self, index):
-        return self.columns[index].name
-
-    def value_surface(self, index):
-        return self.values[index].surface
-
     def to_dict(self):
         return {
             "columns": {
@@ -237,19 +215,6 @@ class Annotation:
         return self.question.tokens
 
 
-@dataclass
-class _Group:
-    """One annotation group: a matched (column, value) pair or a lone mention."""
-
-    column: object  # ColumnMeta
-    col_span: object = None
-    col_score: float = 0.0
-    value: object = None  # ValueVertex
-    paired: bool = False  # True when built from a matching edge
-    col_alive: bool = True
-    val_alive: bool = True
-
-
 def assign_indices(graph, matching, question):
     """Turn a matching into an Annotation with 1-based shared indices.
 
@@ -258,55 +223,42 @@ def assign_indices(graph, matching, question):
     mention (an unmentioned matched column inherits its value's position).
     Overlapping accepted spans keep the higher-score, longer, earlier one.
     """
-    groups = []
-    for vi in sorted(matching):
-        cv = graph.columns[matching[vi]]
-        groups.append(
-            _Group(
-                column=cv.column,
-                col_span=cv.span,
-                col_score=cv.score,
-                value=graph.values[vi],
-                paired=True,
-            )
-        )
+    # a group: (column vertex, value vertex or None, built from a matching edge)
+    groups = [(graph.columns[matching[vi]], graph.values[vi], True) for vi in sorted(matching)]
     matched_cols = set(matching.values())
     for ci, cv in enumerate(graph.columns):
-        if ci not in matched_cols and not cv.synthetic:
-            groups.append(_Group(column=cv.column, col_span=cv.span, col_score=cv.score))
+        if ci not in matched_cols and cv.span is not None:
+            groups.append((cv, None, False))
     for vi, vv in enumerate(graph.values):
         if vi not in matching:
             best = max(vv.mentions, key=lambda m: (m.score, -m.column.position))
-            groups.append(_Group(column=best.column, value=vv))
+            groups.append((CandidateMention(None, best.column, 0.0), vv, False))
 
     # resolve overlaps among would-be accepted spans
     units = []
-    for g in groups:
-        if g.col_span is not None:
-            units.append((g.col_score, len(g.col_span), g.col_span, g, "col"))
-        if g.value is not None:
-            units.append((g.value.score, len(g.value.span), g.value.span, g, "val"))
-    kept_spans = []
-    units.sort(key=lambda u: (-u[0], -u[1], u[2].start, u[4]))
-    for _score, _length, span, g, role in units:
+    for g, (cv, value, _paired) in enumerate(groups):
+        if cv.span is not None:
+            units.append((cv.score, cv.span, g, "col"))
+        if value is not None:
+            units.append((value.score, value.span, g, "val"))
+    units.sort(key=lambda u: (-u[0], -len(u[1]), u[1].start, u[3]))
+    kept_spans, lost = [], set()
+    for _score, span, g, part in units:
         if any(span.overlaps(k) for k in kept_spans):
-            if role == "col":
-                g.col_alive = False
-            else:
-                g.val_alive = False
+            lost.add((g, part))
         else:
             kept_spans.append(span)
 
     final = []
-    for g in groups:
-        col_span = g.col_span if g.col_alive else None
-        value = g.value if g.val_alive else None
-        if col_span is None and value is None:
-            continue
+    for g, (cv, value, paired) in enumerate(groups):
+        col_span = None if (g, "col") in lost else cv.span
+        if (g, "val") in lost:
+            value = None
         spans = [s for s in (col_span, value.span if value is not None else None) if s is not None]
+        if not spans:
+            continue
         position = min(s.start for s in spans)
-        binds_column = col_span is not None or (g.paired and value is not None)
-        final.append((position, col_span, value, binds_column, g.column))
+        final.append((position, col_span, value, col_span is not None or paired, cv.column))
 
     final.sort(key=lambda item: item[0])
     columns, values, accepted = {}, {}, []
@@ -331,15 +283,15 @@ def annotate(question_text, schema, stats, lexicon, emb, tree, config):
     """Full annotation pipeline: detect, prune, match, and index, under the
     detection thresholds of `config`.
 
-    `tree` may be a ConstituencyTree; when it is None, token distance is
-    used as the closeness fallback so pruning still applies. A tree whose
+    `tree` may be a ConstituencyTree; when it is None, token_closeness is
+    used as the fallback so pruning still applies. A tree whose
     leaf count disagrees with the tokenization is ignored.
     """
     question = Question.from_text(question_text)
-    closeness = TOKEN_DISTANCE
+    closeness = token_closeness
     if tree is not None:
         if len(tree) == len(question):
-            closeness = tree
+            closeness = tree.lca_depth
         else:
             log.warning(
                 "parse tree has %d leaves for %d tokens; falling back to token distance",

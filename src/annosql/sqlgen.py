@@ -186,7 +186,7 @@ def resolve_symbols(ast, symtab, schema):
         if sym.family == "c":
             if sym.index not in symtab.columns:
                 raise SymbolResolutionError(f"unbound symbol {sym}")
-            return symtab.column_name(sym.index)
+            return symtab.columns[sym.index].name
         if sym.index > len(schema.columns):
             raise SymbolResolutionError(f"header symbol {sym} beyond schema")
         return schema.columns[sym.index - 1].name
@@ -194,7 +194,7 @@ def resolve_symbols(ast, symtab, schema):
     def value_of(sym):
         if sym.index not in symtab.values:
             raise SymbolResolutionError(f"unbound symbol {sym}")
-        return symtab.value_surface(sym.index)
+        return symtab.values[sym.index].surface
 
     conds = tuple((column_of(c), op, value_of(v)) for c, op, v in ast.conds)
     return ConcreteSql(ast.agg, column_of(ast.select), conds, schema.table_id)

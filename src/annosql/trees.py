@@ -46,10 +46,6 @@ class ConstituencyTree:
     def __len__(self):
         return len(self.leaves)
 
-    @property
-    def tokens(self):
-        return [leaf.token for leaf in self.leaves]
-
     def lca_depth(self, i, j):
         """Depth (root = 0) of the lowest common ancestor of leaves i and j."""
         if not (0 <= i < len(self._paths) and 0 <= j < len(self._paths)):

@@ -26,6 +26,11 @@ def embedding_store(mapping):
     return EmbeddingStore(vecs, dim)
 
 
+def tree_tokens(tree):
+    """The leaf tokens of a ConstituencyTree, left to right."""
+    return [leaf.token for leaf in tree.leaves]
+
+
 def levenshtein_oracle(a, b):
     """Independent recursive-with-memo edit distance for cross-checking."""
     from functools import lru_cache

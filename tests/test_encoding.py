@@ -76,7 +76,7 @@ def test_symbol_surfaces_round_trip(lebron):
     for m in ann.accepted:
         surface = ann.question.surface(m.span)
         if m.family == "v":
-            assert ann.symbols.value_surface(m.index) == surface
+            assert ann.symbols.values[m.index].surface == surface
 
 
 def test_separator_appears_at_most_once(lebron):

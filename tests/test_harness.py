@@ -27,7 +27,7 @@ from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table
 from annosql.sqlgen import ConcreteSql, serialize_sketch, sketch_tokens, sql_tokens
 from annosql.synth import generate_corpus, write_corpus
 
-from support import make_schema
+from support import make_schema, tree_tokens
 
 FILM_AWARDS_TABLE = {
     "id": "film_awards",
@@ -474,11 +474,11 @@ def test_load_wikisql_trees_by_line_number(tmp_path):
     trees_path = tmp_path / "trees.txt"
     trees_path.write_text("(S (A x) (B y))\n\n(S (A z) (B w))\n")
     examples = load_wikisql(str(gap), load_table_bundles(tables_path), str(trees_path))
-    assert [ex.tree.tokens for ex in examples] == [["x", "y"], ["z", "w"]]
+    assert [tree_tokens(ex.tree) for ex in examples] == [["x", "y"], ["z", "w"]]
     trees_path.write_text("\n\n(S (A z) (B w))\n")
     examples = load_wikisql(str(gap), load_table_bundles(tables_path), str(trees_path))
     assert examples[0].tree is None
-    assert examples[1].tree.tokens == ["z", "w"]
+    assert tree_tokens(examples[1].tree) == ["z", "w"]
 
 
 def test_load_wikisql_rejects_wrong_tree_line_count(tmp_path):
@@ -641,6 +641,83 @@ def test_config_round_trip(tmp_path):
     path.write_text(json.dumps({"nonsense_key": 1}))
     with pytest.raises(ValueError, match="nonsense_key"):
         Config.from_file(str(path))
+    path.write_text(json.dumps({"lr": 1, "stop_train_acc": None}))
+    assert Config.from_file(str(path)) == Config(lr=1, stop_train_acc=None)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"epochs": "2"}', "config key 'epochs' must be int, not '2'"),
+        ('{"epochs": 2.0}', "config key 'epochs' must be int, not 2.0"),
+        ('{"lr": true}', "config key 'lr' must be float, not True"),
+        ('{"mode": null}', "config key 'mode' must be str, not None"),
+        ('{"stop_train_acc": "0.5"}', "config key 'stop_train_acc' must be float | None"),
+        ("[1, 2]", "config must be a JSON object, not list"),
+    ],
+    ids=["str-for-int", "float-for-int", "bool-for-float", "null-for-str", "str-for-optional", "list"],
+)
+def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):
+    """`annosql train` rejects a config value of the wrong type, naming the
+    file and the key, before it loads any data."""
+    from annosql import harness
+    from annosql.cli import main
+
+    def no_loading(*_args, **_kwargs):
+        raise AssertionError("data loading started")
+
+    monkeypatch.setattr(harness, "load_table_bundles", no_loading)
+    config_path = tmp_path / "config.json"
+    data = json.loads(text)
+    if isinstance(data, dict):
+        data.update(tables_path="tables.jsonl", train_path="train.jsonl")
+    config_path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"{config_path}: {message}")):
+        main(["train", "--config", str(config_path)])
+
+
+def test_train_log_keeps_epochs_before_a_failure(tmp_path, monkeypatch):
+    """A run that fails in epoch 2 leaves epoch 1's line in the log, and the
+    error names the epoch and the batch."""
+    from annosql import harness
+    from annosql import model as nn
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(epochs=3)
+    config.tables_path = tables_path
+    config.train_path = split_path
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    config.log_path = str(tmp_path / "train.log")
+    real_loss_and_grad = nn.loss_and_grad
+    calls = []
+
+    def poisoned_in_epoch_2(params, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # 8 pairs at batch size 8: one batch an epoch
+            params["out.U"][...] = np.nan
+        return real_loss_and_grad(params, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "loss_and_grad", poisoned_in_epoch_2)
+    with pytest.raises(nn.ModelError, match=r"non-finite loss \(batch 0 of epoch 2\)"):
+        harness.run_train(config)
+    logged = [json.loads(line) for line in open(config.log_path)]
+    assert [entry["epoch"] for entry in logged] == [1]
+
+
+def test_run_train_stops_at_stop_train_acc(tmp_path):
+    """run_train checks train acc_lf every `eval_every` epochs and stops once
+    it reaches `stop_train_acc`; a target of 0 is met at the first check."""
+    from annosql.harness import run_train
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
+    config = tiny_config(epochs=10, eval_every=2, stop_train_acc=0.0)
+    config.tables_path = tables_path
+    config.train_path = split_path
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    _params, _vocab, history, _coverage = run_train(config)
+    assert [entry["epoch"] for entry in history] == [1, 2]
 
 
 def write_corpus_with_gold_less_line(data_dir):

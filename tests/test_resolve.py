@@ -1,12 +1,21 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from annosql.encoding import encode_question
 from annosql.harness import Config
 from annosql.mentions import CandidateMention, Span, detect_column_mentions, detect_value_mentions
-from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
+from annosql.meta import (
+    EMPTY_EMBEDDINGS,
+    EMPTY_LEXICON,
+    PhraseLexicon,
+    PhraseTemplate,
+    Table,
+    build_value_stats,
+)
 from annosql.resolve import (
-    TOKEN_DISTANCE,
     Question,
     _span_closeness,
     annotate,
@@ -14,11 +23,13 @@ from annosql.resolve import (
     build_match_graph,
     kuhn_match,
     max_bipartite_matching,
+    token_closeness,
 )
-from annosql.trees import load_trees, parse_bracketed
+from annosql.synth import generate_corpus
+from annosql.trees import ConstituencyTree, TreeNode, load_trees, parse_bracketed
 from annosql.text import tokenize
 
-from support import make_schema, matching_oracle
+from support import embedding_store, make_schema, matching_oracle, tree_tokens
 
 CONFIG = Config()
 
@@ -47,7 +58,7 @@ def boxscore():
 
 def test_parse_bracketed_leaves_align(boxscore):
     _schema, _table, _stats, tree = boxscore
-    assert tree.tokens == tokenize(BOXSCORE_QUESTION)
+    assert tree_tokens(tree) == tokenize(BOXSCORE_QUESTION)
 
 
 def test_lca_depth_self_is_leaf_depth():
@@ -71,7 +82,7 @@ def test_lca_depth_out_of_range():
 
 def test_lca_depth_boxscore_pairs(boxscore):
     _schema, _table, _stats, tree = boxscore
-    toks = tree.tokens
+    toks = tree_tokens(tree)
     rebounds, points = toks.index("rebounds"), toks.index("points")
     two, three = toks.index("2"), toks.index("3")
     assert tree.lca_depth(rebounds, two) > tree.lca_depth(points, two)
@@ -82,20 +93,20 @@ def test_structural_closeness_singleton_equals_lca(boxscore):
     schema, _table, _stats, tree = boxscore
     col = CandidateMention(Span(4, 5), schema.columns[1], 1.0)
     val = CandidateMention(Span(6, 7), schema.columns[1], 1.0)
-    assert _span_closeness(val.span, col.span, tree) == tree.lca_depth(6, 4)
+    assert _span_closeness(val.span, col.span, tree.lca_depth) == tree.lca_depth(6, 4)
 
 
 def test_structural_closeness_root_only():
     tree = parse_bracketed("(S a b c d)")
     col = CandidateMention(Span(0, 1), None, 1.0)
     val = CandidateMention(Span(3, 4), None, 1.0)
-    assert _span_closeness(val.span, col.span, tree) == 0
+    assert _span_closeness(val.span, col.span, tree.lca_depth) == 0
 
 
 def test_structural_closeness_token_distance_fallback():
     col = CandidateMention(Span(0, 2), None, 1.0)
     val = CandidateMention(Span(5, 6), None, 1.0)
-    assert _span_closeness(val.span, col.span, TOKEN_DISTANCE) == -4  # closest pair: 1 vs 5
+    assert _span_closeness(val.span, col.span, token_closeness) == -4  # closest pair: 1 vs 5
 
 
 def test_build_match_graph_tree_prunes_to_nested_pairs(boxscore):
@@ -103,7 +114,7 @@ def test_build_match_graph_tree_prunes_to_nested_pairs(boxscore):
     tokens = tokenize(BOXSCORE_QUESTION)
     cols = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS, CONFIG)
     vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
-    graph = build_match_graph(vals, cols, tree)
+    graph = build_match_graph(vals, cols, tree.lca_depth)
     edges = set()
     for vi, targets in enumerate(graph.adjacency):
         for ci in targets:
@@ -116,10 +127,10 @@ def test_build_match_graph_synthetic_for_unmentioned(townlands):
     tokens = tokenize(question)
     cols = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
     vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
-    graph = build_match_graph(vals, cols, TOKEN_DISTANCE)
+    graph = build_match_graph(vals, cols, token_closeness)
     mayo = next(vi for vi, vv in enumerate(graph.values) if tokens[vv.span.start] == "mayo")
     [target] = graph.adjacency[mayo]
-    assert graph.columns[target].synthetic
+    assert graph.columns[target].span is None
     assert graph.columns[target].column.name == "County"
 
 
@@ -224,7 +235,7 @@ def test_assign_indices_direct(townlands):
     q = Question.from_text(question)
     cols = detect_column_mentions(q.tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
     vals = detect_value_mentions(q.tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
-    graph = build_match_graph(vals, cols, TOKEN_DISTANCE)
+    graph = build_match_graph(vals, cols, token_closeness)
     matching = max_bipartite_matching(graph)
     ann = assign_indices(graph, matching, q)
     assert ann.symbols.columns[2].name == "County"
@@ -274,10 +285,58 @@ def test_load_trees_blank_lines(tmp_path):
     trees = load_trees(str(path))
     assert len(trees) == 3
     assert trees[1] is None
-    assert trees[0].tokens == ["x", "y"]
+    assert tree_tokens(trees[0]) == ["x", "y"]
 
 
 def test_question_surface_preserves_original_text():
     q = Question.from_text("Which film stars Chopin: Desire for Love ?")
     span = Span(3, 8)
     assert q.surface(span) == "Chopin: Desire for Love"
+
+
+def random_tree(tokens, rng):
+    """A seeded random binary bracketing of `tokens`."""
+
+    def build(lo, hi):
+        if hi - lo == 1:
+            return TreeNode("X", [TreeNode("", token=tokens[lo])])
+        cut = rng.randrange(lo + 1, hi)
+        return TreeNode("X", [build(lo, cut), build(cut, hi)])
+
+    return ConstituencyTree(build(0, len(tokens)))
+
+
+ANNOTATION_DIGEST = "81701b7202ed9e03f283a5d7a5bde715e65ae11fa51c6e399d9e315384b1f3dd"
+
+
+def test_annotation_digest_with_trees_lexicon_embeddings():
+    """Annotation of a synth corpus under every mix of closeness source
+    (token distance or a random tree), side inputs (none, or a lexicon and
+    random embeddings) and thresholds hashes to a stored digest, so a change
+    to resolution that alters any annotation shows here."""
+    examples, tables, _records = generate_corpus(60, 8, 29, Config())
+    rng = random.Random(29)
+    words = sorted({tok for ex in examples for tok in tokenize(ex.question)})
+    emb = embedding_store({w: [rng.uniform(-1.0, 1.0) for _ in range(8)] for w in words})
+    lexicon = PhraseLexicon(
+        {
+            "points": (PhraseTemplate(("highest",)),),
+            "player": (PhraseTemplate(("who", "has", "a", None)),),
+        }
+    )
+    trees = [random_tree(tokenize(ex.question), rng) for ex in examples]
+    loose = Config(tau_ed=0.7, tau_sim=0.4, theta_val=0.3)
+    digest = hashlib.sha256()
+    for ex, tree in zip(examples, trees):
+        bundle = tables[ex.table_id]
+        for use_tree in (None, tree):
+            for lex, vectors in ((EMPTY_LEXICON, EMPTY_EMBEDDINGS), (lexicon, emb)):
+                for config in (Config(), loose):
+                    ann = annotate(
+                        ex.question, bundle.schema, bundle.stats, lex, vectors, use_tree, config
+                    )
+                    accepted = [(m.span.start, m.span.end, m.family, m.index) for m in ann.accepted]
+                    encoded = encode_question(ann, bundle.schema, "stack", True)
+                    record = [ann.symbols.to_dict(), accepted, encoded]
+                    digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == ANNOTATION_DIGEST
