@@ -1,5 +1,6 @@
-"""Command-line interface: annotate / train / eval / translate / repl,
-plus a fixture generator for smoke runs.
+"""Command-line interface: annotate / train / eval / translate / repl, each
+reading every input path from its --config, plus a fixture generator for
+smoke runs.
 """
 
 import argparse
@@ -9,10 +10,9 @@ import sys
 
 from .harness import (
     Config,
-    load_side_inputs,
-    load_table_bundles,
+    load_meta,
+    load_split,
     load_translator,
-    load_wikisql,
     prepare_examples,
     repl_translate,
     run_eval,
@@ -21,14 +21,7 @@ from .harness import (
 )
 from .sqlgen import serialize_sketch, sketch_tokens
 
-
-def _config_from(args):
-    config = Config.from_file(args.config) if args.config else Config()
-    for name in ("tables", "lexicon", "embeddings"):
-        value = getattr(args, name, None)
-        if value:
-            setattr(config, f"{name}_path", value)
-    return config
+_SPLITS = ("train", "dev", "test")
 
 
 def _emit(obj, out_path):
@@ -41,10 +34,9 @@ def _emit(obj, out_path):
 
 
 def cmd_annotate(args):
-    config = _config_from(args)
-    tables = load_table_bundles(config.tables_path)
-    examples = load_wikisql(args.infile, tables, args.trees)
-    lexicon, emb = load_side_inputs(config)
+    config = Config.from_file(args.config)
+    tables, lexicon, emb = load_meta(config)
+    examples = load_split(config, tables, args.split)
     prepare_examples(examples, tables, config, lexicon, emb)
     if args.out:
         open(args.out, "w").close()  # fresh file, _emit appends
@@ -71,14 +63,14 @@ def cmd_train(args):
 
 def cmd_eval(args):
     config = Config.from_file(args.config)
-    report = run_eval(config, checkpoint_path=args.checkpoint, split=args.split)
+    report = run_eval(config, args.split)
     _emit(report.to_dict(), args.out)
     return 0
 
 
 def cmd_translate(args):
     config = Config.from_file(args.config)
-    tables, params, vocab, lexicon, emb = load_translator(config, args.checkpoint)
+    tables, params, vocab, lexicon, emb = load_translator(config)
     out = translate_question(args.question, args.table, tables, params, vocab, config, lexicon, emb)
     _emit(out, args.out)
     return 0 if out["logp"] is not None else 1  # 1: the question never reached the model
@@ -86,7 +78,7 @@ def cmd_translate(args):
 
 def cmd_repl(args):
     config = Config.from_file(args.config)
-    repl_translate(config, checkpoint_path=args.checkpoint)
+    repl_translate(config)
     return 0
 
 
@@ -103,14 +95,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="annosql")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("annotate", help="annotate a question file against its tables")
-    p.add_argument("--tables", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--embeddings")
-    p.add_argument("--trees")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("annotate", help="annotate a configured split against its tables")
+    p.add_argument("--config", required=True)
+    p.add_argument("--split", required=True, choices=_SPLITS)
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(fn=cmd_annotate)
 
     p = sub.add_parser("train", help="train a model from a config file")
@@ -120,14 +108,12 @@ def main(argv=None):
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--split", default="test", choices=["train", "dev", "test"])
+    p.add_argument("--split", default="test", choices=_SPLITS)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("translate", help="translate one question")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint")
     p.add_argument("--question", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--out")
@@ -135,7 +121,6 @@ def main(argv=None):
 
     p = sub.add_parser("repl", help="interactive: table_id<TAB>question per line")
     p.add_argument("--config", required=True)
-    p.add_argument("--checkpoint")
     p.set_defaults(fn=cmd_repl)
 
     p = sub.add_parser("synth", help="generate a WikiSQL-format fixture corpus")

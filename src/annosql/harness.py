@@ -14,7 +14,7 @@ from typing import get_args
 import numpy as np
 
 from . import model as nn
-from .encoding import Vocabulary, build_vocab, encode_question
+from .encoding import STACK, SUBSTITUTE, Vocabulary, build_vocab, encode_question
 from .meta import (
     EMPTY_EMBEDDINGS,
     EMPTY_LEXICON,
@@ -116,8 +116,9 @@ class Config:
 
     @classmethod
     def from_file(cls, path):
-        """A Config from a JSON object; ValueError naming `path` for an
-        unknown key or a value of the wrong type."""
+        """A Config from a JSON object; ValueError naming `path` and the key
+        for an unknown key, a value of the wrong type, a choice not offered,
+        or an int out of range."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
@@ -127,10 +128,28 @@ class Config:
         if unknown:
             raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
+            least = _INT_MIN.get(key, 1)
             if not _fits(value, types[key]):
                 expected = getattr(types[key], "__name__", types[key])
-                raise ValueError(f"{path}: config key {key!r} must be {expected}, not {value!r}")
-        return cls(**data)
+            elif key in _CHOICES and value not in _CHOICES[key]:
+                expected = f"one of {_CHOICES[key]}"
+            elif types[key] is int and value < least:
+                expected = f"at least {least}"
+            else:
+                continue
+            raise ValueError(f"{path}: config key {key!r} must be {expected}, not {value!r}")
+        config = cls(**data)
+        if config.type_dim >= config.dim:
+            raise ValueError(
+                f"{path}: config key 'type_dim' must be below dim {config.dim}, not {config.type_dim}"
+            )
+        return config
+
+
+# the values a choice setting takes, and the least value of an int setting
+# that may be 0; every other int setting is at least 1
+_CHOICES = {"mode": (STACK, SUBSTITUTE), "dtype": tuple(nn.DTYPES)}
+_INT_MIN = {"min_count": 0, "patience": 0, "seed": 0}
 
 
 def _fits(value, annotation):
@@ -331,7 +350,7 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
     history = []
     order = np.arange(len(pairs))
     for epoch in range(1, config.epochs + 1):
-        started = time.time()
+        started = time.perf_counter()
         rng.shuffle(order)
         losses, accs, norms = [], [], []
         for lo in range(0, len(order), config.batch_size):
@@ -355,7 +374,7 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
             "grad_norm_max": max(norms),
             "grad_norm_mean": float(np.mean(norms)),
             "clipped_fraction": sum(n > config.clip for n in norms) / len(norms),
-            "seconds": round(time.time() - started, 3),
+            "seconds": round(time.perf_counter() - started, 3),
         }
         history.append(entry)
         if log_fn is not None:
@@ -494,15 +513,28 @@ def evaluate(examples, tables, params, vocab, config):
     )
 
 
-def load_side_inputs(config):
-    """The configured phrase lexicon and embeddings, or empty stand-ins."""
-    lexicon = EMPTY_LEXICON
-    if config.lexicon_path:
-        lexicon = load_phrase_lexicon(config.lexicon_path)
-    emb = EMPTY_EMBEDDINGS
-    if config.embeddings_path:
-        emb = load_embeddings(config.embeddings_path)
-    return lexicon, emb
+def load_meta(config):
+    """The configured tables (id -> TableBundle), phrase lexicon and
+    embeddings; an empty stand-in for a lexicon or embeddings not configured."""
+    if not config.tables_path:
+        raise ValueError("config needs tables_path")
+    tables = load_table_bundles(config.tables_path)
+    lexicon = load_phrase_lexicon(config.lexicon_path) if config.lexicon_path else EMPTY_LEXICON
+    emb = load_embeddings(config.embeddings_path) if config.embeddings_path else EMPTY_EMBEDDINGS
+    return tables, lexicon, emb
+
+
+def load_split(config, tables, split, gold=False):
+    """The Examples of one configured split ("train", "dev" or "test") with
+    the trees of that split's tree file; with `gold`, ValueError for a line
+    without a gold query."""
+    path = getattr(config, f"{split}_path")
+    if not path:
+        raise ValueError(f"config needs a path for split {split!r}")
+    examples = load_wikisql(path, tables, getattr(config, f"{split}_trees_path"))
+    if gold:
+        _require_gold(examples, path)
+    return examples
 
 
 def run_train(config):
@@ -512,21 +544,13 @@ def run_train(config):
     epochs; training stops after `patience` non-improving checks and the
     best-scoring parameters are the ones saved.
     """
-    if not (config.tables_path and config.train_path):
-        raise ValueError("config needs tables_path and train_path")
-    tables = load_table_bundles(config.tables_path)
-    examples = load_wikisql(config.train_path, tables, config.train_trees_path)
-    if config.stop_train_acc is not None:
-        _require_gold(examples, config.train_path)
-    lexicon, emb = load_side_inputs(config)
+    tables, lexicon, emb = load_meta(config)
+    examples = load_split(config, tables, "train", gold=config.stop_train_acc is not None)
+    dev_examples = load_split(config, tables, "dev", gold=True) if config.dev_path else None
     prepare_examples(examples, tables, config, lexicon, emb)
     pairs, vocab, coverage = build_training_pairs(examples, config)
     log.info("training pairs: %s", coverage)
-
-    dev_examples = None
-    if config.dev_path:
-        dev_examples = load_wikisql(config.dev_path, tables, config.dev_trees_path)
-        _require_gold(dev_examples, config.dev_path)
+    if dev_examples is not None:
         prepare_examples(dev_examples, tables, config, lexicon, emb)
 
     def log_fn(entry):
@@ -575,40 +599,28 @@ def run_train(config):
     return params, vocab, history, coverage
 
 
-def load_model(config, checkpoint_path=None):
+def load_model(config):
     """The configured vocabulary and a checkpoint trained with it."""
     vocab = Vocabulary.load(config.vocab_path)
-    params, _meta = nn.load_checkpoint(
-        checkpoint_path or config.checkpoint_path, expect_vocab_hash=vocab.content_hash()
-    )
+    params, _meta = nn.load_checkpoint(config.checkpoint_path, expect_vocab_hash=vocab.content_hash())
     return params, vocab
 
 
-def run_eval(config, checkpoint_path=None, split="test"):
-    """Evaluate a checkpoint on one configured split; returns an EvalReport."""
-    split_path, trees_path = {
-        "train": (config.train_path, config.train_trees_path),
-        "dev": (config.dev_path, config.dev_trees_path),
-        "test": (config.test_path, config.test_trees_path),
-    }[split]
-    if not (config.tables_path and split_path):
-        raise ValueError(f"config needs tables_path and a path for split {split!r}")
-    tables = load_table_bundles(config.tables_path)
-    examples = load_wikisql(split_path, tables, trees_path)
-    _require_gold(examples, split_path)
-    lexicon, emb = load_side_inputs(config)
+def run_eval(config, split):
+    """Evaluate the configured checkpoint on one configured split; returns an
+    EvalReport. Every input, the model included, loads before any question
+    is annotated."""
+    tables, lexicon, emb = load_meta(config)
+    examples = load_split(config, tables, split, gold=True)
+    params, vocab = load_model(config)
     prepare_examples(examples, tables, config, lexicon, emb)
-    params, vocab = load_model(config, checkpoint_path)
     return evaluate(examples, tables, params, vocab, config)
 
 
-def load_translator(config, checkpoint_path=None):
+def load_translator(config):
     """(tables, params, vocab, lexicon, emb) for translate_question."""
-    if not config.tables_path:
-        raise ValueError("config needs tables_path")
-    tables = load_table_bundles(config.tables_path)
-    lexicon, emb = load_side_inputs(config)
-    params, vocab = load_model(config, checkpoint_path)
+    tables, lexicon, emb = load_meta(config)
+    params, vocab = load_model(config)
     return tables, params, vocab, lexicon, emb
 
 
@@ -642,11 +654,11 @@ def translate_question(question, table_id, tables, params, vocab, config, lexico
     return out
 
 
-def repl_translate(config, checkpoint_path=None, stdin=None, stdout=None):
+def repl_translate(config, stdin=None, stdout=None):
     """Interactive loop: one `table_id<TAB>question` per line, JSON out."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    tables, params, vocab, lexicon, emb = load_translator(config, checkpoint_path)
+    tables, params, vocab, lexicon, emb = load_translator(config)
     for line in stdin:
         line = line.strip()
         if not line:

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 NEG_INF = -1e30
+DTYPES = {"float32": np.float32, "float64": np.float64}  # ModelConfig.dtype -> numpy type
 
 
 class ModelError(RuntimeError):
@@ -33,7 +34,9 @@ class ModelConfig:
     n_specials: int = 5
 
     def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
+        if self.dtype not in DTYPES:
+            raise ModelError(f"dtype must be one of {tuple(DTYPES)}, not {self.dtype!r}")
+        return DTYPES[self.dtype]
 
     def to_dict(self):
         return asdict(self)
@@ -313,13 +316,11 @@ def _attention(params, d, enc):
     return e, alpha, beta, tu
 
 
-def _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_extra, grads, d_states):
+def _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_copy, grads, d_states):
     d_alpha = np.einsum("bd,bsd->bs", d_beta, enc.states)
     d_states += alpha[:, :, None] * d_beta[:, None, :]
     d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-    if d_e_extra is not None:
-        d_e = d_e + d_e_extra
-    d_e = d_e * enc.mask
+    d_e = (d_e + d_e_copy) * enc.mask
     grads["attn.v"] += np.einsum("bsa,bs->a", tu, d_e)
     d_tu = d_e[:, :, None] * params["attn.v"][None, None, :]
     d_u = d_tu * (1.0 - tu * tu)

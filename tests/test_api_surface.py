@@ -1,6 +1,7 @@
 """Every public module-level function and class of the package, and every
-public method of its classes, has a caller; and every setting has its one
-default in harness.Config.
+public method of its classes, has a caller; every setting has its one
+default in harness.Config; and a command that reads a config takes no flag
+that restates one of its fields.
 
 A public name that only tests use is dead weight on the package's surface:
 the test belongs on the production function it mirrors, or the helper in
@@ -8,9 +9,12 @@ tests/support.py. A name counts as used when it appears as a whole word in
 src/annosql or perfbench outside the lines of its own definition.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "annosql"
@@ -86,3 +90,32 @@ def test_settings_have_their_default_only_in_config():
                 if name in fields and not (isinstance(default, ast.Constant) and default.value is None):
                     copies.append(f"{path.name}:{node.lineno} {node.name}({name})")
     assert not copies, f"defaults that copy a Config setting: {copies}"
+
+
+def test_no_flag_restates_a_config_field(monkeypatch):
+    """A subcommand that takes --config has no flag `--x` for a Config field
+    `x` or `x_path`: a second way to give a setting lets two commands read
+    different inputs for the same config."""
+    from annosql import cli
+
+    parsers = []
+
+    def capture(parser, *_args, **_kwargs):
+        parsers.append(parser)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+    with pytest.raises(SystemExit):
+        cli.main([])
+    subcommands = next(a for a in parsers[0]._actions if isinstance(a, argparse._SubParsersAction))
+    fields = _config_fields()
+    restated = []
+    for command, parser in subcommands.choices.items():
+        flags = {s for action in parser._actions for s in action.option_strings}
+        if "--config" not in flags:
+            continue
+        for flag in flags:
+            name = flag.lstrip("-").replace("-", "_")
+            if name in fields or f"{name}_path" in fields:
+                restated.append(f"{command} {flag}")
+    assert not restated, f"flags that restate a Config field: {restated}"

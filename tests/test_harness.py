@@ -112,7 +112,9 @@ def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
     with pytest.raises(ValueError, match="no gold query .*How many people live in Mayo"):
         evaluate(examples, tables, None, None, Config())
     out = tmp_path / "ann.jsonl"
-    assert main(["annotate", "--tables", tables_path, "--in", str(split), "--out", str(out)]) == 0
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"tables_path": tables_path, "train_path": str(split)}))
+    assert main(["annotate", "--config", str(config_path), "--split", "train", "--out", str(out)]) == 0
     annotated = [json.loads(line) for line in out.read_text().splitlines()]
     assert [a["aligned_sketch"] is None for a in annotated] == [False, True]
     assert "Mayo" in {v["surface"] for v in annotated[1]["symbols"]["values"].values()}
@@ -385,8 +387,8 @@ def test_run_train_eval_translate_cli(tmp_path):
     out_ann = tmp_path / "ann.jsonl"
     assert main([
         "annotate",
-        "--tables", tables_path,
-        "--in", split_path,
+        "--config", str(config_path),
+        "--split", "train",
         "--out", str(out_ann),
     ]) == 0
     annotated = [json.loads(l) for l in open(out_ann)]
@@ -554,6 +556,78 @@ def test_translate_and_repl_need_tables_path(tmp_path):
         main(["repl", "--config", str(config_path)])
 
 
+def bracketed(tokens, rng):
+    """A seeded random binary bracketing of `tokens`, as one tree-file line."""
+    if len(tokens) == 1:
+        return f"(X {tokens[0]})"
+    cut = rng.randrange(1, len(tokens))
+    return f"(X {bracketed(tokens[:cut], rng)} {bracketed(tokens[cut:], rng)})"
+
+
+def test_annotate_uses_the_split_tree_file(tmp_path):
+    """`annosql annotate --split train` reads train_trees_path: its output is
+    prepare_examples run with those trees, which differs from the output
+    without them."""
+    from annosql.cli import main
+    from annosql.text import tokenize
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 30, n_tables=4, seed=29)
+    rng = random.Random(29)
+    trees_path = tmp_path / "trees.txt"
+    with open(split_path) as fh:
+        questions = [json.loads(line)["question"] for line in fh]
+    trees_path.write_text("".join(bracketed(tokenize(q), rng) + "\n" for q in questions))
+    config = Config(tables_path=tables_path, train_path=split_path, train_trees_path=str(trees_path))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "ann.jsonl"
+    assert main(["annotate", "--config", str(config_path), "--split", "train", "--out", str(out)]) == 0
+    annotated = [json.loads(line) for line in out.read_text().splitlines()]
+
+    def expected(trees):
+        tables = load_table_bundles(tables_path)
+        examples = prepare_examples(load_wikisql(split_path, tables, trees), tables, config)
+        return [(ex.annotation.symbols.to_dict(), ex.encoded_src) for ex in examples]
+
+    got = [(a["symbols"], a["encoded"]) for a in annotated]
+    assert got == expected(str(trees_path))
+    assert got != expected(None)
+
+
+def test_eval_loads_the_model_before_annotating(tmp_path, monkeypatch):
+    """`annosql eval` with a missing checkpoint fails before any question of
+    the split is annotated."""
+    from annosql import harness
+    from annosql.cli import main
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(tables_path=tables_path, test_path=split_path)
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    config.checkpoint_path = str(tmp_path / "missing.npz")
+    examples, _bundles, _records = generate_corpus(8, 2, 31, config)
+    build_training_pairs(examples, config)[1].save(config.vocab_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+
+    def no_annotation(*_args, **_kwargs):
+        raise AssertionError("annotation started")
+
+    monkeypatch.setattr(harness, "prepare_examples", no_annotation)
+    with pytest.raises(FileNotFoundError, match="missing.npz"):
+        main(["eval", "--config", str(config_path)])
+
+
+def test_eval_needs_a_path_for_its_split(tmp_path):
+    from annosql.cli import main
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"tables_path": tables_path, "train_path": split_path}))
+    for command in (["annotate", "--split", "dev"], ["eval", "--split", "test"]):
+        with pytest.raises(ValueError, match="config needs a path for split"):
+            main(command + ["--config", str(config_path)])
+
+
 def test_substitute_mode_pairs(tmp_path):
     """Encoding mode and header flag flow from the config into the pairs."""
     config = Config(mode="substitute", headers=False)
@@ -654,12 +728,21 @@ def test_config_round_trip(tmp_path):
         ('{"mode": null}', "config key 'mode' must be str, not None"),
         ('{"stop_train_acc": "0.5"}', "config key 'stop_train_acc' must be float | None"),
         ("[1, 2]", "config must be a JSON object, not list"),
+        ('{"batch_size": 0}', "config key 'batch_size' must be at least 1, not 0"),
+        ('{"eval_every": 0}', "config key 'eval_every' must be at least 1, not 0"),
+        ('{"mode": "stak"}', "config key 'mode' must be one of ('stack', 'substitute'), not 'stak'"),
+        ('{"dtype": "Float64"}', "config key 'dtype' must be one of ('float32', 'float64'), not 'Float64'"),
+        ('{"dim": 64}', "config key 'type_dim' must be below dim 64, not 150"),
     ],
-    ids=["str-for-int", "float-for-int", "bool-for-float", "null-for-str", "str-for-optional", "list"],
+    ids=[
+        "str-for-int", "float-for-int", "bool-for-float", "null-for-str", "str-for-optional", "list",
+        "batch-size-zero", "eval-every-zero", "mode-choice", "dtype-choice", "type-dim-range",
+    ],
 )
 def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):
-    """`annosql train` rejects a config value of the wrong type, naming the
-    file and the key, before it loads any data."""
+    """`annosql train` rejects a config value of the wrong type, a choice not
+    offered or an int out of range, naming the file and the key, before it
+    loads any data."""
     from annosql import harness
     from annosql.cli import main
 

@@ -22,6 +22,13 @@ def toy_config(**kw):
     return nn.ModelConfig(**base)
 
 
+def test_np_dtype_rejects_a_dtype_it_does_not_offer():
+    assert toy_config(dtype="float32").np_dtype() is np.float32
+    assert toy_config(dtype="float64").np_dtype() is np.float64
+    with pytest.raises(nn.ModelError, match="not 'Float64'"):
+        toy_config(dtype="Float64").np_dtype()
+
+
 def toy_batch(seed=0, B=2, S=5, T=4, V=20):
     rng = np.random.default_rng(seed)
     src = rng.integers(0, V, size=(B, S))
