@@ -6,6 +6,7 @@ run in parallel per question.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .meta import cosine, value_affinity
 from .text import is_content_token
@@ -28,9 +29,6 @@ class Span:
     def overlaps(self, other):
         return self.start < other.end and other.start < self.end
 
-    def contains(self, other):
-        return self.start <= other.start and other.end <= self.end
-
 
 @dataclass(frozen=True)
 class CandidateMention:
@@ -43,8 +41,9 @@ class CandidateMention:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
 
+@lru_cache(maxsize=1 << 14)  # bounded: a long repl session keeps meeting new words
 def edit_closeness(x, y):
-    """Levenshtein distance over the longer length, in [0, 1]."""
+    """Levenshtein distance over the longer length, in [0, 1] (memoized)."""
     if not x or not y:
         raise ValueError("edit_closeness requires non-empty strings")
     if x == y:
@@ -210,16 +209,16 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
     A span may yield mentions for several columns; resolution arbitrates.
     """
     n = len(qtokens)
-    col_spans = [m.span for m in column_mentions]
+    reach = [0] * n  # per start: the furthest end of a column mention covering it
+    for m in column_mentions:
+        for pos in range(m.span.start, m.span.end):
+            reach[pos] = max(reach[pos], m.span.end)
     per_column = {c.position: [] for c in schema.columns}
     for start in range(n):
-        for end in range(start + 1, min(start + config.max_value_span, n) + 1):
+        for end in range(max(start, reach[start]) + 1, min(start + config.max_value_span, n) + 1):
             span = Span(start, end)
-            if any(cs.contains(span) for cs in col_spans):
-                continue
-            term = qtokens[start:end]
-            for column in schema.columns:
-                score = value_affinity(term, column, stats, emb)
+            scores = value_affinity(qtokens[start:end], schema.columns, stats, emb)
+            for column, score in zip(schema.columns, scores):
                 if score > config.theta_val:
                     per_column[column.position].append(CandidateMention(span, column, score))
     out = []

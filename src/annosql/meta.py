@@ -131,7 +131,7 @@ def build_value_stats(table):
     for col in table.schema.columns:
         cells = table.column_values(col.position)
         values = frozenset(c.casefold() for c in cells)
-        normalized = frozenset(normalize(c) for c in cells if normalize(c))
+        normalized = frozenset(filter(None, map(normalize, cells)))
         numeric_range = None
         if col.col_type == REAL:
             nums = [n for n in (parse_number(c) for c in cells) if n is not None]
@@ -315,37 +315,37 @@ def cosine(a, b):
     return float(np.dot(a, b) / (na * nb))
 
 
-def value_affinity(term, column, stats, emb):
-    """Score in [0, 1] for how likely `term` (a token sequence) is a value
-    of `column`.
+def value_affinity(term, columns, stats, emb):
+    """Scores in [0, 1], one per column of `columns`, for how likely `term`
+    (a token sequence) is a value of that column.
 
     Exact case-folded cell matches score 1.0. Numeric terms against a real
     column score on the range check alone. Otherwise the score is the best
     cosine between the term's mean embedding and the cell values' mean
-    embeddings, rescaled to [0, 1]; 0.0 with no embedding evidence.
+    embeddings, rescaled to [0, 1]; 0.0 with no embedding evidence. The
+    phrase, the number and the term vector are computed once for all columns.
     """
     if not term:
         raise ValueError("empty term")
-    cstats = stats.column(column.position)
     joined = " ".join(t.casefold() for t in term)
-    if joined in cstats.normalized:
-        return 1.0
     num = None
     if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
         num = parse_number("".join(term))  # one number token, or "-" and one: "1 2" is not 12
-    if num is not None and column.col_type == REAL:
-        rng = cstats.numeric_range
-        return 1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0
-    if emb.dim == 0:
-        return 0.0
-    tvec = emb.mean(t.casefold() for t in term)
-    if tvec is None:
-        return 0.0
-    tnorm = np.linalg.norm(tvec)
-    if tnorm == 0:
-        return 0.0
-    cells = stats.cell_embeddings(column.position, emb)
-    if cells.shape[0] == 0:
-        return 0.0
-    best = float(np.max(cells @ (tvec / tnorm)))
-    return min(1.0, max(0.0, (best + 1.0) / 2.0))
+    tvec = emb.mean(t.casefold() for t in term) if emb.dim else None
+    tnorm = 0 if tvec is None else np.linalg.norm(tvec)
+    unit = tvec / tnorm if tnorm != 0 else None
+    scores = []
+    for column in columns:
+        cstats = stats.column(column.position)
+        if joined in cstats.normalized:
+            scores.append(1.0)
+        elif num is not None and column.col_type == REAL:
+            rng = cstats.numeric_range
+            scores.append(1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0)
+        elif unit is None:
+            scores.append(0.0)
+        else:
+            cells = stats.cell_embeddings(column.position, emb)
+            best = float(np.max(cells @ unit)) if cells.shape[0] else -1.0
+            scores.append(min(1.0, max(0.0, (best + 1.0) / 2.0)))
+    return scores

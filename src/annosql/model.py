@@ -42,8 +42,12 @@ class ModelConfig:
         return asdict(self)
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid_inplace(x):
+    """Overwrite x with 0.5 * (1 + tanh(x / 2))."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
 
 
 class ModelParams:
@@ -153,8 +157,9 @@ def _gru_cell(x3, h, U):
     """
     H = h.shape[1]
     zr = h @ U[:, : 2 * H]
-    z = _sigmoid(x3[:, :H] + zr[:, :H])
-    r = _sigmoid(x3[:, H : 2 * H] + zr[:, H:])
+    zr += x3[:, : 2 * H]
+    _sigmoid_inplace(zr)
+    z, r = zr[:, :H], zr[:, H:]
     n = np.tanh(x3[:, 2 * H :] + (r * h) @ U[:, 2 * H :])
     return (1.0 - z) * h + z * n, (h, z, r, n)
 

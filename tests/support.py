@@ -9,7 +9,8 @@ import numpy as np
 from annosql import model as nn
 from annosql.harness import Config
 from annosql.mentions import _close_rows
-from annosql.meta import ColumnMeta, EmbeddingStore, MetaError, TableSchema
+from annosql.meta import REAL, ColumnMeta, EmbeddingStore, MetaError, TableSchema
+from annosql.text import parse_number
 
 
 def make_schema(table_id, cols):
@@ -48,6 +49,36 @@ def levenshtein_oracle(a, b):
         )
 
     return d(len(a), len(b))
+
+
+def reference_value_affinity(term, column, stats, emb):
+    """value_affinity as first written, for one column: every check and the
+    term vector recomputed per column. The oracle for the multi-column form."""
+    if not term:
+        raise ValueError("empty term")
+    cstats = stats.column(column.position)
+    joined = " ".join(t.casefold() for t in term)
+    if joined in cstats.normalized:
+        return 1.0
+    num = None
+    if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
+        num = parse_number("".join(term))
+    if num is not None and column.col_type == REAL:
+        rng = cstats.numeric_range
+        return 1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0
+    if emb.dim == 0:
+        return 0.0
+    tvec = emb.mean(t.casefold() for t in term)
+    if tvec is None:
+        return 0.0
+    tnorm = np.linalg.norm(tvec)
+    if tnorm == 0:
+        return 0.0
+    cells = stats.cell_embeddings(column.position, emb)
+    if cells.shape[0] == 0:
+        return 0.0
+    best = float(np.max(cells @ (tvec / tnorm)))
+    return min(1.0, max(0.0, (best + 1.0) / 2.0))
 
 
 def matching_oracle(adjacency, n_right):

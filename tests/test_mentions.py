@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from annosql import mentions
 from annosql.harness import Config
 from annosql.mentions import (
     CandidateMention,
@@ -41,6 +42,20 @@ def test_edit_closeness_properties_against_oracle():
         assert c == edit_closeness(y, x)
         if x == y:
             assert c == 0.0
+
+
+def test_edit_closeness_memo_is_bounded_and_exact():
+    """A repeated pair comes from the memo with the oracle's value; the memo
+    has a size bound; an empty string raises on every call, not just the first."""
+    expected = levenshtein_oracle("goalkeeper", "goals") / 10
+    assert edit_closeness("goalkeeper", "goals") == expected
+    hits = edit_closeness.cache_info().hits
+    assert edit_closeness("goalkeeper", "goals") == expected
+    assert edit_closeness.cache_info().hits == hits + 1
+    assert edit_closeness.cache_info().maxsize is not None
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            edit_closeness("", "goals")
 
 
 def test_embedding_closeness():
@@ -118,7 +133,7 @@ def test_coverage_maximality_by_enumeration(best_actor):
     for a in range(mention.span.start, mention.span.end):
         for b in range(a + 1, mention.span.end + 1):
             sub = Span(a, b)
-            if sub != mention.span and mention.span.contains(sub):
+            if sub != mention.span:
                 assert covered_words(sub, tokens, column, emb) < got
 
 
@@ -193,6 +208,35 @@ def test_detect_value_mentions_skips_inside_column_mentions(townlands):
     assert not any(m.span == Span(5, 6) for m in mentions)
 
 
+def test_value_spans_inside_column_mentions_are_skipped(monkeypatch):
+    """Exactly the spans that no column mention contains are scored, under
+    random nested and overlapping column mentions."""
+    schema = make_schema("t", [("name", "text")])
+    stats = build_value_stats(Table(schema, ()))
+    tokens = [f"w{i}" for i in range(9)]
+    n, width = len(tokens), CONFIG.max_value_span
+    scored = []
+
+    def spy(term, columns, stats, emb):
+        scored.append(Span(tokens.index(term[0]), tokens.index(term[-1]) + 1))
+        return [0.0] * len(columns)
+
+    monkeypatch.setattr(mentions, "value_affinity", spy)
+    rng = random.Random(23)
+    for _ in range(200):
+        starts = rng.sample(range(n), rng.randint(0, 3))
+        spans = [Span(a, rng.randint(a + 1, n)) for a in starts]
+        col_mentions = [CandidateMention(s, schema.columns[0], 1.0) for s in spans]
+        scored.clear()
+        detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, col_mentions)
+        assert scored == [
+            Span(a, b)
+            for a in range(n)
+            for b in range(a + 1, min(a + width, n) + 1)
+            if not any(s.start <= a and b <= s.end for s in spans)
+        ]
+
+
 def test_detect_value_mentions_keeps_maximal_spans():
     schema = make_schema("t", [("name", "text")])
     table = Table(schema, (("john smith",), ("john",)))
@@ -221,7 +265,6 @@ def test_span_validation():
         Span(-1, 2)
     assert Span(1, 4).overlaps(Span(3, 5))
     assert not Span(1, 4).overlaps(Span(4, 5))
-    assert Span(1, 4).contains(Span(2, 3))
 
 
 def test_mention_score_bounds():

@@ -1,6 +1,10 @@
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annosql.meta import (
     EMPTY_EMBEDDINGS,
@@ -13,10 +17,11 @@ from annosql.meta import (
     load_tables,
     value_affinity,
 )
+from annosql.synth import make_table
 from annosql.text import normalize, parse_number, tokenize
 from annosql.trees import load_trees
 
-from support import embedding_store, make_schema
+from support import embedding_store, make_schema, reference_value_affinity
 
 
 def test_tokenize_splits_underscores_and_keeps_numbers():
@@ -196,13 +201,13 @@ def test_load_embeddings_inconsistent_dim_names_line(tmp_path):
 def test_value_affinity_exact_match(film_awards):
     schema, _table, stats, _lex, _q = film_awards
     actor = schema.columns[1]
-    assert value_affinity(["piotr", "adamczyk"], actor, stats, EMPTY_EMBEDDINGS) == 1.0
+    assert value_affinity(["piotr", "adamczyk"], [actor], stats, EMPTY_EMBEDDINGS) == [1.0]
 
 
 def test_value_affinity_no_evidence():
     schema = make_schema("t", [("A", "text")])
     stats = build_value_stats(Table(schema, ()))
-    assert value_affinity(["anything"], schema.columns[0], stats, EMPTY_EMBEDDINGS) == 0.0
+    assert value_affinity(["anything"], [schema.columns[0]], stats, EMPTY_EMBEDDINGS) == [0.0]
 
 
 def test_value_affinity_numeric_range():
@@ -210,8 +215,8 @@ def test_value_affinity_numeric_range():
     stats_wide = build_value_stats(Table(schema, (("356",), ("1225",))))
     stats_narrow = build_value_stats(Table(schema, (("1",), ("10",))))
     col = schema.columns[0]
-    assert value_affinity(["400"], col, stats_wide, EMPTY_EMBEDDINGS) == 1.0
-    assert value_affinity(["400"], col, stats_narrow, EMPTY_EMBEDDINGS) == 0.0
+    assert value_affinity(["400"], [col], stats_wide, EMPTY_EMBEDDINGS) == [1.0]
+    assert value_affinity(["400"], [col], stats_narrow, EMPTY_EMBEDDINGS) == [0.0]
 
 
 def test_value_affinity_adjacent_numbers_do_not_merge():
@@ -219,12 +224,12 @@ def test_value_affinity_adjacent_numbers_do_not_merge():
     schema = make_schema("t", [("Points", "real")])
     col = schema.columns[0]
     stats = build_value_stats(Table(schema, (("10",), ("20",))))
-    assert value_affinity(["1", "2"], col, stats, EMPTY_EMBEDDINGS) == 0.0
-    assert value_affinity(["12"], col, stats, EMPTY_EMBEDDINGS) == 1.0
+    assert value_affinity(["1", "2"], [col], stats, EMPTY_EMBEDDINGS) == [0.0]
+    assert value_affinity(["12"], [col], stats, EMPTY_EMBEDDINGS) == [1.0]
     signed = build_value_stats(Table(schema, (("-10",), ("0",))))
     assert tokenize("-5") == ["-", "5"]
-    assert value_affinity(["-", "5"], col, signed, EMPTY_EMBEDDINGS) == 1.0
-    assert value_affinity(["-", "5", "1"], col, signed, EMPTY_EMBEDDINGS) == 0.0
+    assert value_affinity(["-", "5"], [col], signed, EMPTY_EMBEDDINGS) == [1.0]
+    assert value_affinity(["-", "5", "1"], [col], signed, EMPTY_EMBEDDINGS) == [0.0]
 
 
 def test_value_affinity_casefold_symmetric(film_awards):
@@ -232,8 +237,8 @@ def test_value_affinity_casefold_symmetric(film_awards):
     for col in schema.columns:
         for term in (["Piotr", "Adamczyk"], ["JERZY"], ["2003", "AUGUST"]):
             folded = [t.casefold() for t in term]
-            assert value_affinity(term, col, stats, EMPTY_EMBEDDINGS) == value_affinity(
-                folded, col, stats, EMPTY_EMBEDDINGS
+            assert value_affinity(term, [col], stats, EMPTY_EMBEDDINGS) == value_affinity(
+                folded, [col], stats, EMPTY_EMBEDDINGS
             )
 
 
@@ -242,16 +247,54 @@ def test_value_affinity_embedding_path_below_exact():
     schema = make_schema("t", [("Animal", "text")])
     stats = build_value_stats(Table(schema, (("cat",), ("cow",))))
     col = schema.columns[0]
-    exact = value_affinity(["cat"], col, stats, emb)
-    fuzzy = value_affinity(["dog"], col, stats, emb)
+    [exact] = value_affinity(["cat"], [col], stats, emb)
+    [fuzzy] = value_affinity(["dog"], [col], stats, emb)
     assert exact == 1.0
     assert 0.0 < fuzzy < 1.0
+
+
+def _oracle_table():
+    """A synth table, its stats, the words of its cells, and seeded random
+    8-d embeddings for about half of those words (one of them the zero
+    vector), none of them in column 2."""
+    schema, table = make_table(random.Random(17), "t")
+    words = sorted({t for row in table.rows for cell in row for t in tokenize(cell)})
+    bare = {t for cell in table.column_values(2) for t in tokenize(cell)}
+    rng = np.random.default_rng(17)
+    vectors = {w: rng.standard_normal(8) for w in words[::2] + ["unseen"] if w not in bare}
+    vectors[words[1]] = np.zeros(8)
+    return schema, table, build_value_stats(table), words, embedding_store(vectors)
+
+
+ORACLE_TABLE = _oracle_table()
+_CELLS = sorted({cell for row in ORACLE_TABLE[1].rows for cell in row})
+_TERMS = st.one_of(
+    st.sampled_from(_CELLS).map(tokenize),  # whole cell phrases
+    st.lists(st.sampled_from(ORACLE_TABLE[3] + ["unseen", "zzz", "-"]), min_size=1, max_size=4),
+    st.integers(-200, 2500).map(lambda n: ["-", str(-n)] if n < 0 else [str(n)]),
+    st.just(["1", "2"]),
+).flatmap(
+    lambda term: st.lists(st.booleans(), min_size=len(term), max_size=len(term)).map(
+        lambda upper: [t.upper() if u else t for t, u in zip(term, upper)]
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMS, st.booleans())
+def test_value_affinity_matches_the_per_column_oracle(term, with_embeddings):
+    """One call over every column scores each exactly as the per-column
+    function did, on exact cells, numbers, case variants and unknown words."""
+    schema, _table, stats, _words, emb = ORACLE_TABLE
+    emb = emb if with_embeddings else EMPTY_EMBEDDINGS
+    expected = [reference_value_affinity(term, col, stats, emb) for col in schema.columns]
+    assert value_affinity(term, schema.columns, stats, emb) == expected
 
 
 def test_empty_term_rejected(film_awards):
     schema, _table, stats, _lex, _q = film_awards
     with pytest.raises(ValueError):
-        value_affinity([], schema.columns[0], stats, EMPTY_EMBEDDINGS)
+        value_affinity([], schema.columns, stats, EMPTY_EMBEDDINGS)
 
 
 def test_embedding_lookups_do_not_mutate():
