@@ -332,7 +332,9 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
 
     Word embeddings start from `emb`'s vectors when its dimension is the
     model's. Each history entry carries the pre-clip gradient norm (max and
-    mean over the epoch's batches) and the fraction of batches clipped.
+    mean over the epoch's batches), the fraction of batches clipped, and the
+    epoch's training throughput. A non-finite loss or gradient norm raises
+    ModelError naming its batch, before the parameters are updated.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -358,15 +360,18 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
             src_ids, src_mask = _pad_batch([b[0] for b in batch], vocab.pad)
             tgt_in, _ = _pad_batch([[vocab.bos] + b[1] for b in batch], vocab.pad)
             tgt_out, tgt_mask = _pad_batch([b[1] + [vocab.eos] for b in batch], vocab.pad)
+            label = f"{lo // config.batch_size} of epoch {epoch}"
             loss, grads, stats = nn.loss_and_grad(
-                params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask,
-                batch_label=f"{lo // config.batch_size} of epoch {epoch}",
+                params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=label
             )
             grads, norm = nn.clip_gradients(grads, config.clip)
+            if not np.isfinite(norm):
+                raise nn.ModelError(f"non-finite gradient norm (batch {label})")
             optimizer.step(params, grads)
             losses.append(loss)
             accs.append(stats["token_accuracy"])
             norms.append(norm)
+        seconds = time.perf_counter() - started
         entry = {
             "epoch": epoch,
             "loss": float(np.mean(losses)),
@@ -374,7 +379,8 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
             "grad_norm_max": max(norms),
             "grad_norm_mean": float(np.mean(norms)),
             "clipped_fraction": sum(n > config.clip for n in norms) / len(norms),
-            "seconds": round(time.perf_counter() - started, 3),
+            "seconds": round(seconds, 3),
+            "examples_per_s": round(len(order) / seconds, 1),
         }
         history.append(entry)
         if log_fn is not None:

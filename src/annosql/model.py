@@ -164,19 +164,38 @@ def _gru_cell(x3, h, U):
     return (1.0 - z) * h + z * n, (h, z, r, n)
 
 
-def _gru_cell_backward(d_new, cache, U, dU):
-    """Backward of _gru_cell: adds into dU and returns (d_x3, d_h)."""
+def _transposed(W):
+    """W.T as a contiguous array, for the backward's products by a weight's
+    transpose. At the criterion-6 sizes, numpy with OpenBLAS multiplies by a
+    transposed view 1.5-2.5x slower than by a contiguous copy, so each
+    backward pass makes the copy once."""
+    return np.ascontiguousarray(W.T)
+
+
+def _gru_cell_backward(d_new, cache, U_T):
+    """Backward of _gru_cell: returns (d_x3, d_h). U_T is U.T made
+    contiguous once per pass (see _transposed). The U gradient is linear in
+    d_x3, so _gru_weight_grad forms it once for all steps."""
     h, z, r, n = cache
     H = h.shape[1]
     dn_pre = d_new * z * (1.0 - n * n)
-    dU[:, 2 * H :] += (r * h).T @ dn_pre
-    d_rh = dn_pre @ U[:, 2 * H :].T
+    d_rh = dn_pre @ U_T[2 * H :]
     dz_pre = d_new * (n - h) * z * (1.0 - z)
     dr_pre = d_rh * h * r * (1.0 - r)
     dzr = np.concatenate([dz_pre, dr_pre], axis=1)
-    dU[:, : 2 * H] += h.T @ dzr
-    d_h = d_new * (1.0 - z) + d_rh * r + dzr @ U[:, : 2 * H].T
+    d_h = d_new * (1.0 - z) + d_rh * r + dzr @ U_T[: 2 * H]
     return np.concatenate([dzr, dn_pre], axis=1), d_h
+
+
+def _gru_weight_grad(caches, dX3, dU):
+    """Add the U gradient of a run of GRU steps, where caches[t] is step t's
+    cache and dX3[:, t] its d_x3: two matmuls over the stacked steps."""
+    H = dU.shape[0]
+    h = np.stack([c[0] for c in caches], axis=1).reshape(-1, H)
+    r = np.stack([c[2] for c in caches], axis=1).reshape(-1, H)
+    dX = dX3.reshape(-1, 3 * H)
+    dU[:, : 2 * H] += h.T @ dX[:, : 2 * H]
+    dU[:, 2 * H :] += (r * h).T @ dX[:, 2 * H :]
 
 
 def _gru_forward(x, mask, W, U, b, reverse=False):
@@ -191,13 +210,12 @@ def _gru_forward(x, mask, W, U, b, reverse=False):
     order = range(S - 1, -1, -1) if reverse else range(S)
     h = np.zeros((B, H), dtype=x.dtype)
     Hseq = np.zeros((B, S, H), dtype=x.dtype)
-    steps = []
+    steps = [None] * S  # steps[t] is the cache of the step at position t
     for t in order:
-        h_new, step = _gru_cell(X3[:, t], h, U)
+        h_new, steps[t] = _gru_cell(X3[:, t], h, U)
         m = mask[:, t : t + 1]
-        h = m * h_new + (1.0 - m) * h
+        h = h + m * (h_new - h)
         Hseq[:, t] = h
-        steps.append(step)
     return Hseq, h, (x, mask, W, U, order, steps)
 
 
@@ -206,18 +224,20 @@ def _gru_backward(d_hseq, d_hfinal, cache, grads, prefix):
     x, mask, W, U, order, steps = cache
     B, S, H = d_hseq.shape
     dX3 = np.zeros((B, S, 3 * H), dtype=x.dtype)
-    dU = grads[prefix + ".U"]
     dh = d_hfinal.copy() if d_hfinal is not None else np.zeros((B, H), dtype=x.dtype)
-    for t, step in zip(reversed(order), reversed(steps)):
+    U_T = _transposed(U)
+    for t in reversed(order):
         dh = dh + d_hseq[:, t]
         m = mask[:, t : t + 1]
-        dX3[:, t], d_h = _gru_cell_backward(dh * m, step, U, dU)
+        dX3[:, t], d_h = _gru_cell_backward(dh * m, steps[t], U_T)
         dh = dh * (1.0 - m) + d_h
+    # a masked step has d_x3 = 0, so it adds nothing to any weight gradient
+    _gru_weight_grad(steps, dX3, grads[prefix + ".U"])
     x2 = x.reshape(-1, x.shape[-1])
     dX2 = dX3.reshape(-1, 3 * H)
     grads[prefix + ".W"] += x2.T @ dX2
     grads[prefix + ".b"] += dX2.sum(axis=0)
-    return dX3 @ W.T
+    return dX3 @ _transposed(W)
 
 
 @dataclass
@@ -291,12 +311,11 @@ def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
         dy += _gru_backward(
             d_x[:, :, H:], d_bwd_final if top else None, cb, grads, f"enc{l}.bwd"
         )
-        W0 = params[f"enc{l}.affine.W"]
         x2 = x_in.reshape(-1, x_in.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         grads[f"enc{l}.affine.W"] += x2.T @ dy2
         grads[f"enc{l}.affine.b"] += dy2.sum(axis=0)
-        d_x = (dy @ W0.T).reshape(x_in.shape)
+        d_x = (dy @ _transposed(params[f"enc{l}.affine.W"])).reshape(x_in.shape)
     _embed_backward(params, emb_cache, d_x, grads)
 
 
@@ -321,20 +340,23 @@ def _attention(params, d, enc):
     return e, alpha, beta, tu
 
 
-def _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_copy, grads, d_states):
+def _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_copy, grads):
+    """Backward of one step's _attention: returns (dq, d_u), the gradients
+    of the query d @ attn.W3 and of the pre-tanh sum keys + query.
+
+    The caller multiplies dq by attn.W3.T. It also makes, once for all
+    steps, the products with arrays that are the same at every step: the
+    states' gradient alpha (x) d_beta + d_u @ attn.W2.T, and the attn.W2
+    gradient enc.states.T @ d_u."""
     d_alpha = np.einsum("bd,bsd->bs", d_beta, enc.states)
-    d_states += alpha[:, :, None] * d_beta[:, None, :]
     d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
     d_e = (d_e + d_e_copy) * enc.mask
     grads["attn.v"] += np.einsum("bsa,bs->a", tu, d_e)
     d_tu = d_e[:, :, None] * params["attn.v"][None, None, :]
     d_u = d_tu * (1.0 - tu * tu)
-    flat_states = enc.states.reshape(-1, enc.states.shape[-1])
-    grads["attn.W2"] += flat_states.T @ d_u.reshape(-1, d_u.shape[-1])
-    d_states += (d_u @ params["attn.W2"].T).reshape(enc.states.shape)
     dq = d_u.sum(axis=1)
     grads["attn.W3"] += d.T @ dq
-    return dq @ params["attn.W3"].T
+    return dq, d_u
 
 
 def _output_distribution(params, d, beta, e, enc):
@@ -439,10 +461,12 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         raise ModelError(f"non-finite loss{label}")
 
     grads = zero_grads(params)
-    d_states = np.zeros_like(enc.states)
     Hd, D, S = params.config.dec_hidden, params.config.dim, src_ids.shape[1]
-    W_beta = params["dec.W"][D:]
+    out_U_T, W3_T, U_T = (_transposed(params[k]) for k in ("out.U", "attn.W3", "dec.U"))
+    W_beta_T = _transposed(params["dec.W"][D:])
     dX3 = np.zeros_like(tok3)
+    d_u_sum = np.zeros_like(enc.keys)
+    d_betas = np.zeros((B, T, enc.states.shape[-1]), dtype=dt)
     carry_d = np.zeros_like(start.d)
     carry_beta = np.zeros_like(start.beta)
     for t in reversed(range(T)):
@@ -453,23 +477,32 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         ds[np.arange(B), tgt_out[:, t]] -= w / scores[np.arange(B), tgt_out[:, t]]
         d_logits = ds * el
         grads["out.U"] += cat.T @ d_logits
-        d_cat = d_logits @ params["out.U"].T
+        d_cat = d_logits @ out_U_T
         d_beta = d_cat[:, Hd:] + carry_beta
+        d_betas[:, t] = d_beta
         d_e_copy = ds.reshape(-1)[enc.copy_index].reshape(B, S) * ee
-        d_d = d_cat[:, :Hd] + _attention_backward(
-            params, d, enc, tu, alpha, d_beta, d_e_copy, grads, d_states
-        )
-        d_d = d_d + carry_d
-        d_x3, carry_d = _gru_cell_backward(d_d, gru_cache, params["dec.U"], grads["dec.U"])
+        dq, d_u = _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_copy, grads)
+        d_u_sum += d_u
+        d_d = d_cat[:, :Hd] + dq @ W3_T + carry_d
+        d_x3, carry_d = _gru_cell_backward(d_d, gru_cache, U_T)
         dX3[:, t] = d_x3
-        carry_beta = d_x3 @ W_beta.T
-    # the input projection's weight gradients, for all steps at once
+        carry_beta = d_x3 @ W_beta_T
+    # the products with what is the same at every step, for all steps at
+    # once: the states' and attn.W2's gradients, and the decoder GRU's
+    # recurrent and input projection weights'
+    alphas = np.stack([cache[1] for cache, _w in steps], axis=2)  # (B, S, T)
+    d_states = alphas @ d_betas + d_u_sum @ _transposed(params["attn.W2"])
+    grads["attn.W2"] += enc.states.reshape(B * S, -1).T @ d_u_sum.reshape(B * S, -1)
+    _gru_weight_grad([cache[0] for cache, _w in steps], dX3, grads["dec.U"])
+    # the decoder's step caches are used up; memory peaks in the encoder's
+    # backward, so free them first
+    del steps
     betas_in = np.stack([s.beta for s in states[:-1]], axis=1)
     inputs = np.concatenate([tgt_emb, betas_in], axis=2)
     dX3_flat = dX3.reshape(B * T, -1)
     grads["dec.W"] += inputs.reshape(B * T, -1).T @ dX3_flat
     grads["dec.b"] += dX3_flat.sum(axis=0)
-    _embed_backward(params, tgt_emb_cache, dX3 @ params["dec.W"][:D].T, grads)
+    _embed_backward(params, tgt_emb_cache, dX3 @ _transposed(params["dec.W"][:D]), grads)
     # step 1 consumed beta_0 = 0 (a constant) and d_0 = tanh(W1 [...])
     d_d0_pre = carry_d * (1.0 - start.d * start.d)
     grads["W1"] += np.concatenate([enc.fwd_final, enc.bwd_final], axis=1).T @ d_d0_pre

@@ -33,7 +33,7 @@ from annosql.sqlgen import (
 )
 from annosql.synth import generate_corpus
 
-from support import greedy_decode, make_schema, matching_oracle
+from support import finite_difference_gradients, greedy_decode, make_schema, matching_oracle
 from test_harness import write_film_and_townland_fixtures
 from test_sqlgen import naive_execute, random_query, random_table
 
@@ -108,43 +108,8 @@ def test_criterion_5_gradient_check():
     """Analytic gradients match central finite differences within 1e-4
     relative error on the 64-bit toy configuration."""
     started = time.monotonic()
-    cfg = nn.ModelConfig(
-        vocab_size=20, dim=8, type_dim=4, enc_hidden=8, enc_layers=2,
-        dec_hidden=8, attn_dim=6, max_index=3, dtype="float64",
-    )
-    params = nn.init_params(cfg, seed=1, weight_scale=0.6, emb_scale=0.6)
-    rng = np.random.default_rng(0)
-    src = rng.integers(0, 20, size=(2, 5))
-    src_mask = np.ones((2, 5))
-    src_mask[1, 3:] = 0.0
-    tgt_in = rng.integers(0, 20, size=(2, 4))
-    tgt_out = rng.integers(0, 20, size=(2, 4))
-    tgt_mask = np.ones((2, 4))
-    tgt_mask[1, 2:] = 0.0
-
-    _loss, grads, _ = nn.loss_and_grad(params, src, src_mask, tgt_in, tgt_out, tgt_mask)
-
-    def loss_of():
-        l, _g, _s = nn.loss_and_grad(params, src, src_mask, tgt_in, tgt_out, tgt_mask)
-        return l
-
-    eps = 1e-4
     worst = ("", 0.0)
-    for name in params.names():
-        t = params.tensors[name]
-        fd = np.zeros_like(t)
-        it = np.nditer(t, flags=["multi_index"])
-        while not it.finished:
-            i = it.multi_index
-            orig = t[i]
-            t[i] = orig + eps
-            up = loss_of()
-            t[i] = orig - eps
-            down = loss_of()
-            t[i] = orig
-            fd[i] = (up - down) / (2 * eps)
-            it.iternext()
-        g = grads[name]
+    for name, (g, fd) in finite_difference_gradients().items():
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), np.linalg.norm(fd), 1e-12)
         assert rel < 1e-4, f"{name}: {rel:.3e}"
         if rel > worst[1]:

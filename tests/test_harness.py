@@ -310,7 +310,8 @@ def test_train_and_evaluate_deterministic():
     params_b, hist_b = train_model(pairs, vocab, config)
 
     def strip_time(history):
-        return [{k: v for k, v in e.items() if k != "seconds"} for e in history]
+        timings = ("seconds", "examples_per_s")
+        return [{k: v for k, v in e.items() if k not in timings} for e in history]
 
     assert strip_time(hist_a) == strip_time(hist_b)
     for name in params_a.names():
@@ -356,7 +357,7 @@ def test_run_train_eval_translate_cli(tmp_path):
     log_lines = [json.loads(l) for l in open(config.log_path) if l.strip()]
     assert {
         "epoch", "loss", "token_accuracy", "grad_norm_max", "grad_norm_mean",
-        "clipped_fraction", "seconds",
+        "clipped_fraction", "seconds", "examples_per_s",
     } <= set(log_lines[0])
     assert all(0.0 <= e["clipped_fraction"] <= 1.0 for e in trained["epochs"])
     assert all(e["grad_norm_max"] >= e["grad_norm_mean"] > 0.0 for e in trained["epochs"])
@@ -786,6 +787,32 @@ def test_train_log_keeps_epochs_before_a_failure(tmp_path, monkeypatch):
         harness.run_train(config)
     logged = [json.loads(line) for line in open(config.log_path)]
     assert [entry["epoch"] for entry in logged] == [1]
+
+
+def test_non_finite_gradient_norm_names_its_batch_and_leaves_params(monkeypatch):
+    """A NaN gradient stops training at its own batch, before Adam applies
+    it: the error names batch 0 of epoch 1 and the parameters are those
+    training started from."""
+    from annosql import model as nn
+
+    config = tiny_config(epochs=2)
+    examples, _bundles, _records = generate_corpus(8, n_tables=2, seed=31, config=config)
+    pairs, vocab, _report = build_training_pairs(examples, config)
+    real_loss_and_grad = nn.loss_and_grad
+    seen = []
+
+    def nan_gradient(params, *args, **kwargs):
+        seen.append((params, params.clone()))
+        loss, grads, stats = real_loss_and_grad(params, *args, **kwargs)
+        grads["dec.U"][0, 0] = np.nan
+        return loss, grads, stats
+
+    monkeypatch.setattr(nn, "loss_and_grad", nan_gradient)
+    with pytest.raises(nn.ModelError, match=r"non-finite gradient norm \(batch 0 of epoch 1\)"):
+        train_model(pairs, vocab, config)
+    [(params, before)] = seen
+    for name in params.names():
+        assert np.array_equal(params[name], before[name]), name
 
 
 def test_run_train_stops_at_stop_train_acc(tmp_path):

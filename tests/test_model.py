@@ -3,7 +3,13 @@ import pytest
 
 from annosql import model as nn
 
-from support import greedy_decode, reference_beam_search, reference_decoder_step
+from support import (
+    finite_difference_gradients,
+    greedy_decode,
+    reference_beam_search,
+    reference_decoder_step,
+    reference_loss_and_grad,
+)
 
 
 def toy_config(**kw):
@@ -243,34 +249,41 @@ def test_loss_non_finite_raises():
 def test_gradients_match_finite_differences():
     """Central finite differences on the toy configuration; every tensor
     must agree within 1e-4 relative error (64-bit floats)."""
-    cfg = toy_config()
-    params = nn.init_params(cfg, seed=1, weight_scale=0.6, emb_scale=0.6)
-    src, src_mask, tgt_in, tgt_out, tgt_mask = toy_batch(seed=0)
-
-    _loss, grads, _stats = nn.loss_and_grad(params, src, src_mask, tgt_in, tgt_out, tgt_mask)
-
-    def loss_of():
-        l, _g, _s = nn.loss_and_grad(params, src, src_mask, tgt_in, tgt_out, tgt_mask)
-        return l
-
-    eps = 1e-4
-    for name in params.names():
-        t = params.tensors[name]
-        fd = np.zeros_like(t)
-        it = np.nditer(t, flags=["multi_index"])
-        while not it.finished:
-            i = it.multi_index
-            orig = t[i]
-            t[i] = orig + eps
-            up = loss_of()
-            t[i] = orig - eps
-            down = loss_of()
-            t[i] = orig
-            fd[i] = (up - down) / (2 * eps)
-            it.iternext()
-        g = grads[name]
+    for name, (g, fd) in finite_difference_gradients().items():
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(g), np.linalg.norm(fd), 1e-12)
         assert rel < 1e-4, f"{name}: relative error {rel:.3e}"
+
+
+def drawn_batch(rng, B, tail, V=20):
+    """B rows of drawn source and target lengths, padded `tail` columns past
+    the longest row, so the last `tail` steps are masked in every row."""
+    src_len = rng.integers(1, 7, size=B)
+    tgt_len = rng.integers(1, 6, size=B)
+    S, T = src_len.max() + tail, tgt_len.max() + tail
+    src_mask = (np.arange(S) < src_len[:, None]).astype(float)
+    tgt_mask = (np.arange(T) < tgt_len[:, None]).astype(float)
+    src, tgt_in, tgt_out = (rng.integers(0, V, size=shape) for shape in ((B, S), (B, T), (B, T)))
+    return src, src_mask, tgt_in, tgt_out, tgt_mask
+
+
+@pytest.mark.parametrize("enc_layers", [1, 2])
+def test_gradients_match_per_step_reference(enc_layers):
+    """The backward with its step-invariant products taken out of the time
+    loops gives the loss and every gradient of the per-step reference to
+    1e-10 relative error in float64, over drawn batches."""
+    cfg = toy_config(enc_layers=enc_layers)
+    rng = np.random.default_rng(enc_layers)
+    for B in range(1, 5):
+        for tail in range(3):
+            seed = int(rng.integers(1 << 30))
+            params = nn.init_params(cfg, seed, weight_scale=0.6, emb_scale=0.6)
+            batch = drawn_batch(rng, B, tail)
+            loss, grads, _stats = nn.loss_and_grad(params, *batch)
+            ref_loss, ref_grads = reference_loss_and_grad(params, *batch)
+            assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+            for name, ref in ref_grads.items():
+                err = np.linalg.norm(grads[name] - ref)
+                assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300), (B, tail, name, err)
 
 
 def test_loss_decreases_on_memorizable_pair():
