@@ -199,11 +199,11 @@ def gold_from_wikisql(sql_obj, schema, table_id):
     return ConcreteSql(agg, sel, tuple(conds), table_id)
 
 
-def load_table_bundles(tables_path):
-    """Read a tables file into a dict of table id -> TableBundle."""
+def table_bundles(pairs):
+    """A dict of table id -> TableBundle for (TableSchema, Table) pairs."""
     return {
         schema.table_id: TableBundle(schema, table, build_value_stats(table))
-        for schema, table in load_tables(tables_path)
+        for schema, table in pairs
     }
 
 
@@ -267,7 +267,7 @@ def build_training_pairs(examples, config):
     Unaligned examples are excluded from training but stay in evaluation;
     examples without a gold query count under `no_gold`.
     """
-    sources, targets, aligned = [], [], []
+    sources, targets = [], []
     reasons = Counter()
     for ex in examples:
         if ex.encoded_src is None:
@@ -276,11 +276,10 @@ def build_training_pairs(examples, config):
             reasons["no_gold"] += 1
             continue
         if ex.aligned is None:
-            reasons[ex.alignment_error or "unaligned"] += 1
+            reasons[ex.alignment_error] += 1
             continue
         sources.append(ex.encoded_src)
         targets.append(sketch_tokens(ex.aligned))
-        aligned.append(ex)
     if not sources:
         raise ValueError("no aligned examples to build a vocabulary from")
     vocab = build_vocab(sources, targets, config.min_count, config.max_index)
@@ -485,6 +484,8 @@ def evaluate(examples, tables, params, vocab, config):
     """All three accuracies over prepared examples (aligned or not) with gold
     queries, the alignment failures, and the translation failure classes."""
     _require_gold(examples, "evaluate")
+    if any(ex.encoded_src is None for ex in examples):
+        raise ValueError("evaluate: examples must be prepared before evaluation")
     lf = qm = ex_count = aligned = 0
     reasons = Counter()
     failed = {name: {"count": 0, "examples": []} for name in FAILURE_CLASSES}
@@ -492,7 +493,7 @@ def evaluate(examples, tables, params, vocab, config):
         if ex.aligned is not None:
             aligned += 1
         else:
-            reasons[ex.alignment_error or "unaligned"] += 1
+            reasons[ex.alignment_error] += 1
         result = translate_example(ex, tables, params, vocab, config)
         pred, gold, table = result.sql, ex.gold, tables[ex.table_id].table
         if pred is not None and acc_lf(sql_tokens(pred), sql_tokens(gold)):
@@ -524,7 +525,7 @@ def load_meta(config):
     embeddings; an empty stand-in for a lexicon or embeddings not configured."""
     if not config.tables_path:
         raise ValueError("config needs tables_path")
-    tables = load_table_bundles(config.tables_path)
+    tables = table_bundles(load_tables(config.tables_path))
     lexicon = load_phrase_lexicon(config.lexicon_path) if config.lexicon_path else EMPTY_LEXICON
     emb = load_embeddings(config.embeddings_path) if config.embeddings_path else EMPTY_EMBEDDINGS
     return tables, lexicon, emb

@@ -157,10 +157,9 @@ def read_lines(path, parse):
     return out
 
 
-def _parse_table(line):
-    if not line.strip():
-        return None
-    obj = json.loads(line)
+def table_from_record(obj):
+    """(TableSchema, Table) of one decoded tables record: a dict with `id`,
+    `header`, `types` and `rows`; cells become strings by `cell_str`."""
     table_id, header, types, rows = str(obj["id"]), obj["header"], obj["types"], obj["rows"]
     if not all(isinstance(v, list) for v in (header, types, rows)):
         raise TypeError("header, types and rows must be lists")
@@ -175,11 +174,13 @@ def _parse_table(line):
     return schema, Table(schema, tuple(tuple(cell_str(v) for v in row) for row in rows))
 
 
-def load_tables(path):
-    """Load a JSON-lines table file into (TableSchema, Table) pairs.
+def _parse_table(line):
+    return table_from_record(json.loads(line)) if line.strip() else None
 
-    Each line carries `id`, `header`, `types`, and `rows`.
-    """
+
+def load_tables(path):
+    """Load a JSON-lines table file into (TableSchema, Table) pairs, one
+    `table_from_record` per non-blank line."""
     return [pair for pair in read_lines(path, _parse_table) if pair is not None]
 
 

@@ -422,12 +422,9 @@ def zero_grads(params):
     return {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
 
-def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=None):
-    """Teacher-forced mean token negative log-likelihood and its gradients.
-
-    tgt_in rows start with <bos>; tgt_out rows end with <eos>. The mean is
-    over non-pad target tokens across the whole batch.
-    """
+def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
+    """The forward pass of `loss_and_grad`: the loss, the count of correct
+    argmax tokens, and what the backward reads."""
     dt = params.config.np_dtype()
     src_ids = np.asarray(src_ids, dtype=np.int64)
     tgt_in = np.asarray(tgt_in, dtype=np.int64)
@@ -456,17 +453,33 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
         states.append(state)
         steps.append((cache, w))
+    tape = (tgt_out, enc, start, tgt_emb, tgt_emb_cache, tok3, states, steps)
+    return loss, correct, total_tokens, tape
+
+
+def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=None):
+    """Teacher-forced mean token negative log-likelihood and its gradients.
+
+    tgt_in rows start with <bos>; tgt_out rows end with <eos>. The mean is
+    over non-pad target tokens across the whole batch.
+    """
+    loss, correct, total_tokens, tape = _teacher_forced(
+        params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
+    )
     if not np.isfinite(loss):
         label = f" (batch {batch_label})" if batch_label is not None else ""
         raise ModelError(f"non-finite loss{label}")
 
+    tgt_out, enc, start, tgt_emb, tgt_emb_cache, tok3, states, steps = tape
+    del tape  # `steps` is freed below, before the encoder's backward
     grads = zero_grads(params)
-    Hd, D, S = params.config.dec_hidden, params.config.dim, src_ids.shape[1]
+    B, T, S = *tgt_out.shape, enc.src_ids.shape[1]
+    Hd, D = params.config.dec_hidden, params.config.dim
     out_U_T, W3_T, U_T = (_transposed(params[k]) for k in ("out.U", "attn.W3", "dec.U"))
     W_beta_T = _transposed(params["dec.W"][D:])
     dX3 = np.zeros_like(tok3)
     d_u_sum = np.zeros_like(enc.keys)
-    d_betas = np.zeros((B, T, enc.states.shape[-1]), dtype=dt)
+    d_betas = np.zeros((B, T, enc.states.shape[-1]), dtype=tok3.dtype)
     carry_d = np.zeros_like(start.d)
     carry_beta = np.zeros_like(start.beta)
     for t in reversed(range(T)):

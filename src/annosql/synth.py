@@ -6,10 +6,11 @@ overfit acceptance run have data even on machines without the real corpus.
 """
 
 import json
+import os
 import random
 
-from .harness import Config, Example, TableBundle, gold_from_wikisql, prepare_examples
-from .meta import ColumnMeta, Table, TableSchema, build_value_stats
+from .harness import Config, Example, gold_from_wikisql, prepare_examples, table_bundles
+from .meta import table_from_record
 from .sqlgen import AGGREGATES, OPS
 
 FIRST = (
@@ -56,136 +57,91 @@ ARCHETYPES = [
 
 
 def make_table(rng, table_id):
-    """Random 3-5 column table with 4-8 rows and both column types."""
+    """Random 3-5 column table with 4-8 rows and both column types, as the
+    (TableSchema, Table) that the loader makes of its tables record."""
     while True:
         cols = rng.sample(ARCHETYPES, rng.randint(3, 5))
-        types = {t for _, t, _ in cols}
-        if types == {"text", "real"}:
+        types = [t for _, t, _ in cols]
+        if set(types) == {"text", "real"}:
             break
-    columns = tuple(
-        ColumnMeta(name, col_type, pos) for pos, (name, col_type, _) in enumerate(cols)
-    )
-    schema = TableSchema(table_id, columns)
-    rows = []
-    for _ in range(rng.randint(4, 8)):
-        rows.append(tuple(gen(rng) for _, _, gen in cols))
-    return schema, Table(schema, tuple(rows))
+    rows = [[gen(rng) for _, _, gen in cols] for _ in range(rng.randint(4, 8))]
+    header = [name for name, _, _ in cols]
+    return table_from_record({"id": table_id, "header": header, "types": types, "rows": rows})
 
 
-def _value_unique_to_column(table, position, value):
-    """True when the value string appears in no other column of the table."""
-    folded = value.casefold()
-    for col in table.schema.columns:
-        if col.position == position:
-            continue
-        if any(cell.casefold() == folded for cell in table.column_values(col.position)):
-            return False
-    return True
-
-
-def _pick_cond(rng, table, want_type=None, exclude=()):
+def _pick_cond(rng, bundle, want_type, exclude):
+    """A (column, cell) of the bundle's table, not in `exclude` and of
+    `want_type` unless None, whose value appears in no other column; None if
+    there is none."""
     candidates = [
         c
-        for c in table.schema.columns
+        for c in bundle.schema.columns
         if (want_type is None or c.col_type == want_type) and c.position not in exclude
     ]
     rng.shuffle(candidates)
     for col in candidates:
-        cells = list(dict.fromkeys(table.column_values(col.position)))
+        cells = list(dict.fromkeys(bundle.table.column_values(col.position)))
         rng.shuffle(cells)
+        others = [s.values for p, s in bundle.stats.per_column.items() if p != col.position]
         for cell in cells:
-            if _value_unique_to_column(table, col.position, cell):
+            if not any(cell.casefold() in values for values in others):
                 return col, cell
     return None
 
 
-# WikiSQL codes: the index of an aggregate in AGGREGATES, of an operator in OPS
-NO_AGG = AGGREGATES.index("")
-EQ = OPS.index("=")
+# the columns a question kind draws its select column from
+POOLS = {
+    "any": lambda col: True,
+    "real": lambda col: col.col_type == "real",
+    "person": lambda col: col.name in ("Player", "Coach"),
+}
+# kind -> (select pool, aggregate, (column type or None, operator) per
+# condition, question template). The pool "condition" selects the
+# condition's column. In a template, s is the select column's name, c0 and
+# c1 the conditions' column names (all lowercased), v0 and v1 their values.
+KINDS = {
+    "plain": ("any", "", [(None, "=")], "What is the {s} when the {c0} is {v0} ?"),
+    "two_conds": (
+        "any", "", [(None, "="), (None, "=")],
+        "What is the {s} when the {c0} is {v0} and the {c1} is {v1} ?",
+    ),
+    "count": ("condition", "COUNT", [(None, "=")], "How many rows have a {c0} of {v0} ?"),
+    "max": ("real", "MAX", [(None, "=")], "What is the highest {s} when the {c0} is {v0} ?"),
+    "min": ("real", "MIN", [(None, "=")], "What is the lowest {s} when the {c0} is {v0} ?"),
+    "sum": ("real", "SUM", [(None, "=")], "What is the total {s} when the {c0} is {v0} ?"),
+    "avg": ("real", "AVG", [(None, "=")], "What is the average {s} when the {c0} is {v0} ?"),
+    "greater": ("any", "", [("real", ">")], "What is the {s} when the {c0} is more than {v0} ?"),
+    "less": ("any", "", [("real", "<")], "What is the {s} when the {c0} is less than {v0} ?"),
+    "who": ("person", "", [(None, "=")], "Who has a {c0} of {v0} ?"),
+    "all": ("any", "", [], "What are all the {s} ?"),
+}
+# plain is drawn twice as often as each other kind; this list's order fixes
+# the corpus that a seed gives
+_DRAWS = ["plain", *KINDS]
 
 
-def make_question(rng, schema, table):
-    """One (question, wikisql sql dict) for the table, or None to retry."""
-    text_cols = [c for c in schema.columns if c.col_type == "text"]
-    real_cols = [c for c in schema.columns if c.col_type == "real"]
-    kinds = ["plain", "plain", "two_conds", "count", "max", "min", "sum", "avg",
-             "greater", "less", "who", "all"]
-    kind = rng.choice(kinds)
-
-    def cond_for(sel, want_type=None):
-        return _pick_cond(rng, table, want_type, exclude=(sel.position,))
-
-    if kind == "all":
-        sel = rng.choice(schema.columns)
-        q = f"What are all the {sel.name.lower()} ?"
-        return q, {"sel": sel.position, "agg": NO_AGG, "conds": []}
-    if kind == "who":
-        people = [c for c in text_cols if c.name in ("Player", "Coach")]
-        if not people:
+def make_question(rng, bundle):
+    """One (question, wikisql sql dict) for the bundle's table, or None to retry."""
+    pool, agg, wanted, template = KINDS[rng.choice(_DRAWS)]
+    exclude, conds, words = [], [], {}
+    if pool != "condition":
+        choices = [c for c in bundle.schema.columns if POOLS[pool](c)]
+        if not choices:
             return None
-        sel = rng.choice(people)
-        cond = cond_for(sel)
-        if cond is None:
+        sel = rng.choice(choices)
+        exclude.append(sel.position)
+    for i, (want_type, op) in enumerate(wanted):
+        picked = _pick_cond(rng, bundle, want_type, exclude)
+        if picked is None:
             return None
-        col, val = cond
-        q = f"Who has a {col.name.lower()} of {val} ?"
-        return q, {"sel": sel.position, "agg": NO_AGG, "conds": [[col.position, EQ, val]]}
-    if kind in ("max", "min", "sum", "avg"):
-        if not real_cols:
-            return None
-        sel = rng.choice(real_cols)
-        cond = cond_for(sel)
-        if cond is None:
-            return None
-        col, val = cond
-        word = {"max": "highest", "min": "lowest", "sum": "total", "avg": "average"}[kind]
-        agg = AGGREGATES.index(kind.upper())
-        q = f"What is the {word} {sel.name.lower()} when the {col.name.lower()} is {val} ?"
-        return q, {"sel": sel.position, "agg": agg, "conds": [[col.position, EQ, val]]}
-    if kind == "count":
-        cond = _pick_cond(rng, table)
-        if cond is None:
-            return None
-        col, val = cond
-        q = f"How many rows have a {col.name.lower()} of {val} ?"
-        agg = AGGREGATES.index("COUNT")
-        return q, {"sel": col.position, "agg": agg, "conds": [[col.position, EQ, val]]}
-    if kind in ("greater", "less"):
-        sel = rng.choice(schema.columns)
-        cond = cond_for(sel, want_type="real")
-        if cond is None:
-            return None
-        col, val = cond
-        cmp_word, op = ("more", OPS.index(">")) if kind == "greater" else ("less", OPS.index("<"))
-        q = f"What is the {sel.name.lower()} when the {col.name.lower()} is {cmp_word} than {val} ?"
-        return q, {"sel": sel.position, "agg": NO_AGG, "conds": [[col.position, op, val]]}
-    if kind == "two_conds":
-        sel = rng.choice(schema.columns)
-        first = cond_for(sel)
-        if first is None:
-            return None
-        col1, val1 = first
-        second = _pick_cond(rng, table, exclude=(sel.position, col1.position))
-        if second is None:
-            return None
-        col2, val2 = second
-        q = (
-            f"What is the {sel.name.lower()} when the {col1.name.lower()} is {val1} "
-            f"and the {col2.name.lower()} is {val2} ?"
-        )
-        return q, {
-            "sel": sel.position,
-            "agg": NO_AGG,
-            "conds": [[col1.position, EQ, val1], [col2.position, EQ, val2]],
-        }
-    # plain: one equality condition
-    sel = rng.choice(schema.columns)
-    cond = cond_for(sel)
-    if cond is None:
-        return None
-    col, val = cond
-    q = f"What is the {sel.name.lower()} when the {col.name.lower()} is {val} ?"
-    return q, {"sel": sel.position, "agg": NO_AGG, "conds": [[col.position, EQ, val]]}
+        col, val = picked
+        exclude.append(col.position)
+        conds.append([col.position, OPS.index(op), val])
+        words[f"c{i}"], words[f"v{i}"] = col.name.lower(), val
+    if pool == "condition":
+        sel = col
+    question = template.format(s=sel.name.lower(), **words)
+    return question, {"sel": sel.position, "agg": AGGREGATES.index(agg), "conds": conds}
 
 
 def generate_corpus(n_questions, n_tables, seed, config):
@@ -196,12 +152,7 @@ def generate_corpus(n_questions, n_tables, seed, config):
     serialization.
     """
     rng = random.Random(seed)
-    tables = {}
-    bundles = {}
-    for i in range(n_tables):
-        schema, table = make_table(rng, f"synth-{i}")
-        tables[schema.table_id] = (schema, table)
-        bundles[schema.table_id] = TableBundle(schema, table, build_value_stats(table))
+    bundles = table_bundles(make_table(rng, f"synth-{i}") for i in range(n_tables))
     examples, records = [], []
     seen = set()
     attempts = 0
@@ -210,15 +161,14 @@ def generate_corpus(n_questions, n_tables, seed, config):
         if attempts > n_questions * 200:
             raise RuntimeError("fixture generator failed to converge")
         table_id = f"synth-{rng.randrange(n_tables)}"
-        schema, table = tables[table_id]
-        made = make_question(rng, schema, table)
+        bundle = bundles[table_id]
+        made = make_question(rng, bundle)
         if made is None:
             continue
         question, sql_obj = made
         if (table_id, question) in seen:
             continue
-        gold = gold_from_wikisql(sql_obj, schema, table_id)
-        ex = Example(question, table_id, gold)
+        ex = Example(question, table_id, gold_from_wikisql(sql_obj, bundle.schema, table_id))
         prepare_examples([ex], bundles, config)
         if ex.aligned is None:
             continue
@@ -231,27 +181,21 @@ def generate_corpus(n_questions, n_tables, seed, config):
 def write_corpus(out_dir, n_questions, n_tables, seed):
     """Write tables.jsonl and train.jsonl fixtures whose questions align under
     the default Config; returns their paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     _examples, bundles, records = generate_corpus(n_questions, n_tables, seed, Config())
-    tables_path = os.path.join(out_dir, "tables.jsonl")
-    split_path = os.path.join(out_dir, "train.jsonl")
-    with open(tables_path, "w", encoding="utf-8") as fh:
-        for table_id in sorted(bundles):
-            bundle = bundles[table_id]
-            fh.write(
-                json.dumps(
-                    {
-                        "id": table_id,
-                        "header": [c.name for c in bundle.schema.columns],
-                        "types": [c.col_type for c in bundle.schema.columns],
-                        "rows": [list(r) for r in bundle.table.rows],
-                    }
-                )
-                + "\n"
-            )
-    with open(split_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-    return tables_path, split_path
+    tables = []
+    for table_id in sorted(bundles):
+        schema, table = bundles[table_id].schema, bundles[table_id].table
+        tables.append(
+            {
+                "id": table_id,
+                "header": [c.name for c in schema.columns],
+                "types": [c.col_type for c in schema.columns],
+                "rows": [list(r) for r in table.rows],
+            }
+        )
+    paths = os.path.join(out_dir, "tables.jsonl"), os.path.join(out_dir, "train.jsonl")
+    for path, lines in zip(paths, (tables, records)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(line) + "\n" for line in lines)
+    return paths

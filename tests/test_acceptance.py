@@ -16,13 +16,13 @@ from annosql.harness import (
     Config,
     build_training_pairs,
     evaluate,
-    load_table_bundles,
     load_wikisql,
     prepare_examples,
+    table_bundles,
     train_model,
 )
 from annosql.mentions import Span, detect_column_mentions
-from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, load_phrase_lexicon
+from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, load_phrase_lexicon, load_tables
 from annosql.resolve import kuhn_match
 from annosql.sqlgen import (
     ConcreteSql,
@@ -50,7 +50,7 @@ def test_criterion_1_fixture_questions(tmp_path):
     started = time.monotonic()
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = Config()
-    tables = load_table_bundles(tables_path)
+    tables = table_bundles(load_tables(tables_path))
     examples = load_wikisql(split_path, tables, None)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,16 +18,16 @@ from annosql.harness import (
     build_training_pairs,
     evaluate,
     gold_from_wikisql,
-    load_table_bundles,
     load_wikisql,
     prepare_examples,
+    table_bundles,
     train_model,
     translate_example,
     translate_question,
 )
-from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table
+from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, load_tables
 from annosql.sqlgen import ConcreteSql, serialize_sketch, sketch_tokens, sql_tokens
-from annosql.synth import generate_corpus, write_corpus
+from annosql.synth import KINDS, generate_corpus, write_corpus
 
 from support import make_schema, tree_tokens
 
@@ -72,7 +74,7 @@ def write_film_and_townland_fixtures(tmp_path):
 
 def test_load_wikisql_two_examples(tmp_path):
     tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
-    tables = load_table_bundles(tables_path)
+    tables = table_bundles(load_tables(tables_path))
     examples = load_wikisql(split_path, tables, None)
     assert len(examples) == 2
     assert set(tables) == {"film_awards", "townlands"}
@@ -86,7 +88,7 @@ def test_load_wikisql_empty_split(tmp_path):
     tables_path, _split, _lex = write_film_and_townland_fixtures(tmp_path)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    examples = load_wikisql(str(empty), load_table_bundles(tables_path), None)
+    examples = load_wikisql(str(empty), table_bundles(load_tables(tables_path)), None)
     assert examples == []
 
 
@@ -95,7 +97,7 @@ def test_load_wikisql_dangling_table_id(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({**FILM_AWARDS_RECORD, "table_id": "ghost"}) + "\n")
     with pytest.raises(ValueError, match="ghost"):
-        load_wikisql(str(bad), load_table_bundles(tables_path), None)
+        load_wikisql(str(bad), table_bundles(load_tables(tables_path)), None)
 
 
 def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
@@ -105,7 +107,7 @@ def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
     split = tmp_path / "asked.jsonl"
     asked = {k: v for k, v in TOWNLANDS_RECORD.items() if k != "sql"}
     split.write_text(json.dumps(FILM_AWARDS_RECORD) + "\n" + json.dumps(asked) + "\n")
-    tables = load_table_bundles(tables_path)
+    tables = table_bundles(load_tables(tables_path))
     examples = load_wikisql(str(split), tables, None)
     assert [ex.gold is None for ex in examples] == [False, True]
     prepare_examples(examples, tables, Config())
@@ -132,7 +134,7 @@ def film_fixtures_prepared(tmp_path, config=None):
 
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = config or Config()
-    tables = load_table_bundles(tables_path)
+    tables = table_bundles(load_tables(tables_path))
     examples = load_wikisql(split_path, tables, None)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)
@@ -260,26 +262,48 @@ def test_metric_implications_randomized():
 
 
 def test_synth_corpus_aligns_and_round_trips():
+    """Every synth question aligns and resolves back to its gold query, and
+    every row of synth.KINDS is drawn: each aggregate, each operator and 0,
+    1 and 2 conditions occur, and each kind's template occurs with its
+    aggregate and operators."""
     config = Config()
-    examples, bundles, records = generate_corpus(30, n_tables=6, seed=3, config=config)
-    assert len(examples) == 30
-    from annosql.sqlgen import canonicalize, resolve_symbols
+    examples, bundles, records = generate_corpus(100, n_tables=10, seed=3, config=config)
+    assert len(examples) == 100
+    from annosql.sqlgen import AGGREGATES, OPS, canonicalize, resolve_symbols
 
     for ex in examples:
         assert ex.aligned is not None
         back = resolve_symbols(ex.aligned, ex.annotation.symbols, bundles[ex.table_id].schema)
         assert canonicalize(back) == canonicalize(ex.gold)
+    sqls = [rec["sql"] for rec in records]
+    assert {sql["agg"] for sql in sqls} == set(range(len(AGGREGATES)))
+    assert {op for sql in sqls for _col, op, _val in sql["conds"]} == set(range(len(OPS)))
+    assert {len(sql["conds"]) for sql in sqls} == {0, 1, 2}
+    drawn = set()
+    for rec in records:
+        shape = (AGGREGATES[rec["sql"]["agg"]], [OPS[op] for _c, op, _v in rec["sql"]["conds"]])
+        for kind, (_pool, agg, conds, template) in KINDS.items():
+            pattern = ".+".join(map(re.escape, re.split(r"\{\w+\}", template)))
+            if shape == (agg, [op for _type, op in conds]) and re.fullmatch(pattern, rec["question"]):
+                drawn.add(kind)
+    assert drawn == set(KINDS)
 
 
 def test_synth_write_corpus_round_trip(tmp_path):
-    tables_path, split_path = write_corpus(str(tmp_path), 10, n_tables=4, seed=5)
-    tables = load_table_bundles(tables_path)
+    """The written fixtures are pinned byte for byte, load back to the
+    tables generate_corpus made, and every question aligns again."""
+    tables_path, split_path = write_corpus(str(tmp_path), 200, n_tables=20, seed=7)
+    digest = hashlib.sha256(Path(tables_path).read_bytes() + Path(split_path).read_bytes())
+    assert digest.hexdigest() == "a7b53139ff84aaf66c36bbe5c757709f7e76897f07637c8de898115069f009f1"
+    tables = table_bundles(load_tables(tables_path))
+    _examples, bundles, _records = generate_corpus(200, n_tables=20, seed=7, config=Config())
+    assert tables == bundles
     examples = load_wikisql(split_path, tables, None)
-    assert len(examples) == 10
+    assert len(examples) == 200
     config = Config()
     prepare_examples(examples, tables, config)
     pairs, _vocab, report = build_training_pairs(examples, config)
-    assert report["aligned"] == 10
+    assert report["aligned"] == 200
 
 
 def tiny_config(**kw):
@@ -476,10 +500,10 @@ def test_load_wikisql_trees_by_line_number(tmp_path):
     gap.write_text(f"{film}\n\n{townland}\n")
     trees_path = tmp_path / "trees.txt"
     trees_path.write_text("(S (A x) (B y))\n\n(S (A z) (B w))\n")
-    examples = load_wikisql(str(gap), load_table_bundles(tables_path), str(trees_path))
+    examples = load_wikisql(str(gap), table_bundles(load_tables(tables_path)), str(trees_path))
     assert [tree_tokens(ex.tree) for ex in examples] == [["x", "y"], ["z", "w"]]
     trees_path.write_text("\n\n(S (A z) (B w))\n")
-    examples = load_wikisql(str(gap), load_table_bundles(tables_path), str(trees_path))
+    examples = load_wikisql(str(gap), table_bundles(load_tables(tables_path)), str(trees_path))
     assert examples[0].tree is None
     assert tree_tokens(examples[1].tree) == ["z", "w"]
 
@@ -490,7 +514,7 @@ def test_load_wikisql_rejects_wrong_tree_line_count(tmp_path):
     for text, n in (("(S (A x) (B y))\n", 1), ("\n\n\n", 3)):
         trees_path.write_text(text)
         with pytest.raises(ValueError, match=f"trees.txt: {n} tree lines for 2 lines of "):
-            load_wikisql(split_path, load_table_bundles(tables_path), str(trees_path))
+            load_wikisql(split_path, table_bundles(load_tables(tables_path)), str(trees_path))
 
 
 @pytest.mark.parametrize(
@@ -516,7 +540,7 @@ def test_load_wikisql_errors_name_file_and_line(tmp_path, bad):
     split = tmp_path / "bad.jsonl"
     split.write_text(json.dumps(TOWNLANDS_RECORD) + "\n" + bad + "\n")
     with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
-        load_wikisql(str(split), load_table_bundles(tables_path), None)
+        load_wikisql(str(split), table_bundles(load_tables(tables_path)), None)
 
 
 def test_translate_cli_reports_unanswerable_questions(tmp_path, capsys):
@@ -586,7 +610,7 @@ def test_annotate_uses_the_split_tree_file(tmp_path):
     annotated = [json.loads(line) for line in out.read_text().splitlines()]
 
     def expected(trees):
-        tables = load_table_bundles(tables_path)
+        tables = table_bundles(load_tables(tables_path))
         examples = prepare_examples(load_wikisql(split_path, tables, trees), tables, config)
         return [(ex.annotation.symbols.to_dict(), ex.encoded_src) for ex in examples]
 
@@ -750,7 +774,7 @@ def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):
     def no_loading(*_args, **_kwargs):
         raise AssertionError("data loading started")
 
-    monkeypatch.setattr(harness, "load_table_bundles", no_loading)
+    monkeypatch.setattr(harness, "load_tables", no_loading)
     config_path = tmp_path / "config.json"
     data = json.loads(text)
     if isinstance(data, dict):
@@ -871,7 +895,7 @@ def test_gold_less_line_in_evaluated_split_fails_at_load(tmp_path, monkeypatch, 
 def test_coverage_report_counts_gold_less_examples_apart(tmp_path):
     tables_path, split_path = write_corpus_with_gold_less_line(tmp_path)
     config = tiny_config()
-    tables = load_table_bundles(tables_path)
+    tables = table_bundles(load_tables(tables_path))
     examples = load_wikisql(split_path, tables, None)
     prepare_examples(examples, tables, config)
     _pairs, _vocab, report = build_training_pairs(examples, config)
@@ -938,6 +962,17 @@ def test_evaluate_counts_unencodable_question_and_goes_on():
     failures = report.to_dict()["translation_failures"]
     assert failures["encode"] == {"count": 1, "examples": ["___"]}
     assert sum(f["count"] for f in failures.values()) == report.total - report.ex
+
+
+def test_evaluate_refuses_unprepared_examples():
+    """Examples never passed to prepare_examples are refused, not scored as
+    unaligned questions that fail to encode."""
+    config = tiny_config()
+    examples, bundles, _records = generate_corpus(6, 2, 23, config)
+    _pairs, vocab, _report = build_training_pairs(examples, config)
+    fresh = [Example(ex.question, ex.table_id, ex.gold) for ex in examples]
+    with pytest.raises(ValueError, match="evaluate: examples must be prepared"):
+        evaluate(fresh, bundles, None, vocab, config)
 
 
 def test_evaluate_raises_on_beam_width_zero():
