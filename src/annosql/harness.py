@@ -670,11 +670,12 @@ def repl_translate(config, stdin=None, stdout=None):
         line = line.strip()
         if not line:
             continue
-        if "\t" not in line:
-            print(json.dumps({"error": "expected: table_id<TAB>question"}), file=stdout)
-            continue
-        table_id, question = line.split("\t", 1)
-        out = translate_question(
-            question, table_id.strip(), tables, params, vocab, config, lexicon, emb
-        )
+        if "\t" in line:
+            table_id, question = line.split("\t", 1)
+            out = translate_question(
+                question, table_id.strip(), tables, params, vocab, config, lexicon, emb
+            )
+        else:
+            out = dict.fromkeys(ANSWER_KEYS)
+            out.update(question=line, error="expected: table_id<TAB>question")
         print(json.dumps(out), file=stdout)

@@ -59,6 +59,8 @@ def edit_closeness(x, y):
 
 def embedding_closeness(x, y, emb):
     """0.5 * (1 - cosine) of the two word vectors, or None if either is missing."""
+    if not emb.dim:
+        return None
     vx, vy = emb.get(x), emb.get(y)
     if vx is None or vy is None:
         return None
@@ -73,15 +75,16 @@ def words_close(x, y, emb, tau_ed, tau_sim):
     return sem is not None and sem < tau_sim
 
 
-def _close_rows(qtokens, column, emb, config):
+def _close_rows(content, column, emb, config):
     """Per question position: the set of column-word indices it is close to.
 
-    Stop words and punctuation never form pairs, on either side.
+    `content` holds each question token, or None for a stop word or
+    punctuation token: those never form pairs, on either side.
     """
-    ctoks = [t for t in column.tokens if is_content_token(t)]
+    ctoks = column.content_tokens
     rows = []
-    for tok in qtokens:
-        if not is_content_token(tok):
+    for tok in content:
+        if tok is None:
             rows.append(frozenset())
             continue
         rows.append(
@@ -94,7 +97,7 @@ def _close_rows(qtokens, column, emb, config):
     return rows
 
 
-def _coverage_mention(qtokens, column, emb, config):
+def _coverage_mention(content, column, emb, config):
     """The best span covering the column effectively and efficiently.
 
     A span qualifies when (1) no containing span covers more column words
@@ -104,7 +107,7 @@ def _coverage_mention(qtokens, column, emb, config):
     with column "player" must not stretch a mention that already covers
     the word.
     """
-    rows = _close_rows(qtokens, column, emb, config)
+    rows = _close_rows(content, column, emb, config)
     total = frozenset().union(*rows) if rows else frozenset()
     if not total:
         return None
@@ -190,10 +193,11 @@ def detect_column_mentions(qtokens, schema, lexicon, emb, config):
     When a coverage span overlaps a template hit for the same column, the
     template wins; curated phrases are higher precision.
     """
+    content = [tok if is_content_token(tok) else None for tok in qtokens]
     mentions = []
     for column in schema.columns:
         lex = _lexicon_mentions(qtokens, column, lexicon)
-        cov = _coverage_mention(qtokens, column, emb, config)
+        cov = _coverage_mention(content, column, emb, config)
         if cov is not None and not any(cov.span.overlaps(m.span) for m in lex):
             lex.append(cov)
         mentions.extend(sorted(lex, key=lambda m: (m.span.start, m.span.end)))
@@ -213,13 +217,16 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
     for m in column_mentions:
         for pos in range(m.span.start, m.span.end):
             reach[pos] = max(reach[pos], m.span.end)
-    per_column = {c.position: [] for c in schema.columns}
+    columns, theta = schema.columns, config.theta_val
+    per_column = {c.position: [] for c in columns}
     for start in range(n):
         for end in range(max(start, reach[start]) + 1, min(start + config.max_value_span, n) + 1):
+            scores = value_affinity(qtokens[start:end], columns, stats, emb)
+            if max(scores) <= theta:
+                continue
             span = Span(start, end)
-            scores = value_affinity(qtokens[start:end], schema.columns, stats, emb)
-            for column, score in zip(schema.columns, scores):
-                if score > config.theta_val:
+            for column, score in zip(columns, scores):
+                if score > theta:
                     per_column[column.position].append(CandidateMention(span, column, score))
     out = []
     for position in sorted(per_column):

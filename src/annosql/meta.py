@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .text import normalize, parse_number, tokenize
+from .text import is_content_token, normalize, parse_number, tokenize
 
 TEXT, REAL = "text", "real"
 _SLOT_SPELLINGS = {"<slot>", "⟨slot⟩"}  # ascii and angle-bracket forms
@@ -37,6 +37,12 @@ class ColumnMeta:
     @cached_property
     def tokens(self):
         return tuple(tokenize(self.name))
+
+    @cached_property
+    def content_tokens(self):
+        """The name's tokens that may form a close pair: no stop words, no
+        punctuation."""
+        return tuple(t for t in self.tokens if is_content_token(t))
 
     @cached_property
     def folded(self):
@@ -89,15 +95,17 @@ class ColumnStats:
     """Distinct values and numeric range of one column."""
 
     values: frozenset
-    normalized: frozenset
     numeric_range: tuple | None
 
 
 @dataclass
 class ValueStats:
-    """Per-column statistics of the cell values of one table."""
+    """Per-column statistics of the cell values of one table, and `phrases`:
+    each normalized cell phrase of the table -> the tuple of the positions
+    of the columns whose cells hold it."""
 
     per_column: dict
+    phrases: dict
     _cell_embeds: dict = field(default_factory=dict, repr=False, compare=False)
 
     def column(self, position):
@@ -126,19 +134,21 @@ class ValueStats:
 
 
 def build_value_stats(table):
-    """Collect distinct values and numeric ranges per column."""
-    per_column = {}
+    """Collect distinct values and numeric ranges per column, and the
+    table's phrase map."""
+    per_column, phrases = {}, {}
     for col in table.schema.columns:
         cells = table.column_values(col.position)
         values = frozenset(c.casefold() for c in cells)
-        normalized = frozenset(filter(None, map(normalize, cells)))
+        for phrase in set(map(normalize, cells)) - {""}:
+            phrases[phrase] = phrases.get(phrase, ()) + (col.position,)
         numeric_range = None
         if col.col_type == REAL:
             nums = [n for n in (parse_number(c) for c in cells) if n is not None]
             if nums:
                 numeric_range = (min(nums), max(nums))
-        per_column[col.position] = ColumnStats(values, normalized, numeric_range)
-    return ValueStats(per_column)
+        per_column[col.position] = ColumnStats(values, numeric_range)
+    return ValueStats(per_column, phrases)
 
 
 def read_lines(path, parse):
@@ -324,24 +334,27 @@ def value_affinity(term, columns, stats, emb):
     column score on the range check alone. Otherwise the score is the best
     cosine between the term's mean embedding and the cell values' mean
     embeddings, rescaled to [0, 1]; 0.0 with no embedding evidence. The
-    phrase, the number and the term vector are computed once for all columns.
+    phrase, the number and the term vector are computed once for all columns;
+    a term with no exact cell, no number and no term vector scores 0.0
+    everywhere in one step.
     """
     if not term:
         raise ValueError("empty term")
-    joined = " ".join(t.casefold() for t in term)
+    exact = stats.phrases.get(" ".join(term).casefold(), ())  # casefold is context-free
     num = None
     if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
         num = parse_number("".join(term))  # one number token, or "-" and one: "1 2" is not 12
     tvec = emb.mean(t.casefold() for t in term) if emb.dim else None
     tnorm = 0 if tvec is None else np.linalg.norm(tvec)
     unit = tvec / tnorm if tnorm != 0 else None
+    if not exact and num is None and unit is None:
+        return [0.0] * len(columns)
     scores = []
     for column in columns:
-        cstats = stats.column(column.position)
-        if joined in cstats.normalized:
+        if column.position in exact:
             scores.append(1.0)
         elif num is not None and column.col_type == REAL:
-            rng = cstats.numeric_range
+            rng = stats.column(column.position).numeric_range
             scores.append(1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0)
         elif unit is None:
             scores.append(0.0)

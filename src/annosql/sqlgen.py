@@ -296,7 +296,7 @@ def result_equal(a, b, tol=1e-9):
         if ka != kb:
             return False
         if ka == "num":
-            if abs(xa - xb) > tol * max(1.0, abs(xa), abs(xb)):
+            if not abs(xa - xb) <= tol * max(1.0, abs(xa), abs(xb)):  # NaN is equal to nothing
                 return False
         elif xa != xb:
             return False

@@ -4,6 +4,7 @@ Token boundaries are the contract everything else (spans, annotations,
 surfaces) is built on, so the tokenizer lives in one place.
 """
 
+import math
 import re
 
 # Order matters: numbers with interior , or . stay one token ("1,225"),
@@ -33,14 +34,16 @@ def tokenize_with_offsets(text):
 
 
 def parse_number(text):
-    """Decimal value of `text` after stripping commas, or None."""
+    """Finite decimal value of `text` after stripping commas, or None; "nan"
+    and "inf" are not numbers."""
     s = text.strip().replace(",", "")
     if not s:
         return None
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
 
 
 def normalize(text):

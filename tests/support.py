@@ -10,9 +10,9 @@ import numpy as np
 
 from annosql import model as nn
 from annosql.harness import Config
-from annosql.mentions import _close_rows
+from annosql.mentions import CandidateMention, Span, _close_rows
 from annosql.meta import REAL, ColumnMeta, EmbeddingStore, MetaError, TableSchema
-from annosql.text import parse_number
+from annosql.text import is_content_token, parse_number
 
 
 def make_schema(table_id, cols):
@@ -55,12 +55,14 @@ def levenshtein_oracle(a, b):
 
 def reference_value_affinity(term, column, stats, emb):
     """value_affinity as first written, for one column: every check and the
-    term vector recomputed per column. The oracle for the multi-column form."""
+    term vector recomputed per column. The oracle for the multi-column form;
+    it reads exact membership from the phrase map, which
+    test_phrase_map_matches_the_cells checks against the raw cells."""
     if not term:
         raise ValueError("empty term")
     cstats = stats.column(column.position)
     joined = " ".join(t.casefold() for t in term)
-    if joined in cstats.normalized:
+    if column.position in stats.phrases.get(joined, ()):
         return 1.0
     num = None
     if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
@@ -83,6 +85,31 @@ def reference_value_affinity(term, column, stats, emb):
     return min(1.0, max(0.0, (best + 1.0) / 2.0))
 
 
+def reference_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
+    """detect_value_mentions by brute force: every span of up to
+    max_value_span tokens that no column mention contains, scored against
+    every column by reference_value_affinity; per column, the hits above
+    theta_val kept longest first, then higher score, then earlier, unless
+    they overlap one already kept."""
+    n = len(qtokens)
+    out = []
+    for column in schema.columns:
+        hits = []
+        for start in range(n):
+            for end in range(start + 1, min(start + config.max_value_span, n) + 1):
+                if any(m.span.start <= start and end <= m.span.end for m in column_mentions):
+                    continue
+                score = reference_value_affinity(qtokens[start:end], column, stats, emb)
+                if score > config.theta_val:
+                    hits.append(CandidateMention(Span(start, end), column, score))
+        kept = []
+        for m in sorted(hits, key=lambda m: (-len(m.span), -m.score, m.span.start)):
+            if not any(m.span.overlaps(k.span) for k in kept):
+                kept.append(m)
+        out.extend(kept)
+    return sorted(out, key=lambda m: (m.span.start, m.span.end, m.column.position))
+
+
 def matching_oracle(adjacency, n_right):
     """Exhaustive maximum-matching cardinality via bitmask recursion."""
     from functools import lru_cache
@@ -101,17 +128,22 @@ def matching_oracle(adjacency, n_right):
     return best(0, 0)
 
 
+def _default_close_rows(qtokens, column, emb):
+    content = [tok if is_content_token(tok) else None for tok in qtokens]
+    return _close_rows(content, column, emb, Config())
+
+
 def coverage_count(span, qtokens, column, emb):
     """Number of close pairs between the span's tokens and the column name's,
     under the default Config's thresholds."""
-    rows = _close_rows(qtokens, column, emb, Config())
+    rows = _default_close_rows(qtokens, column, emb)
     return sum(len(r) for r in rows[span.start : span.end])
 
 
 def covered_words(span, qtokens, column, emb):
     """Number of distinct column-name words the span covers, under the
     default Config's thresholds."""
-    rows = _close_rows(qtokens, column, emb, Config())
+    rows = _default_close_rows(qtokens, column, emb)
     return len(frozenset().union(*rows[span.start : span.end]))
 
 

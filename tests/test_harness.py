@@ -443,6 +443,31 @@ def test_repl_translate(tmp_path):
     assert "error" in lines[1]
 
 
+def test_repl_line_without_tab_has_the_answer_keys(tmp_path):
+    """A line without a TAB gets the one output shape, with the line as its
+    question, and the loop answers the next line."""
+    from annosql.harness import repl_translate, run_train
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(epochs=1)
+    config.tables_path = tables_path
+    config.train_path = split_path
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    run_train(config)
+    with open(split_path) as fh:
+        record = json.loads(fh.readline())
+    stdin = io.StringIO(f"no tab here\n\n{record['table_id']}\t{record['question']}\n")
+    stdout = io.StringIO()
+    repl_translate(config, stdin=stdin, stdout=stdout)
+    bad, good = [json.loads(l) for l in stdout.getvalue().splitlines()]
+    assert list(bad) == list(good) == list(ANSWER_KEYS)
+    assert bad["question"] == "no tab here" and bad["table_id"] is None
+    assert bad["error"] == "expected: table_id<TAB>question"
+    assert (good["question"], good["table_id"]) == (record["question"], record["table_id"])
+    assert good["encoded"]
+
+
 def test_repl_survives_question_with_no_tokens(tmp_path):
     """Without header slots a question of only punctuation encodes to an
     empty source; the repl reports it in the one output shape, with no

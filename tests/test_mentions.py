@@ -14,9 +14,17 @@ from annosql.mentions import (
     words_close,
 )
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
+from annosql.synth import generate_corpus
 from annosql.text import tokenize
 
-from support import coverage_count, covered_words, embedding_store, levenshtein_oracle, make_schema
+from support import (
+    coverage_count,
+    covered_words,
+    embedding_store,
+    levenshtein_oracle,
+    make_schema,
+    reference_value_mentions,
+)
 
 CONFIG = Config()
 
@@ -235,6 +243,40 @@ def test_value_spans_inside_column_mentions_are_skipped(monkeypatch):
             for b in range(a + 1, min(a + width, n) + 1)
             if not any(s.start <= a and b <= s.end for s in spans)
         ]
+
+
+def test_detect_value_mentions_matches_the_brute_force_oracle():
+    """Every span scored against every column one by one, then thresholded,
+    skipped inside column mentions and kept maximal per column, gives the
+    same mentions as detect_value_mentions, with and without embeddings and
+    at two thresholds: scoring a span 0 everywhere in one step drops none.
+
+    generate_corpus keeps only questions that annotate, so beside each of
+    its questions a drawn one asks for cells of a random row of the same
+    table, which no detection decided on."""
+    examples, tables, _records = generate_corpus(60, 8, 29, CONFIG)
+    rng = random.Random(41)
+    questions = []
+    for ex in examples:
+        bundle = tables[ex.table_id]
+        row = rng.choice(bundle.table.rows)
+        name, cell = rng.choice([(c.name, row[c.position]) for c in bundle.schema.columns])
+        drawn = f"which {name} has {rng.choice(row)} and {cell} or more than {rng.randint(0, 99)} ?"
+        questions += [(ex.question, bundle), (drawn, bundle)]
+    words = sorted({tok for q, _bundle in questions for tok in tokenize(q)})
+    emb = embedding_store({w: [rng.uniform(-1.0, 1.0) for _ in range(8)] for w in words})
+    loose = Config(tau_ed=0.7, tau_sim=0.4, theta_val=0.3)
+    found = 0
+    for question, bundle in questions:
+        tokens = tokenize(question)
+        for vectors in (EMPTY_EMBEDDINGS, emb):
+            for config in (CONFIG, loose):
+                cols = detect_column_mentions(tokens, bundle.schema, EMPTY_LEXICON, vectors, config)
+                args = (tokens, bundle.schema, bundle.stats, vectors, config, cols)
+                got = detect_value_mentions(*args)
+                assert got == reference_value_mentions(*args)
+                found += len(got)
+    assert found > 0
 
 
 def test_detect_value_mentions_keeps_maximal_spans():

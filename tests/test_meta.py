@@ -17,7 +17,8 @@ from annosql.meta import (
     load_tables,
     value_affinity,
 )
-from annosql.synth import make_table
+from annosql.harness import Config
+from annosql.synth import generate_corpus, make_table
 from annosql.text import normalize, parse_number, tokenize
 from annosql.trees import load_trees
 
@@ -130,6 +131,43 @@ def test_build_value_stats_single_row_range():
     schema = make_schema("t", [("N", "real")])
     stats = build_value_stats(Table(schema, (("356",),)))
     assert stats.column(0).numeric_range == (356.0, 356.0)
+
+
+def test_non_finite_cells_are_not_numbers():
+    """A "nan" or "inf" cell is text: it neither widens nor poisons a real
+    column's range."""
+    schema = make_schema("t", [("N", "real")])
+    stats = build_value_stats(Table(schema, (("nan",), ("3",), ("inf",), ("5",))))
+    assert stats.column(0).numeric_range == (3.0, 5.0)
+    for text in ("nan", "NaN", "inf", "-inf", "Infinity", "-infinity"):
+        assert parse_number(text) is None
+
+
+def _phrases_by_position(stats):
+    by_position = {}
+    for phrase, positions in stats.phrases.items():
+        assert len(set(positions)) == len(positions)
+        for pos in positions:
+            by_position.setdefault(pos, set()).add(phrase)
+    return by_position
+
+
+def test_phrase_map_matches_the_cells():
+    """The phrases the table-wide map gives each column are exactly the
+    column's normalized non-empty cells, on synth tables and on a table
+    where one phrase is a cell of a text and of a real column."""
+    _examples, tables, _records = generate_corpus(20, 8, 29, Config())
+    schema = make_schema("t", [("Name", "text"), ("Score", "real"), ("Code", "text")])
+    mixed = Table(schema, (("12", "12", "Ann  LEE"), ("Bo", "7", ""), (" ", "3.5", "?")))
+    for table in [b.table for b in tables.values()] + [mixed]:
+        stats = build_value_stats(table)
+        by_position = _phrases_by_position(stats)
+        for col in table.schema.columns:
+            want = {normalize(c) for c in table.column_values(col.position)} - {""}
+            assert by_position.get(col.position, set()) == want
+    stats = build_value_stats(mixed)
+    assert sorted(stats.phrases["12"]) == [0, 1]
+    assert value_affinity(["12"], schema.columns, stats, EMPTY_EMBEDDINGS) == [1.0, 1.0, 0.0]
 
 
 def test_build_value_stats_distinct_and_idempotent():

@@ -189,6 +189,15 @@ def test_execute_numeric_comparisons(townlands):
     assert execute(avg, table).values == ((356.0 + 1225.0) / 2,)
 
 
+def test_execute_aggregates_skip_non_finite_cells():
+    """A "nan" cell of a real column is not a number, so SUM, MAX and AVG
+    are over 3 and 5 alone."""
+    schema = make_schema("t", [("Name", "text"), ("N", "real")])
+    table = Table(schema, (("a", "nan"), ("b", "3"), ("c", "5")))
+    for agg, want in (("SUM", 8.0), ("MAX", 5.0), ("AVG", 4.0)):
+        assert execute(ConcreteSql(agg, "N", ()), table).values == (want,)
+
+
 # ---------------------------------------------------------------------------
 # randomized engine-vs-oracle check
 
@@ -300,6 +309,15 @@ def test_result_equal_semantics():
     assert not result_equal(ResultSet((1.0,)), ResultSet((1.0, 1.0)))
     assert result_equal(ResultSet((1.0000000000001,)), ResultSet((1.0,)), tol=1e-9)
     assert not result_equal(ResultSet((1.001,)), ResultSet((1.0,)), tol=1e-9)
+
+
+def test_result_equal_nan_equals_nothing():
+    """NaN, as a number or as the text "nan", matches no number."""
+    nan = float("nan")
+    assert not result_equal(ResultSet((nan,)), ResultSet((7.0,)))
+    assert not result_equal(ResultSet((7.0,)), ResultSet((nan,)))
+    assert not result_equal(ResultSet((nan,)), ResultSet((nan,)))
+    assert not result_equal(ResultSet(("nan",)), ResultSet((7.0,)))
 
 
 # ---------------------------------------------------------------------------
