@@ -500,11 +500,11 @@ def evaluate(examples, tables, params, vocab, config):
             lf += 1
         if acc_qm(pred, gold):
             qm += 1
-        ran = None if pred is None else execute(pred, table)
-        if ran is not None and result_equal(ran, execute(gold, table)):
+        if acc_ex(pred, gold, table):
             ex_count += 1
             continue
-        kind = result.failure or ("flagged" if ran.flagged else "wrong_result")
+        # a miss with SQL: its own result tells flagged from wrong_result
+        kind = result.failure or ("flagged" if execute(pred, table).flagged else "wrong_result")
         failed[kind]["count"] += 1
         if len(failed[kind]["examples"]) < FAILURE_EXAMPLES:
             failed[kind]["examples"].append(ex.question)

@@ -198,40 +198,33 @@ def _gru_weight_grad(caches, dX3, dU):
     dU[:, 2 * H :] += (r * h).T @ dX[:, 2 * H :]
 
 
-def _gru_forward(x, mask, W, U, b, reverse=False):
-    """One GRU direction over a padded batch.
+def _gru_forward(x, W, U, b):
+    """One left-to-right GRU pass over a batch x: (B, S, G).
 
-    x: (B, S, G); mask: (B, S). Masked positions carry the previous state,
-    so the final state is the state at each row's last real token.
+    Returns the states (B, S, H) and the cache _gru_backward reads. It
+    leaves x out, so the encoder's reversed input is not held through the
+    decoder's backward, where training memory peaks.
     """
     B, S, _ = x.shape
-    H = U.shape[0]
     X3 = x @ W + b
-    order = range(S - 1, -1, -1) if reverse else range(S)
-    h = np.zeros((B, H), dtype=x.dtype)
-    Hseq = np.zeros((B, S, H), dtype=x.dtype)
-    steps = [None] * S  # steps[t] is the cache of the step at position t
-    for t in order:
-        h_new, steps[t] = _gru_cell(X3[:, t], h, U)
-        m = mask[:, t : t + 1]
-        h = h + m * (h_new - h)
+    h = np.zeros((B, U.shape[0]), dtype=x.dtype)
+    Hseq = np.empty((B, S, U.shape[0]), dtype=x.dtype)
+    steps = [None] * S  # steps[t] is the cache of step t
+    for t in range(S):
+        h, steps[t] = _gru_cell(X3[:, t], h, U)
         Hseq[:, t] = h
-    return Hseq, h, (x, mask, W, U, order, steps)
+    return Hseq, (W, U, steps)
 
 
-def _gru_backward(d_hseq, d_hfinal, cache, grads, prefix):
-    """Backward pass matching _gru_forward; returns d_x."""
-    x, mask, W, U, order, steps = cache
+def _gru_backward(d_hseq, x, cache, grads, prefix):
+    """Backward pass matching _gru_forward(x, ...); returns d_x."""
+    W, U, steps = cache
     B, S, H = d_hseq.shape
-    dX3 = np.zeros((B, S, 3 * H), dtype=x.dtype)
-    dh = d_hfinal.copy() if d_hfinal is not None else np.zeros((B, H), dtype=x.dtype)
+    dX3 = np.empty((B, S, 3 * H), dtype=x.dtype)
+    dh = np.zeros((B, H), dtype=x.dtype)
     U_T = _transposed(U)
-    for t in reversed(order):
-        dh = dh + d_hseq[:, t]
-        m = mask[:, t : t + 1]
-        dX3[:, t], d_h = _gru_cell_backward(dh * m, steps[t], U_T)
-        dh = dh * (1.0 - m) + d_h
-    # a masked step has d_x3 = 0, so it adds nothing to any weight gradient
+    for t in reversed(range(S)):
+        dX3[:, t], dh = _gru_cell_backward(dh + d_hseq[:, t], steps[t], U_T)
     _gru_weight_grad(steps, dX3, grads[prefix + ".U"])
     x2 = x.reshape(-1, x.shape[-1])
     dX2 = dX3.reshape(-1, 3 * H)
@@ -258,59 +251,63 @@ class EncoderOutput:
 
 
 def encoder_forward(src_ids, params, src_mask=None):
-    """Run the stacked bi-GRU encoder over a batch of source id rows."""
+    """Run the stacked bi-GRU encoder over a batch of source id rows.
+
+    Each row's mask is a run of ones, then zeros. Both directions run left
+    to right, the backward one over each row with its real tokens in reverse
+    order and its padding where it was. Steps past a row's end run on
+    padding, and nothing reads their states: they get zero attention and
+    copy mass, and the final states are gathered at each row's last token.
+    """
     src_ids = np.atleast_2d(np.asarray(src_ids, dtype=np.int64))
-    if src_ids.shape[1] == 0:
+    B, S = src_ids.shape
+    if S == 0:
         raise ModelError("empty source sequence")
     dt = params.config.np_dtype()
-    if src_mask is None:
-        src_mask = np.ones(src_ids.shape, dtype=dt)
-    else:
-        src_mask = np.asarray(src_mask, dtype=dt)
-        if not src_mask.any(axis=1).all():
-            raise ModelError("source row with no unmasked tokens")
+    src_mask = np.ones((B, S), dtype=dt) if src_mask is None else np.asarray(src_mask, dtype=dt)
+    pos = np.arange(S)
+    lengths = np.count_nonzero(src_mask, axis=1)
+    if not lengths.all():
+        raise ModelError("source row with no unmasked tokens")
+    if not np.array_equal(src_mask, pos < lengths[:, None]):
+        raise ModelError("source mask rows must be ones followed by zeros")
+    last = lengths - 1
+    # position j of a row runs at last - j; padding stays: rev is its own inverse
+    rev = np.where(pos < lengths[:, None], last[:, None] - pos, pos)
+    rows, row = np.arange(B)[:, None], np.arange(B)
     x, emb_cache = _embed(params, src_ids)
     layer_caches = []
-    fwd_final = bwd_final = None
     for l in range(params.config.enc_layers):
         W0, b0 = params[f"enc{l}.affine.W"], params[f"enc{l}.affine.b"]
         y = x @ W0 + b0
-        hf, fwd_final, cf = _gru_forward(
-            y, src_mask, params[f"enc{l}.fwd.W"], params[f"enc{l}.fwd.U"], params[f"enc{l}.fwd.b"]
-        )
-        hb, bwd_final, cb = _gru_forward(
-            y,
-            src_mask,
-            params[f"enc{l}.bwd.W"],
-            params[f"enc{l}.bwd.U"],
-            params[f"enc{l}.bwd.b"],
-            reverse=True,
-        )
-        layer_caches.append((x, cf, cb))
-        x = np.concatenate([hf, hb], axis=2)
+        hf, cf = _gru_forward(y, *(params[f"enc{l}.fwd.{k}"] for k in "WUb"))
+        hb, cb = _gru_forward(y[rows, rev], *(params[f"enc{l}.bwd.{k}"] for k in "WUb"))
+        fwd_final, bwd_final = hf[row, last], hb[row, last]
+        layer_caches.append((x, y, cf, cb))
+        x = np.concatenate([hf, hb[rows, rev]], axis=2)
     keys = x @ params["attn.W2"]
     pad_bias = np.where(src_mask > 0, 0.0, NEG_INF).astype(dt)
-    rows = np.arange(len(src_ids))[:, None]
     copy_index = (rows * params.config.vocab_size + src_ids).reshape(-1)
-    cache = (emb_cache, layer_caches)
+    cache = (emb_cache, layer_caches, rev, last)
     return EncoderOutput(
         x, fwd_final, bwd_final, src_mask, src_ids, keys, pad_bias, copy_index, cache
     )
 
 
 def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
-    H = params.config.enc_hidden
-    emb_cache, layer_caches = enc.cache
+    """Backward of encoder_forward; adds the final states' gradients into d_states."""
+    H, L = params.config.enc_hidden, params.config.enc_layers
+    emb_cache, layer_caches, rev, last = enc.cache
+    rows, row = np.arange(len(rev))[:, None], np.arange(len(rev))
     d_x = d_states
-    for l in reversed(range(params.config.enc_layers)):
-        x_in, cf, cb = layer_caches[l]
-        top = l == params.config.enc_layers - 1
-        dy = _gru_backward(
-            d_x[:, :, :H], d_fwd_final if top else None, cf, grads, f"enc{l}.fwd"
-        )
-        dy += _gru_backward(
-            d_x[:, :, H:], d_bwd_final if top else None, cb, grads, f"enc{l}.bwd"
-        )
+    for l in reversed(range(L)):
+        x_in, y, cf, cb = layer_caches[l]
+        d_hf, d_hb = d_x[:, :, :H], d_x[:, :, H:][rows, rev]  # d_hb in run order
+        if l == L - 1:
+            d_hf[row, last] += d_fwd_final
+            d_hb[row, last] += d_bwd_final
+        dy = _gru_backward(d_hf, y, cf, grads, f"enc{l}.fwd")
+        dy += _gru_backward(d_hb, y[rows, rev], cb, grads, f"enc{l}.bwd")[rows, rev]
         x2 = x_in.reshape(-1, x_in.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         grads[f"enc{l}.affine.W"] += x2.T @ dy2
@@ -507,8 +504,8 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
     d_states = alphas @ d_betas + d_u_sum @ _transposed(params["attn.W2"])
     grads["attn.W2"] += enc.states.reshape(B * S, -1).T @ d_u_sum.reshape(B * S, -1)
     _gru_weight_grad([cache[0] for cache, _w in steps], dX3, grads["dec.U"])
-    # the decoder's step caches are used up; memory peaks in the encoder's
-    # backward, so free them first
+    # the decoder's step caches are used up: free them before the encoder's
+    # backward
     del steps
     betas_in = np.stack([s.beta for s in states[:-1]], axis=1)
     inputs = np.concatenate([tgt_emb, betas_in], axis=2)

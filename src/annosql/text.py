@@ -11,6 +11,7 @@ import re
 # then letter runs (underscore is a separator so "Film_Name" splits),
 # then any leftover non-space character on its own.
 _TOKEN_RE = re.compile(r"\d+(?:[.,]\d+)*|[^\W\d_]+|[^\w\s]")
+_DIGIT_RE = re.compile(r"\d")  # any Unicode decimal digit, as float() reads them
 
 STOP_WORDS = frozenset(
     """a an the of in on at by for to from is are was were be been being
@@ -37,8 +38,8 @@ def parse_number(text):
     """Finite decimal value of `text` after stripping commas, or None; "nan"
     and "inf" are not numbers."""
     s = text.strip().replace(",", "")
-    if not s:
-        return None
+    if not _DIGIT_RE.search(s):
+        return None  # float() takes no digit-free text but the non-finite "nan" and "inf"
     try:
         value = float(s)
     except ValueError:

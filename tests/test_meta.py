@@ -143,6 +143,16 @@ def test_non_finite_cells_are_not_numbers():
         assert parse_number(text) is None
 
 
+def test_parse_number_pins_its_results():
+    """Text without a digit is no number; other text gets what float()
+    gives, with a non-finite value as None."""
+    cases = {
+        "what": None, "": None, "-": None, "1,225": 1225.0, "-3": -3.0, ".5": 0.5,
+        "1e5": 100000.0, "nan": None, "-Infinity": None, "\u0663": 3.0,
+    }
+    assert {text: parse_number(text) for text in cases} == cases
+
+
 def _phrases_by_position(stats):
     by_position = {}
     for phrase, positions in stats.phrases.items():

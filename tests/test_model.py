@@ -99,6 +99,38 @@ def test_encoder_rejects_empty_input():
         nn.encoder_forward(np.array([[1, 2]]), params, np.zeros((1, 2)))
 
 
+def test_encoder_rejects_a_mask_that_is_not_leading_ones():
+    params = nn.init_params(toy_config(), seed=0)
+    src = np.array([[1, 2, 3, 4]])
+    for mask in ([[1.0, 0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0, 1.0]]):  # a hole; left padding
+        with pytest.raises(nn.ModelError, match="ones followed by zeros"):
+            nn.encoder_forward(src, params, np.array(mask))
+
+
+def test_padded_rows_encode_as_alone():
+    """Each row of a right-padded float64 batch gets, at its real positions,
+    the states and the final states it gets encoded alone, to 1e-12
+    relative error."""
+    cfg = toy_config()
+    rng = np.random.default_rng(11)
+    B, S = 6, 7
+    for seed in range(4):
+        params = nn.init_params(cfg, seed, weight_scale=0.6, emb_scale=0.6)
+        lengths = rng.integers(1, S + 1, size=B)
+        lengths[:2] = 1, S
+        src = rng.integers(0, cfg.vocab_size, size=(B, S))
+        mask = (np.arange(S) < lengths[:, None]).astype(float)
+        enc = nn.encoder_forward(src, params, mask)
+        for b, n in enumerate(lengths):
+            alone = nn.encoder_forward(src[b, :n], params)
+            for got, want in (
+                (enc.states[b, :n], alone.states[0]),
+                (enc.fwd_final[b], alone.fwd_final[0]),
+                (enc.bwd_final[b], alone.bwd_final[0]),
+            ):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (seed, b)
+
+
 def test_initial_decoder_state_formula():
     cfg = toy_config()
     params = nn.init_params(cfg, seed=21)
