@@ -4,6 +4,7 @@ metrics, and the train / eval / translate entry points used by the CLI.
 
 import json
 import logging
+import math
 import sys
 import time
 from collections import Counter
@@ -118,7 +119,8 @@ class Config:
     def from_file(cls, path):
         """A Config from a JSON object; ValueError naming `path` and the key
         for an unknown key, a value of the wrong type, a choice not offered,
-        or an int out of range."""
+        an int out of range, a float that is not finite, or an `lr` or `clip`
+        that is not above 0."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
@@ -135,6 +137,10 @@ class Config:
                 expected = f"one of {_CHOICES[key]}"
             elif types[key] is int and value < least:
                 expected = f"at least {least}"
+            elif isinstance(value, float) and not math.isfinite(value):
+                expected = "finite"
+            elif key in _POSITIVE and not value > 0:
+                expected = "above 0"
             else:
                 continue
             raise ValueError(f"{path}: config key {key!r} must be {expected}, not {value!r}")
@@ -146,10 +152,12 @@ class Config:
         return config
 
 
-# the values a choice setting takes, and the least value of an int setting
-# that may be 0; every other int setting is at least 1
+# the values a choice setting takes, the least value of an int setting that
+# may be 0 (every other int setting is at least 1), and the float settings
+# that must be above 0
 _CHOICES = {"mode": (STACK, SUBSTITUTE), "dtype": tuple(nn.DTYPES)}
 _INT_MIN = {"min_count": 0, "patience": 0, "seed": 0}
+_POSITIVE = ("lr", "clip")
 
 
 def _fits(value, annotation):

@@ -5,6 +5,7 @@ Everything here is immutable after load and safe to read concurrently.
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -13,7 +14,7 @@ import numpy as np
 from .text import is_content_token, normalize, parse_number, tokenize
 
 TEXT, REAL = "text", "real"
-_SLOT_SPELLINGS = {"<slot>", "⟨slot⟩"}  # ascii and angle-bracket forms
+_SLOT_RE = re.compile("<slot>|⟨slot⟩")  # ascii and angle-bracket forms
 
 
 class MetaError(ValueError):
@@ -233,16 +234,6 @@ class PhraseLexicon:
 EMPTY_LEXICON = PhraseLexicon({})
 
 
-def _split_slots(phrase):
-    # normalize both slot spellings to one sentinel token before tokenizing
-    for spelling in _SLOT_SPELLINGS:
-        phrase = phrase.replace(spelling, " ⟨slot⟩ ")
-    parts = []
-    for piece in phrase.split("⟨slot⟩"):
-        parts.append(tuple(tokenize(piece)))
-    return parts
-
-
 def load_phrase_lexicon(path):
     """Load a lexicon file: one `column<TAB>phrase1|phrase2...` line each.
 
@@ -262,12 +253,9 @@ def load_phrase_lexicon(path):
             phrase = phrase.strip()
             if not phrase:
                 continue
-            pieces = _split_slots(phrase)
             tokens = []
-            for i, piece in enumerate(pieces):
-                if i > 0:
-                    tokens.append(None)
-                tokens.extend(piece)
+            for i, piece in enumerate(_SLOT_RE.split(phrase)):
+                tokens += ([None] if i else []) + tokenize(piece)
             templates.add(PhraseTemplate(tuple(tokens)))
 
     read_lines(path, parse)
@@ -313,7 +301,10 @@ def load_embeddings(path):
                 raise MetaError("no vector components")
         elif len(nums) != dim:
             raise MetaError(f"expected {dim} components, got {len(nums)}")
-        vectors[word.casefold()] = np.asarray([float(x) for x in nums])
+        vector = np.asarray([float(x) for x in nums])
+        if not np.isfinite(vector).all():
+            raise MetaError(f"vector of {word!r} has a non-finite component")
+        vectors[word.casefold()] = vector
 
     read_lines(path, parse)
     return EmbeddingStore(vectors, dim or 0)

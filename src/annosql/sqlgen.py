@@ -91,51 +91,24 @@ def serialize_sketch(ast):
 
 
 def parse_annotated_sql(tokens):
-    """Parse decoder output into an AST; raises SketchParseError otherwise."""
+    """Parse decoder output into an AST; raises SketchParseError otherwise.
+
+    Only the layout is read here: an optional aggregate, `select` and its
+    target, then conditions of three tokens, the first after `where` and
+    each other after `and`. AnnotatedSqlAst checks the aggregate, the symbol
+    families and the operators.
+    """
     toks = [t.casefold() for t in tokens]
-    pos = 0
-
-    def fail(msg):
-        raise SketchParseError(f"{msg} (at token {pos} of {toks})")
-
-    agg = ""
-    if pos < len(toks) and toks[pos].upper() in AGGREGATES[1:]:
-        agg = toks[pos].upper()
-        pos += 1
-    if pos >= len(toks) or toks[pos] != "select":
-        fail("expected SELECT")
-    pos += 1
-    if pos >= len(toks):
-        fail("missing select target")
-    select = parse_symbol(toks[pos])
-    if select is None or select.family == "v":
-        fail("select target must be a c or g symbol")
-    pos += 1
-    conds = []
-    if pos < len(toks):
-        if toks[pos] != "where":
-            fail("expected WHERE or end")
-        pos += 1
-        while True:
-            if pos + 3 > len(toks):
-                fail("truncated condition")
-            col, op, val = parse_symbol(toks[pos]), toks[pos + 1], parse_symbol(toks[pos + 2])
-            if col is None or col.family == "v":
-                fail("condition column must be a c or g symbol")
-            if op not in OPS:
-                fail(f"unknown operator {toks[pos + 1]!r}")
-            if val is None or val.family != "v":
-                fail("condition value must be a v symbol")
-            conds.append((col, op, val))
-            pos += 3
-            if pos == len(toks):
-                break
-            if toks[pos] != "and":
-                fail("expected AND or end")
-            pos += 1
-            if pos == len(toks):
-                fail("dangling AND")
-    return AnnotatedSqlAst(agg, select, tuple(conds))
+    agg, body = ("", toks) if toks[:1] == ["select"] else (toks[0].upper() if toks else "", toks[1:])
+    # body: select S (where|and C op V)*, so the symbols sit at the odd places
+    n, extra = divmod(len(body) - 2, 4)
+    symbols = [parse_symbol(t) for t in body[1::2]]
+    if extra or body[0] != "select" or body[2::4] != ["where", *["and"] * n][:n] or None in symbols:
+        raise SketchParseError(f"not a sketch: {toks}")
+    try:
+        return AnnotatedSqlAst(agg, symbols[0], tuple(zip(symbols[1::2], body[4::4], symbols[2::2])))
+    except ValueError as exc:
+        raise SketchParseError(f"{exc} in {toks}") from exc
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Trees are consumed, not produced: input is one PTB-style bracketed tree per
 line, aligned by line number to the question file.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .meta import read_lines
 
@@ -13,47 +13,24 @@ class TreeParseError(ValueError):
     pass
 
 
-@dataclass
-class TreeNode:
-    label: str
-    children: list = field(default_factory=list)
-    token: str | None = None
-
-    @property
-    def is_leaf(self):
-        return self.token is not None
-
-
+@dataclass(frozen=True)
 class ConstituencyTree:
-    """Rooted ordered tree whose leaves align 1:1 with question tokens."""
+    """Leaf tokens, left to right, each with its root path: the ids of the
+    nodes from the root down to the leaf itself."""
 
-    def __init__(self, root):
-        self._paths = []
-        self.leaves = []
-        stack = [(root, (root,))]
-        while stack:
-            node, path = stack.pop()
-            if node.is_leaf:
-                self.leaves.append(node)
-                self._paths.append(path)
-            else:
-                for child in reversed(node.children):
-                    stack.append((child, path + (child,)))
-        # DFS with reversed children yields leaves left to right
-        if not self.leaves:
-            raise TreeParseError("tree has no leaves")
+    tokens: tuple
+    paths: tuple
 
     def __len__(self):
-        return len(self.leaves)
+        return len(self.tokens)
 
     def lca_depth(self, i, j):
         """Depth (root = 0) of the lowest common ancestor of leaves i and j."""
-        if not (0 <= i < len(self._paths) and 0 <= j < len(self._paths)):
+        if not (0 <= i < len(self.paths) and 0 <= j < len(self.paths)):
             raise IndexError(f"leaf index out of range: {i}, {j}")
-        pi, pj = self._paths[i], self._paths[j]
         depth = -1
-        for a, b in zip(pi, pj):
-            if a is not b:
+        for a, b in zip(self.paths[i], self.paths[j]):
+            if a != b:
                 break
             depth += 1
         return depth
@@ -63,43 +40,45 @@ def parse_bracketed(line):
     """Parse one bracketed tree like "(S (NP (DT the) (NN dog)) (VP barks))".
 
     The first atom after an opening paren is the label; remaining bare atoms
-    become leaf tokens (each its own node, one level below).
+    become leaf tokens (each its own node, one level below). A node's id is
+    the position of its label or token among the atoms. One left-to-right
+    pass keeps a stack of open nodes, so nesting depth is not limited, and
+    a leaf's root path is the ids on the stack when the leaf is read.
     """
-    tokens = line.replace("(", " ( ").replace(")", " ) ").split()
-    if not tokens:
+    atoms = line.replace("(", " ( ").replace(")", " ) ").split()
+    if not atoms:
         raise TreeParseError("empty tree line")
+    tokens, paths = [], []
+    stack = []  # open nodes: (id, label, leaf count when opened)
     pos = 0
-
-    def parse_node():
-        nonlocal pos
-        if tokens[pos] != "(":
+    while pos < len(atoms):
+        atom = atoms[pos]
+        if not stack and pos:
+            raise TreeParseError("trailing content after tree")
+        if atom == "(":
+            pos += 1
+            if pos >= len(atoms) or atoms[pos] in "()":
+                raise TreeParseError(f"missing label at token {pos}")
+            stack.append((pos, atoms[pos], len(tokens)))
+        elif not stack:
             raise TreeParseError(f"expected '(' at token {pos}")
+        elif atom == ")":
+            if stack[-1][2] == len(tokens):
+                # "(NN)" has no content; treat the label itself as a leaf token
+                tokens.append(stack[-1][1])
+                paths.append(tuple(node for node, _, _ in stack))
+            stack.pop()
+        else:
+            tokens.append(atom)
+            paths.append(tuple(node for node, _, _ in stack) + (pos,))
         pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise TreeParseError(f"missing label at token {pos}")
-        node = TreeNode(label=tokens[pos])
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                node.children.append(parse_node())
-            else:
-                node.children.append(TreeNode(label="", token=tokens[pos]))
-                pos += 1
-        if pos >= len(tokens):
-            raise TreeParseError("unbalanced brackets")
-        pos += 1
-        if not node.children:
-            # "(NN)" has no content; treat the label itself as a leaf token
-            return TreeNode(label="", token=node.label)
-        return node
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise TreeParseError("trailing content after tree")
+    if stack:
+        raise TreeParseError("unbalanced brackets")
     # unwrap singleton wrappers like (TOP (S ...)) to keep depths meaningful
-    while not root.is_leaf and len(root.children) == 1 and not root.children[0].is_leaf:
-        root = root.children[0]
-    return ConstituencyTree(root)
+    top = 0
+    while all(len(p) > top + 2 for p in paths) and len({p[top + 1] for p in paths}) == 1:
+        top += 1
+    return ConstituencyTree(tuple(tokens), tuple(p[top:] for p in paths))
 
 
 def load_trees(path):

@@ -31,7 +31,15 @@ def embedding_store(mapping):
 
 def tree_tokens(tree):
     """The leaf tokens of a ConstituencyTree, left to right."""
-    return [leaf.token for leaf in tree.leaves]
+    return list(tree.tokens)
+
+
+def bracketed(tokens, rng):
+    """A seeded random binary bracketing of `tokens`, as one tree-file line."""
+    if len(tokens) == 1:
+        return f"(X {tokens[0]})"
+    cut = rng.randrange(1, len(tokens))
+    return f"(X {bracketed(tokens[:cut], rng)} {bracketed(tokens[cut:], rng)})"
 
 
 def levenshtein_oracle(a, b):

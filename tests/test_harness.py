@@ -29,7 +29,7 @@ from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, load_tables
 from annosql.sqlgen import ConcreteSql, serialize_sketch, sketch_tokens, sql_tokens
 from annosql.synth import KINDS, generate_corpus, write_corpus
 
-from support import make_schema, tree_tokens
+from support import bracketed, make_schema, tree_tokens
 
 FILM_AWARDS_TABLE = {
     "id": "film_awards",
@@ -378,7 +378,7 @@ def test_run_train_eval_translate_cli(tmp_path):
     assert main(["train", "--config", str(config_path), "--out", str(out_train)]) == 0
     trained = json.loads(out_train.read_text())
     assert len(trained["epochs"]) == 4
-    log_lines = [json.loads(l) for l in open(config.log_path) if l.strip()]
+    log_lines = [json.loads(l) for l in Path(config.log_path).read_text().splitlines() if l.strip()]
     assert {
         "epoch", "loss", "token_accuracy", "grad_norm_max", "grad_norm_mean",
         "clipped_fraction", "seconds", "examples_per_s",
@@ -416,7 +416,7 @@ def test_run_train_eval_translate_cli(tmp_path):
         "--split", "train",
         "--out", str(out_ann),
     ]) == 0
-    annotated = [json.loads(l) for l in open(out_ann)]
+    annotated = [json.loads(l) for l in out_ann.read_text().splitlines()]
     assert len(annotated) == 12
     assert all(a["aligned_sketch"] for a in annotated)
 
@@ -606,14 +606,6 @@ def test_translate_and_repl_need_tables_path(tmp_path):
         main(["repl", "--config", str(config_path)])
 
 
-def bracketed(tokens, rng):
-    """A seeded random binary bracketing of `tokens`, as one tree-file line."""
-    if len(tokens) == 1:
-        return f"(X {tokens[0]})"
-    cut = rng.randrange(1, len(tokens))
-    return f"(X {bracketed(tokens[:cut], rng)} {bracketed(tokens[cut:], rng)})"
-
-
 def test_annotate_uses_the_split_tree_file(tmp_path):
     """`annosql annotate --split train` reads train_trees_path: its output is
     prepare_examples run with those trees, which differs from the output
@@ -783,16 +775,21 @@ def test_config_round_trip(tmp_path):
         ('{"mode": "stak"}', "config key 'mode' must be one of ('stack', 'substitute'), not 'stak'"),
         ('{"dtype": "Float64"}', "config key 'dtype' must be one of ('float32', 'float64'), not 'Float64'"),
         ('{"dim": 64}', "config key 'type_dim' must be below dim 64, not 150"),
+        ('{"clip": -5, "lr": NaN}', "config key 'clip' must be above 0, not -5"),
+        ('{"lr": NaN}', "config key 'lr' must be finite, not nan"),
+        ('{"lr": 0}', "config key 'lr' must be above 0, not 0"),
+        ('{"tau_sim": -Infinity}', "config key 'tau_sim' must be finite, not -inf"),
     ],
     ids=[
         "str-for-int", "float-for-int", "bool-for-float", "null-for-str", "str-for-optional", "list",
         "batch-size-zero", "eval-every-zero", "mode-choice", "dtype-choice", "type-dim-range",
+        "clip-negative", "lr-nan", "lr-zero", "float-infinite",
     ],
 )
 def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):
     """`annosql train` rejects a config value of the wrong type, a choice not
-    offered or an int out of range, naming the file and the key, before it
-    loads any data."""
+    offered, an int out of range or a float out of range, naming the file
+    and the key, before it loads any data."""
     from annosql import harness
     from annosql.cli import main
 
@@ -834,7 +831,7 @@ def test_train_log_keeps_epochs_before_a_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(nn, "loss_and_grad", poisoned_in_epoch_2)
     with pytest.raises(nn.ModelError, match=r"non-finite loss \(batch 0 of epoch 2\)"):
         harness.run_train(config)
-    logged = [json.loads(line) for line in open(config.log_path)]
+    logged = [json.loads(line) for line in Path(config.log_path).read_text().splitlines()]
     assert [entry["epoch"] for entry in logged] == [1]
 
 

@@ -101,6 +101,8 @@ def _table_line(**fields):
         (load_trees, "(S (A x) (B y))", "(S (A x) (B y)"),
         (load_embeddings, "a 1.0 0.0", "b 1.0 zero"),
         (load_embeddings, "a 1.0 0.0", "b 1.0"),
+        (load_embeddings, "a 1.0 0.0", "b 1.0 inf"),
+        (load_embeddings, "a 1.0 0.0", "b nan 1.0"),
         (load_tables, _table_line(), _table_line(rows=[["x", 1, "extra"]])),
         (load_tables, _table_line(), _table_line(types=5)),
         (load_tables, _table_line(), _table_line(rows=5)),
@@ -109,7 +111,7 @@ def _table_line(**fields):
         (load_phrase_lexicon, "Population\tpopulation of <slot>", "Rank\tfrom <slot> to <slot>"),
     ],
     ids=[
-        "tree", "vector-component", "vector-width", "row-width", "types-not-list",
+        "tree", "vector-component", "vector-width", "vector-non-finite", "vector-nan", "row-width", "types-not-list",
         "rows-not-list", "rows-string", "duplicate-column", "two-slots",
     ],
 )

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from annosql.mentions import CandidateMention, Span, detect_column_mentions, det
 from annosql.meta import (
     EMPTY_EMBEDDINGS,
     EMPTY_LEXICON,
+    MetaError,
     PhraseLexicon,
     PhraseTemplate,
     Table,
@@ -26,10 +28,10 @@ from annosql.resolve import (
     token_closeness,
 )
 from annosql.synth import generate_corpus
-from annosql.trees import ConstituencyTree, TreeNode, load_trees, parse_bracketed
+from annosql.trees import TreeParseError, load_trees, parse_bracketed
 from annosql.text import tokenize
 
-from support import embedding_store, make_schema, matching_oracle, tree_tokens
+from support import bracketed, embedding_store, make_schema, matching_oracle, tree_tokens
 
 CONFIG = Config()
 
@@ -288,6 +290,84 @@ def test_load_trees_blank_lines(tmp_path):
     assert tree_tokens(trees[0]) == ["x", "y"]
 
 
+def test_load_trees_nested_5000_deep(tmp_path):
+    """Nesting depth is not limited: a 5000-deep line loads (its singleton
+    wrappers unwrap down to the last node above the leaf), and the same
+    line with one bracket missing fails naming line 2."""
+    path = tmp_path / "trees.txt"
+    deep = "(A " * 5000 + "x" + ")" * 5000
+    path.write_text(f"(S (A x) (B y))\n{deep}\n")
+    tree = load_trees(str(path))[1]
+    assert tree_tokens(tree) == ["x"]
+    assert tree.lca_depth(0, 0) == 1
+    path.write_text(f"(S (A x) (B y))\n{deep[:-1]}\n")
+    with pytest.raises(MetaError, match=f"^{re.escape(str(path))}:2: TreeParseError: unbalanced brackets$"):
+        load_trees(str(path))
+
+
+def test_singleton_wrapper_unwraps():
+    wrapped, bare = parse_bracketed("(TOP (S (A x) (B y)))"), parse_bracketed("(S (A x) (B y))")
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    assert [wrapped.lca_depth(i, j) for i, j in pairs] == [bare.lca_depth(i, j) for i, j in pairs] == [2, 0, 2]
+
+
+def test_contentless_node_is_a_leaf():
+    tree = parse_bracketed("(S (NN) (A x))")
+    assert tree_tokens(tree) == ["NN", "x"]
+    assert [tree.lca_depth(0, 0), tree.lca_depth(0, 1), tree.lca_depth(1, 1)] == [1, 0, 2]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("   ", "empty tree line"),
+        ("S (A x))", "expected '(' at token 0"),
+        ("(S (A x) ())", "missing label at token 7"),
+        ("(S (A x) (B y)", "unbalanced brackets"),
+        ("(S (A x)) (B y)", "trailing content after tree"),
+    ],
+    ids=["empty", "no-open-paren", "missing-label", "unbalanced", "trailing"],
+)
+def test_tree_parse_errors(line, message):
+    with pytest.raises(TreeParseError, match=f"^{re.escape(message)}$"):
+        parse_bracketed(line)
+
+
+def _drawn_bracketing(rng, path=(), depth=0):
+    """(bracketed text, [(token, child-index path from the root)]) of a
+    random n-ary tree; the root has at least two children, so nothing is
+    unwrapped, and a node may be a bare token or a content-less "(NN)"."""
+    kids, leaves = [], []
+    for k in range(rng.randint(2 if depth == 0 else 1, 4)):
+        roll = rng.random()
+        if depth >= 5 or roll < 0.4:
+            token = f"w{len(leaves)}"
+            kids.append(token)
+            leaves.append((token, path + (k,)))
+        elif roll < 0.5:
+            kids.append("(NN)")
+            leaves.append(("NN", path + (k,)))
+        else:
+            text, below = _drawn_bracketing(rng, path + (k,), depth + 1)
+            kids.append(text)
+            leaves += below
+    return f"(X{depth} {' '.join(kids)})", leaves
+
+
+def test_drawn_bracketings_match_child_index_paths():
+    rng = random.Random(41)
+    for _ in range(300):
+        text, leaves = _drawn_bracketing(rng)
+        if rng.random() < 0.3:
+            text = f"(TOP {text})"
+        tree = parse_bracketed(text)
+        assert tree_tokens(tree) == [token for token, _ in leaves]
+        for i, (_, pi) in enumerate(leaves):
+            for j, (_, pj) in enumerate(leaves):
+                common = next((d for d, (a, b) in enumerate(zip(pi, pj)) if a != b), min(len(pi), len(pj)))
+                assert tree.lca_depth(i, j) == common
+
+
 def test_question_surface_preserves_original_text():
     q = Question.from_text("Which film stars Chopin: Desire for Love ?")
     span = Span(3, 8)
@@ -295,15 +375,8 @@ def test_question_surface_preserves_original_text():
 
 
 def random_tree(tokens, rng):
-    """A seeded random binary bracketing of `tokens`."""
-
-    def build(lo, hi):
-        if hi - lo == 1:
-            return TreeNode("X", [TreeNode("", token=tokens[lo])])
-        cut = rng.randrange(lo + 1, hi)
-        return TreeNode("X", [build(lo, cut), build(cut, hi)])
-
-    return ConstituencyTree(build(0, len(tokens)))
+    """A seeded random binary bracketing of `tokens`, parsed."""
+    return parse_bracketed(bracketed(tokens, rng))
 
 
 ANNOTATION_DIGEST = "81701b7202ed9e03f283a5d7a5bde715e65ae11fa51c6e399d9e315384b1f3dd"

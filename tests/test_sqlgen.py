@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,57 @@ def test_parse_no_conditions_and_agg():
 def test_parse_failures_are_structured(bad):
     with pytest.raises(SketchParseError):
         parse_annotated_sql(bad)
+
+
+# the sketch grammar over case-folded tokens joined by spaces, written
+# apart from the parser
+_COLUMN, _VALUE, _OP = r"[cg][1-9][0-9]*", r"v[1-9][0-9]*", "[=<>]"
+_CONDITION = f"{_COLUMN} {_OP} {_VALUE}"
+SKETCH_RE = re.compile(
+    rf"(?:(?:max|min|count|sum|avg) )?select {_COLUMN}(?: where {_CONDITION}(?: and {_CONDITION})*)?"
+)
+SKETCH_POOL = [
+    "select", "SELECT", "Select", "where", "WHERE", "and", "AND", "max", "MIN", "Count", "sum", "avg",
+    "c0", "c1", "C2", "c12", "g1", "G3", "v1", "V2", "v10", "=", ">", "<", "!", "<unk>",
+]
+
+
+def _drawn_sketch_tokens(rng):
+    """Mostly the layout of a sketch, each token drawn from the pool one
+    time in five, else a free draw from the pool."""
+    if rng.random() < 0.3:
+        return [rng.choice(SKETCH_POOL) for _ in range(rng.randint(0, 10))]
+
+    def pick(*choices):
+        return rng.choice(SKETCH_POOL if rng.random() < 0.2 else choices)
+
+    toks = [pick("max", "MIN", "Count", "sum", "avg")] if rng.random() < 0.4 else []
+    toks += [pick("select", "SELECT"), pick("c1", "C2", "c12", "g1", "G3")]
+    for k in range(rng.randint(0, 3)):
+        toks += [pick("where", "WHERE") if k == 0 else pick("and", "AND")]
+        toks += [pick("c1", "C2", "g1"), pick("=", ">", "<"), pick("v1", "V2", "v10")]
+    return toks[: rng.randint(0, len(toks))] if rng.random() < 0.1 else toks
+
+
+def test_parse_matches_the_grammar_regex():
+    """A drawn token list parses exactly when its case-folded tokens match
+    the grammar; a parsed sketch gives back those tokens, and a rejected one
+    names them in the error."""
+    rng = random.Random(23)
+    accepted = 0
+    for _ in range(20000):
+        toks = _drawn_sketch_tokens(rng)
+        folded = [t.casefold() for t in toks]
+        try:
+            ast = parse_annotated_sql(toks)
+        except SketchParseError as exc:
+            assert not SKETCH_RE.fullmatch(" ".join(folded)), toks
+            assert str(folded) in str(exc)
+        else:
+            assert SKETCH_RE.fullmatch(" ".join(folded)), toks
+            assert sketch_tokens(ast) == folded
+            accepted += 1
+    assert accepted > 1000
 
 
 def random_ast(rng, max_idx=5):
