@@ -95,7 +95,9 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        tokens = read_lines(path, str)
+        """The vocabulary `save` wrote; a blank line is an error at
+        `path:line`, since no token is blank."""
+        tokens = read_lines(path, _token_line)
         n = len(cls.SPECIALS)
         if tokens[:n] != list(cls.SPECIALS):
             raise ValueError(f"{path}: not a vocabulary file")
@@ -106,6 +108,12 @@ class Vocabulary:
         if max_index == 0 or tokens[n : n + 3 * max_index] != expected:
             raise ValueError(f"{path}: malformed symbol block")
         return cls(tokens[n + 3 * max_index :], max_index=max_index)
+
+
+def _token_line(line):
+    if not line.strip():
+        raise ValueError("blank vocabulary line")
+    return line
 
 
 def build_vocab(sources, targets, min_count, max_index):

@@ -119,8 +119,8 @@ class Config:
     def from_file(cls, path):
         """A Config from a JSON object; ValueError naming `path` and the key
         for an unknown key, a value of the wrong type, a choice not offered,
-        an int out of range, a float that is not finite, or an `lr` or `clip`
-        that is not above 0."""
+        an int out of range, a float that is not finite, an `lr` or `clip`
+        that is not above 0, or a threshold outside [0, 1]."""
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
@@ -141,6 +141,8 @@ class Config:
                 expected = "finite"
             elif key in _POSITIVE and not value > 0:
                 expected = "above 0"
+            elif key in _FRACTIONS and value is not None and not 0 <= value <= 1:
+                expected = "in [0, 1]"
             else:
                 continue
             raise ValueError(f"{path}: config key {key!r} must be {expected}, not {value!r}")
@@ -153,11 +155,13 @@ class Config:
 
 
 # the values a choice setting takes, the least value of an int setting that
-# may be 0 (every other int setting is at least 1), and the float settings
-# that must be above 0
+# may be 0 (every other int setting is at least 1), the float settings that
+# must be above 0, and those that are fractions: scores and accuracies lie
+# in [0, 1], so a threshold outside it is always or never met
 _CHOICES = {"mode": (STACK, SUBSTITUTE), "dtype": tuple(nn.DTYPES)}
 _INT_MIN = {"min_count": 0, "patience": 0, "seed": 0}
 _POSITIVE = ("lr", "clip")
+_FRACTIONS = ("theta_val", "tau_ed", "tau_sim", "stop_train_acc")
 
 
 def _fits(value, annotation):

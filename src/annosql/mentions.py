@@ -8,7 +8,7 @@ run in parallel per question.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .meta import cosine, value_affinity
+from .meta import cosine, term_number, value_affinity
 from .text import is_content_token
 
 
@@ -204,6 +204,21 @@ def detect_column_mentions(qtokens, schema, lexicon, emb, config):
     return mentions
 
 
+def _evidence_ends(qtokens, start, first, last, stats):
+    """The ends in [first, last] of the spans from `start` that can score
+    above 0 without word vectors: exact cell phrases, and the spans that
+    read as a number. The walk stops after the first span that is no prefix
+    of a cell phrase: no longer span is then a phrase, nor a number unless
+    the span is "-" alone."""
+    for end in range(start + 1, last + 1):
+        term = qtokens[start:end]
+        key = " ".join(term).casefold()
+        if end >= first and (key in stats.phrases or term_number(term) is not None):
+            yield end
+        if key not in stats.prefixes and key != "-":
+            return
+
+
 def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
     """Candidate value mentions of up to `config.max_value_span` tokens for
     every column whose affinity clears `config.theta_val`.
@@ -211,6 +226,8 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
     Spans fully inside an already-accepted column mention are skipped; for
     one column, only maximal-length spans survive among overlapping hits.
     A span may yield mentions for several columns; resolution arbitrates.
+    Without word vectors only the spans with exact or numeric evidence are
+    scored; with them, any span can score by cosine, so every span is.
     """
     n = len(qtokens)
     reach = [0] * n  # per start: the furthest end of a column mention covering it
@@ -218,9 +235,13 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
         for pos in range(m.span.start, m.span.end):
             reach[pos] = max(reach[pos], m.span.end)
     columns, theta = schema.columns, config.theta_val
+    # a span with no evidence scores 0 everywhere, which clears only a theta below 0
+    walk = not emb.dim and theta >= 0
     per_column = {c.position: [] for c in columns}
     for start in range(n):
-        for end in range(max(start, reach[start]) + 1, min(start + config.max_value_span, n) + 1):
+        first, last = max(start, reach[start]) + 1, min(start + config.max_value_span, n)
+        ends = _evidence_ends(qtokens, start, first, last, stats) if walk else range(first, last + 1)
+        for end in ends:
             scores = value_affinity(qtokens[start:end], columns, stats, emb)
             if max(scores) <= theta:
                 continue

@@ -101,12 +101,14 @@ class ColumnStats:
 
 @dataclass
 class ValueStats:
-    """Per-column statistics of the cell values of one table, and `phrases`:
+    """Per-column statistics of the cell values of one table; `phrases`:
     each normalized cell phrase of the table -> the tuple of the positions
-    of the columns whose cells hold it."""
+    of the columns whose cells hold it; and `prefixes`: every leading run of
+    tokens of those phrases, joined the same way."""
 
     per_column: dict
     phrases: dict
+    prefixes: frozenset
     _cell_embeds: dict = field(default_factory=dict, repr=False, compare=False)
 
     def column(self, position):
@@ -136,7 +138,7 @@ class ValueStats:
 
 def build_value_stats(table):
     """Collect distinct values and numeric ranges per column, and the
-    table's phrase map."""
+    table's phrase map and phrase prefixes."""
     per_column, phrases = {}, {}
     for col in table.schema.columns:
         cells = table.column_values(col.position)
@@ -149,7 +151,11 @@ def build_value_stats(table):
             if nums:
                 numeric_range = (min(nums), max(nums))
         per_column[col.position] = ColumnStats(values, numeric_range)
-    return ValueStats(per_column, phrases)
+    prefixes = set()
+    for phrase in phrases:
+        words = phrase.split(" ")
+        prefixes.update(" ".join(words[:k]) for k in range(1, len(words) + 1))
+    return ValueStats(per_column, phrases, frozenset(prefixes))
 
 
 def read_lines(path, parse):
@@ -317,6 +323,14 @@ def cosine(a, b):
     return float(np.dot(a, b) / (na * nb))
 
 
+def term_number(term):
+    """The number a token sequence reads as, or None: only one number token,
+    or "-" and one, is read, so "1 2" is not 12."""
+    if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
+        return parse_number("".join(term))
+    return None
+
+
 def value_affinity(term, columns, stats, emb):
     """Scores in [0, 1], one per column of `columns`, for how likely `term`
     (a token sequence) is a value of that column.
@@ -332,9 +346,7 @@ def value_affinity(term, columns, stats, emb):
     if not term:
         raise ValueError("empty term")
     exact = stats.phrases.get(" ".join(term).casefold(), ())  # casefold is context-free
-    num = None
-    if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
-        num = parse_number("".join(term))  # one number token, or "-" and one: "1 2" is not 12
+    num = term_number(term)
     tvec = emb.mean(t.casefold() for t in term) if emb.dim else None
     tnorm = 0 if tvec is None else np.linalg.norm(tvec)
     unit = tvec / tnorm if tnorm != 0 else None

@@ -4,14 +4,16 @@ They live outside conftest.py so that test modules import them by a module
 name that no other conftest.py on the test path shadows.
 """
 
+import random
 from functools import cache
 
 import numpy as np
 
 from annosql import model as nn
-from annosql.harness import Config
+from annosql.harness import Config, table_bundles
 from annosql.mentions import CandidateMention, Span, _close_rows
 from annosql.meta import REAL, ColumnMeta, EmbeddingStore, MetaError, TableSchema
+from annosql.synth import make_question, make_table
 from annosql.text import is_content_token, parse_number
 
 
@@ -27,6 +29,22 @@ def embedding_store(mapping):
         raise MetaError(f"inconsistent embedding dimensions: {sorted(dims)}")
     dim = next(iter(dims))[0] if dims else 0
     return EmbeddingStore(vecs, dim)
+
+
+def drawn_questions(n, n_tables, seed):
+    """Seeded synth tables (table id -> TableBundle) and `n` (question,
+    table id, WikiSQL sql dict) triples drawn on them by synth.make_question.
+    Unlike generate_corpus, nothing is kept only because it annotates and
+    aligns, so a fault that makes questions unalignable stays in view."""
+    rng = random.Random(seed)
+    bundles = table_bundles(make_table(rng, f"synth-{i}") for i in range(n_tables))
+    drawn = []
+    while len(drawn) < n:
+        table_id = f"synth-{rng.randrange(n_tables)}"
+        made = make_question(rng, bundles[table_id])
+        if made is not None:
+            drawn.append((made[0], table_id, made[1]))
+    return bundles, drawn
 
 
 def tree_tokens(tree):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,20 @@ def test_vocab_save_load_round_trip(tmp_path):
     assert loaded.itos == vocab.itos
     assert loaded.max_index == 4
     assert loaded.content_hash() == vocab.content_hash()
+
+
+@pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
+def test_vocab_load_rejects_a_blank_line(tmp_path, blank):
+    """A blank line among the words would load as a token no tokenizer makes;
+    the error names the file and the line."""
+    vocab = build_vocab([["alpha", "beta"]], [["select", "c1"]], min_count=1, max_index=4)
+    path = tmp_path / "vocab.txt"
+    vocab.save(str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(len(lines) - 1, blank)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{len(lines) - 1}: ValueError: blank")):
+        Vocabulary.load(str(path))
 
 
 def test_model_symbol_rows_share_halves():

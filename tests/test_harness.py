@@ -759,6 +759,8 @@ def test_config_round_trip(tmp_path):
         Config.from_file(str(path))
     path.write_text(json.dumps({"lr": 1, "stop_train_acc": None}))
     assert Config.from_file(str(path)) == Config(lr=1, stop_train_acc=None)
+    path.write_text(json.dumps({"stop_train_acc": 0.0, "theta_val": 1, "tau_ed": 0}))
+    assert Config.from_file(str(path)) == Config(stop_train_acc=0.0, theta_val=1, tau_ed=0)
 
 
 @pytest.mark.parametrize(
@@ -779,11 +781,16 @@ def test_config_round_trip(tmp_path):
         ('{"lr": NaN}', "config key 'lr' must be finite, not nan"),
         ('{"lr": 0}', "config key 'lr' must be above 0, not 0"),
         ('{"tau_sim": -Infinity}', "config key 'tau_sim' must be finite, not -inf"),
+        ('{"theta_val": 5}', "config key 'theta_val' must be in [0, 1], not 5"),
+        ('{"tau_sim": -2}', "config key 'tau_sim' must be in [0, 1], not -2"),
+        ('{"tau_ed": 9}', "config key 'tau_ed' must be in [0, 1], not 9"),
+        ('{"stop_train_acc": 3.0}', "config key 'stop_train_acc' must be in [0, 1], not 3.0"),
     ],
     ids=[
         "str-for-int", "float-for-int", "bool-for-float", "null-for-str", "str-for-optional", "list",
         "batch-size-zero", "eval-every-zero", "mode-choice", "dtype-choice", "type-dim-range",
         "clip-negative", "lr-nan", "lr-zero", "float-infinite",
+        "theta-val-range", "tau-sim-range", "tau-ed-range", "stop-train-acc-range",
     ],
 )
 def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):

@@ -216,13 +216,9 @@ def test_detect_value_mentions_skips_inside_column_mentions(townlands):
     assert not any(m.span == Span(5, 6) for m in mentions)
 
 
-def test_value_spans_inside_column_mentions_are_skipped(monkeypatch):
-    """Exactly the spans that no column mention contains are scored, under
-    random nested and overlapping column mentions."""
-    schema = make_schema("t", [("name", "text")])
-    stats = build_value_stats(Table(schema, ()))
-    tokens = [f"w{i}" for i in range(9)]
-    n, width = len(tokens), CONFIG.max_value_span
+def _scored_spans(monkeypatch, tokens):
+    """The spans detect_value_mentions hands to value_affinity, in order;
+    the spy scores each 0 everywhere."""
     scored = []
 
     def spy(term, columns, stats, emb):
@@ -230,6 +226,19 @@ def test_value_spans_inside_column_mentions_are_skipped(monkeypatch):
         return [0.0] * len(columns)
 
     monkeypatch.setattr(mentions, "value_affinity", spy)
+    return scored
+
+
+def test_value_spans_inside_column_mentions_are_skipped(monkeypatch):
+    """Exactly the spans that no column mention contains are scored, under
+    random nested and overlapping column mentions. The table holds every
+    span as a cell, so each span is an exact phrase with evidence to score."""
+    schema = make_schema("t", [("name", "text")])
+    tokens = "alpha beta gamma delta epsilon zeta eta theta iota".split()
+    n, width = len(tokens), CONFIG.max_value_span
+    cells = {" ".join(tokens[a:b]) for a in range(n) for b in range(a + 1, min(a + width, n) + 1)}
+    stats = build_value_stats(Table(schema, tuple((cell,) for cell in sorted(cells))))
+    scored = _scored_spans(monkeypatch, tokens)
     rng = random.Random(23)
     for _ in range(200):
         starts = rng.sample(range(n), rng.randint(0, 3))
@@ -243,6 +252,17 @@ def test_value_spans_inside_column_mentions_are_skipped(monkeypatch):
             for b in range(a + 1, min(a + width, n) + 1)
             if not any(s.start <= a and b <= s.end for s in spans)
         ]
+
+
+def test_no_span_is_scored_without_evidence(monkeypatch):
+    """Without word vectors, a span that is no cell phrase and reads as no
+    number is never scored: over an empty table nothing is."""
+    schema = make_schema("t", [("name", "text")])
+    stats = build_value_stats(Table(schema, ()))
+    tokens = [f"w{i}" for i in range(9)]
+    scored = _scored_spans(monkeypatch, tokens)
+    assert detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, ()) == []
+    assert scored == []
 
 
 def test_detect_value_mentions_matches_the_brute_force_oracle():
@@ -277,6 +297,16 @@ def test_detect_value_mentions_matches_the_brute_force_oracle():
                 assert got == reference_value_mentions(*args)
                 found += len(got)
     assert found > 0
+
+
+def test_minus_zero_is_scored_where_no_cell_starts_with_minus():
+    """"-" and "0" read as -0.0, inside a real column's range [0, 5], though
+    no cell phrase starts with "-": the walk goes one token past "-" alone."""
+    schema = make_schema("t", [("goals", "real")])
+    stats = build_value_stats(Table(schema, (("0",), ("5",))))
+    tokens = tokenize("who scored - 0 goals ?")
+    mentions = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, ())
+    assert [m.span for m in mentions] == [Span(2, 4)]
 
 
 def test_detect_value_mentions_keeps_maximal_spans():

@@ -1,11 +1,14 @@
 """Property tests over generated inputs: tokenizer offsets, the sketch
-grammar's round trip, canonical-form idempotence, and the execution engine
-against the naive row-scan oracle."""
+grammar's round trip, canonical-form idempotence, the execution engine
+against the naive row-scan oracle, and value detection without word vectors
+against the brute-force span oracle."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annosql.meta import REAL, TEXT, Table
+from annosql.harness import Config
+from annosql.mentions import CandidateMention, Span, detect_value_mentions
+from annosql.meta import EMPTY_EMBEDDINGS, REAL, TEXT, Table, build_value_stats
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
@@ -20,7 +23,7 @@ from annosql.sqlgen import (
 )
 from annosql.text import tokenize, tokenize_with_offsets
 
-from support import make_schema
+from support import make_schema, reference_value_mentions
 from test_sqlgen import naive_execute
 
 FAST = settings(max_examples=200, deadline=None)
@@ -94,3 +97,61 @@ def test_canonicalize_is_idempotent(sql):
 def test_execute_matches_naive_oracle(table_and_query):
     table, sql = table_and_query
     assert execute(sql, table) == naive_execute(sql, table)
+
+
+# text cells: phrases that share leading tokens ("john" / "john smith"),
+# punctuation inside a cell, a number inside text, and phrases built from
+# words and marks, joined with or without a space
+PHRASES = ["john", "john smith", "john smith jr.", "o'neil", "st. louis", "st. louis park",
+           "ann-marie lee", "lee", "route -5", "1,225 club"]
+PIECES = ["john", "smith", "lee", "o", "st", "-", "'", ".", "&", "5"]
+TEXT_CELLS = st.one_of(
+    st.sampled_from(PHRASES),
+    st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " "])), min_size=1, max_size=5)
+    .map(lambda parts: "".join(piece + gap for piece, gap in parts)),
+)
+# real cells: integers, decimals, signs and thousands commas
+REAL_CELLS = st.one_of(
+    st.sampled_from(["5", "-5", "1,225", "3.5", "0", "1,000,000", "-12"]),
+    st.integers(-2000, 2000000).map(lambda n: f"{n:,}"),
+)
+
+
+@st.composite
+def value_detection_cases(draw):
+    """A table of two text columns and a real one; a question made of its
+    cells' tokens, whole or cut short, single tokens and "-" before a
+    number; random column mentions; and a span limit."""
+    schema = make_schema("t", [("name", TEXT), ("place", TEXT), ("score", REAL)])
+    rows = draw(st.lists(st.tuples(TEXT_CELLS, TEXT_CELLS, REAL_CELLS), min_size=1, max_size=6))
+    phrases = [tokenize(cell) for row in rows for cell in row]
+    pool = sorted({tok for toks in phrases for tok in toks} | {"-", "is", "0", "1,225", "7"})
+    parts = st.one_of(
+        st.sampled_from([toks for toks in phrases if toks]).flatmap(
+            lambda toks: st.integers(1, len(toks)).map(lambda k: toks[:k])
+        ),
+        st.sampled_from(pool).map(lambda tok: [tok]),
+        st.sampled_from(pool).map(lambda tok: ["-", tok]),
+    )
+    tokens = [tok for part in draw(st.lists(parts, min_size=1, max_size=8)) for tok in part][:20]
+    n = len(tokens)
+    spans = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n)), max_size=3))
+    columns = st.sampled_from(schema.columns)
+    column_mentions = [
+        CandidateMention(Span(min(a, b - 1), max(a + 1, b)), draw(columns), 1.0) for a, b in spans
+    ]
+    width = draw(st.integers(1, 7))
+    return tokens, schema, build_value_stats(Table(schema, tuple(rows))), column_mentions, width
+
+
+@FAST
+@given(value_detection_cases())
+def test_value_detection_without_vectors_matches_the_oracle(case):
+    """Without word vectors detection scores only spans that are exact cell
+    phrases or numbers; at each threshold it finds what scoring every span
+    finds. A score of 0 clears a threshold below 0, so one is included."""
+    tokens, schema, stats, column_mentions, width = case
+    for theta in (0.0, 0.6, -0.5):
+        config = Config(theta_val=theta, max_value_span=width)
+        args = (tokens, schema, stats, EMPTY_EMBEDDINGS, config, column_mentions)
+        assert detect_value_mentions(*args) == reference_value_mentions(*args)
