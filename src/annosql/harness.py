@@ -338,7 +338,9 @@ def _pad_batch(rows, pad_id):
     return ids, mask
 
 
-def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBEDDINGS):
+def train_model(
+    pairs, vocab, config, tables=None, train=None, dev=None, log_fn=None, emb=EMPTY_EMBEDDINGS
+):
     """Seeded training loop; returns (params, per-epoch history).
 
     Word embeddings start from `emb`'s vectors when its dimension is the
@@ -346,6 +348,13 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
     mean over the epoch's batches), the fraction of batches clipped, and the
     epoch's training throughput. A non-finite loss or gradient norm raises
     ModelError naming its batch, before the parameters are updated.
+
+    The stop rule: every `eval_every` epochs the prepared `train` and `dev`
+    examples given are evaluated on `tables`, and the entry (passed to
+    `log_fn` after the check) records `train_acc_lf`, `dev_acc_qm` and
+    `check_seconds`. Training stops once `train_acc_lf` reaches a set
+    `stop_train_acc`, or after `patience` dev checks in a row that do not
+    beat the best `dev_acc_qm`, whose parameters are then the ones returned.
     """
     if not pairs:
         raise ValueError("no training pairs")
@@ -362,6 +371,7 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
     rng = np.random.default_rng(config.seed)
     history = []
     order = np.arange(len(pairs))
+    best_qm, best_params, stall = -1.0, None, 0
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         rng.shuffle(order)
@@ -394,11 +404,25 @@ def train_model(pairs, vocab, config, stop_fn=None, log_fn=None, emb=EMPTY_EMBED
             "examples_per_s": round(len(order) / seconds, 1),
         }
         history.append(entry)
+        stop = False
+        if (train is not None or dev is not None) and epoch % config.eval_every == 0:
+            started = time.perf_counter()
+            if train is not None:
+                entry["train_acc_lf"] = acc = evaluate(train, tables, params, vocab, config).acc_lf
+                stop = config.stop_train_acc is not None and acc >= config.stop_train_acc
+            if dev is not None:
+                entry["dev_acc_qm"] = qm = evaluate(dev, tables, params, vocab, config).acc_qm
+                if qm > best_qm:
+                    best_qm, best_params, stall = qm, params.clone(), 0
+                else:
+                    stall += 1
+                    stop = stop or stall >= config.patience
+            entry["check_seconds"] = round(time.perf_counter() - started, 3)
         if log_fn is not None:
             log_fn(entry)
-        if stop_fn is not None and stop_fn(epoch, params):
+        if stop:
             break
-    return params, history
+    return (params if best_params is None else best_params), history
 
 
 @dataclass
@@ -558,11 +582,8 @@ def load_split(config, tables, split, gold=False):
 
 def run_train(config):
     """Train from the configured files; writes vocab, checkpoint, and log.
-
-    With a dev split configured, dev acc_qm is checked every `eval_every`
-    epochs; training stops after `patience` non-improving checks and the
-    best-scoring parameters are the ones saved.
-    """
+    train_model checks the train split when `stop_train_acc` is set and the
+    dev split when one is configured."""
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, "train", gold=config.stop_train_acc is not None)
     dev_examples = load_split(config, tables, "dev", gold=True) if config.dev_path else None
@@ -571,43 +592,19 @@ def run_train(config):
     log.info("training pairs: %s", coverage)
     if dev_examples is not None:
         prepare_examples(dev_examples, tables, config, lexicon, emb)
+    train_check = examples if config.stop_train_acc is not None else None
 
     def log_fn(entry):
-        log.info("epoch %(epoch)d loss %(loss).4f acc %(token_accuracy).4f", entry)
+        log.info("epoch %s", entry)
         if log_file is not None:
             log_file.write(json.dumps(entry) + "\n")
             log_file.flush()  # the epochs so far survive a run that fails later
 
-    state = {"best_qm": -1.0, "best_params": None, "stall": 0}
-
-    def stop_fn(epoch, params):
-        if epoch % config.eval_every != 0:
-            return False
-        stop = False
-        if config.stop_train_acc is not None:
-            report = evaluate(examples, tables, params, vocab, config)
-            log.info("epoch %d train acc_lf %.4f", epoch, report.acc_lf)
-            if report.acc_lf >= config.stop_train_acc:
-                stop = True
-        if dev_examples is not None:
-            report = evaluate(dev_examples, tables, params, vocab, config)
-            log.info("epoch %d dev acc_qm %.4f", epoch, report.acc_qm)
-            if report.acc_qm > state["best_qm"]:
-                state.update(best_qm=report.acc_qm, best_params=params.clone(), stall=0)
-            else:
-                state["stall"] += 1
-                if state["stall"] >= config.patience:
-                    stop = True
-        return stop
-
-    needs_stop = config.stop_train_acc is not None or dev_examples is not None
     log_to = open(config.log_path, "w", encoding="utf-8") if config.log_path else nullcontext()
     with log_to as log_file:
         params, history = train_model(
-            pairs, vocab, config, stop_fn=stop_fn if needs_stop else None, log_fn=log_fn, emb=emb
+            pairs, vocab, config, tables, train_check, dev_examples, log_fn=log_fn, emb=emb
         )
-    if state["best_params"] is not None:
-        params = state["best_params"]
     vocab.save(config.vocab_path)
     nn.save_checkpoint(
         config.checkpoint_path,

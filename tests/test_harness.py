@@ -3,7 +3,9 @@ import io
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -729,6 +731,62 @@ def test_dev_early_stopping_with_patience(tmp_path):
     config.vocab_path = str(tmp_path / "vocab.txt")
     _params, _vocab, history, _coverage = run_train(config)
     assert history[-1]["epoch"] == 2
+
+
+def test_dev_best_parameters_are_the_ones_saved(tmp_path, monkeypatch):
+    """Dev acc_qm scripted to peak at the first check: a patience of 1 stops
+    training at epoch 2, and the checkpoint holds the parameters of epoch 1."""
+    from annosql import harness
+    from annosql import model as nn
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
+    config = tiny_config(epochs=30, eval_every=1, patience=1)
+    config.tables_path = tables_path
+    config.train_path = config.dev_path = split_path
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    scripted_qm = iter([0.5, 0.25])
+    monkeypatch.setattr(harness, "evaluate", lambda *_args: SimpleNamespace(acc_qm=next(scripted_qm)))
+    _params, vocab, history, _coverage = harness.run_train(config)
+    assert [entry["dev_acc_qm"] for entry in history] == [0.5, 0.25]
+    saved, _meta = nn.load_checkpoint(config.checkpoint_path, vocab.content_hash())
+    tables = table_bundles(load_tables(tables_path))
+    examples = prepare_examples(load_wikisql(split_path, tables, None), tables, config)
+    pairs, _vocab, _report = build_training_pairs(examples, config)
+    first, _hist = train_model(pairs, vocab, replace(config, epochs=1))
+    last, _hist = train_model(pairs, vocab, replace(config, epochs=2))
+    for name in saved.names():
+        assert np.array_equal(saved[name], first[name]), name
+    assert not all(np.array_equal(saved[name], last[name]) for name in saved.names())
+
+
+@pytest.mark.parametrize("checked", [(), ("train",), ("dev",), ("train", "dev")])
+def test_check_fields_only_at_check_epochs(tmp_path, checked):
+    """An entry carries train_acc_lf, dev_acc_qm and check_seconds only at an
+    epoch that is a multiple of eval_every, and only for the checks asked
+    for; the log_path lines are the history entries."""
+    from annosql.harness import run_train
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
+    # with lr 0 the model stays at its random start: train acc_lf never
+    # reaches 1, and dev acc_qm stalls for fewer checks than the patience
+    config = tiny_config(epochs=5, lr=0.0, eval_every=2, patience=5)
+    config.tables_path = tables_path
+    config.train_path = split_path
+    config.stop_train_acc = 1.0 if "train" in checked else None
+    config.dev_path = split_path if "dev" in checked else None
+    config.checkpoint_path = str(tmp_path / "model.npz")
+    config.vocab_path = str(tmp_path / "vocab.txt")
+    config.log_path = str(tmp_path / "train.log")
+    _params, _vocab, history, _coverage = run_train(config)
+    assert [entry["epoch"] for entry in history] == [1, 2, 3, 4, 5]
+    for entry in history:
+        at_check = entry["epoch"] % config.eval_every == 0
+        assert ("train_acc_lf" in entry) == (at_check and "train" in checked)
+        assert ("dev_acc_qm" in entry) == (at_check and "dev" in checked)
+        assert ("check_seconds" in entry) == (at_check and bool(checked))
+    logged = [json.loads(line) for line in Path(config.log_path).read_text().splitlines()]
+    assert logged == history
 
 
 def test_eval_report_alignment_rates_sum_to_one():
