@@ -99,43 +99,17 @@ class Config:
     vocab_path: str = "vocab.txt"
     log_path: str | None = None
 
-    def model_config(self, vocab_size):
-        return nn.ModelConfig(
-            vocab_size=vocab_size,
-            dim=self.dim,
-            type_dim=self.type_dim,
-            enc_hidden=self.enc_hidden,
-            enc_layers=self.enc_layers,
-            dec_hidden=self.dec_hidden,
-            attn_dim=self.attn_dim,
-            max_index=self.max_index,
-            dtype=self.dtype,
-        )
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_file(cls, path):
-        """A Config from a JSON object; ValueError naming `path` and the key
-        for an unknown key, a value of the wrong type, a choice not offered,
-        an int out of range, a float that is not finite, an `lr` or `clip`
-        that is not above 0, or a threshold outside [0, 1]."""
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: config must be a JSON object, not {type(data).__name__}")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(types)
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
+    def __post_init__(self):
+        """ValueError naming the first key, in field order, whose value
+        breaks its rule: every Config is checked, however it is built."""
+        for f in fields(self):
+            key, value = f.name, getattr(self, f.name)
             least = _INT_MIN.get(key, 1)
-            if not _fits(value, types[key]):
-                expected = getattr(types[key], "__name__", types[key])
+            if not _fits(value, f.type):
+                expected = getattr(f.type, "__name__", f.type)
             elif key in _CHOICES and value not in _CHOICES[key]:
                 expected = f"one of {_CHOICES[key]}"
-            elif types[key] is int and value < least:
+            elif f.type is int and value < least:
                 expected = f"at least {least}"
             elif isinstance(value, float) and not math.isfinite(value):
                 expected = "finite"
@@ -143,15 +117,35 @@ class Config:
                 expected = "above 0"
             elif key in _FRACTIONS and value is not None and not 0 <= value <= 1:
                 expected = "in [0, 1]"
+            elif key == "type_dim" and value >= self.dim:  # dim comes first, so it is an int
+                expected = f"below dim {self.dim}"
             else:
                 continue
-            raise ValueError(f"{path}: config key {key!r} must be {expected}, not {value!r}")
-        config = cls(**data)
-        if config.type_dim >= config.dim:
-            raise ValueError(
-                f"{path}: config key 'type_dim' must be below dim {config.dim}, not {config.type_dim}"
-            )
-        return config
+            raise ValueError(f"config key {key!r} must be {expected}, not {value!r}")
+
+    def model_config(self, vocab_size):
+        """The ModelConfig of `vocab_size` words and the settings it shares with this Config."""
+        shared = {f.name for f in fields(nn.ModelConfig)} & {f.name for f in fields(self)}
+        return nn.ModelConfig(vocab_size=vocab_size, **{k: getattr(self, k) for k in shared})
+
+    def to_dict(self):
+        return asdict(self)
+
+    @classmethod
+    def from_file(cls, path):
+        """A Config from a JSON object; ValueError naming `path`, for an
+        unknown key or a value the Config refuses."""
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a JSON object, not {type(data).__name__}")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+        try:
+            return cls(**data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # the values a choice setting takes, the least value of an int setting that

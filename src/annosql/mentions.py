@@ -235,8 +235,7 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
         for pos in range(m.span.start, m.span.end):
             reach[pos] = max(reach[pos], m.span.end)
     columns, theta = schema.columns, config.theta_val
-    # a span with no evidence scores 0 everywhere, which clears only a theta below 0
-    walk = not emb.dim and theta >= 0
+    walk = not emb.dim
     per_column = {c.position: [] for c in columns}
     for start in range(n):
         first, last = max(start, reach[start]) + 1, min(start + config.max_value_span, n)

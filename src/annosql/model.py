@@ -33,9 +33,13 @@ class ModelConfig:
     dtype: str
     n_specials: int = 5
 
-    def np_dtype(self):
+    def __post_init__(self):
         if self.dtype not in DTYPES:
             raise ModelError(f"dtype must be one of {tuple(DTYPES)}, not {self.dtype!r}")
+        if not 0 < self.type_dim < self.dim:
+            raise ModelError("type_dim must split dim into two non-empty parts")
+
+    def np_dtype(self):
         return DTYPES[self.dtype]
 
     def to_dict(self):
@@ -102,8 +106,6 @@ def init_params(config, seed, weight_scale=0.08, emb_scale=0.1):
     """
     rng = np.random.default_rng(seed)
     dt = config.np_dtype()
-    if not 0 < config.type_dim < config.dim:
-        raise ModelError("type_dim must split dim into two non-empty parts")
     tensors = {}
     for name, shape in _param_shapes(config).items():
         if name.endswith(".b"):
@@ -446,7 +448,7 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
         state, probs, cache = _step(params, tok3[:, t], states[-1], enc)
         w = tgt_mask[:, t] / total_tokens
         py = probs[np.arange(B), tgt_out[:, t]]
-        loss += float(np.sum(-np.log(np.maximum(py, 1e-300)) * w))
+        loss += float(np.sum(-np.log(np.maximum(py, np.finfo(dt).tiny)) * w))
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
         states.append(state)
         steps.append((cache, w))
@@ -632,7 +634,10 @@ def load_checkpoint(path, expect_vocab_hash):
             raise ModelError(f"unsupported checkpoint version {meta.get('version')}")
         if meta["vocab_hash"] != expect_vocab_hash:
             raise ModelError("checkpoint vocabulary hash does not match")
-        config = ModelConfig(**meta["config"])
+        try:
+            config = ModelConfig(**meta["config"])
+        except ModelError as exc:
+            raise ModelError(f"{path}: {exc}") from None
         tensors = {name: data[f"t{i}"] for i, name in enumerate(meta["tensor_names"])}
     expected = _param_shapes(config)
     for name in sorted(set(expected) | set(tensors)):

@@ -3,9 +3,10 @@ import io
 import json
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -685,16 +686,17 @@ def test_substitute_mode_pairs(tmp_path):
     assert vocab.encode(ex.encoded_src) == pairs[0][0]
 
 
-def test_embeddings_seed_word_embeddings(tmp_path, caplog):
-    """With lr=0 the checkpoint keeps its initial rows: a word's row is its
-    vector when the dimensions agree, and a random row, with a warning
-    naming both sizes, when they do not."""
+def test_embeddings_seed_word_embeddings(tmp_path, caplog, monkeypatch):
+    """With Adam's step a no-op the checkpoint keeps its initial rows: a
+    word's row is its vector when the dimensions agree, and a random row,
+    with a warning naming both sizes, when they do not."""
     from annosql import model as nn
     from annosql.encoding import Vocabulary
     from annosql.harness import run_train
 
+    monkeypatch.setattr(nn.Adam, "step", lambda *_args: None)
     tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=1, lr=0.0)
+    config = tiny_config(epochs=1)
     config.tables_path = tables_path
     config.train_path = split_path
     config.embeddings_path = str(tmp_path / "vectors.txt")
@@ -716,14 +718,16 @@ def test_embeddings_seed_word_embeddings(tmp_path, caplog):
         assert warned == (dim != config.dim)
 
 
-def test_dev_early_stopping_with_patience(tmp_path):
-    """With lr=0 the dev score never improves after the first check, so a
-    patience of 1 halts training on the second evaluation."""
+def test_dev_early_stopping_with_patience(tmp_path, monkeypatch):
+    """With Adam's step a no-op the dev score never improves after the first
+    check, so a patience of 1 halts training on the second evaluation."""
+    from annosql import model as nn
     from annosql.harness import run_train
 
+    monkeypatch.setattr(nn.Adam, "step", lambda *_args: None)
     data_dir = tmp_path / "data"
     tables_path, split_path = write_corpus(str(data_dir), 6, n_tables=2, seed=41)
-    config = tiny_config(epochs=30, lr=0.0, eval_every=1, patience=1)
+    config = tiny_config(epochs=30, eval_every=1, patience=1)
     config.tables_path = tables_path
     config.train_path = split_path
     config.dev_path = split_path
@@ -761,16 +765,19 @@ def test_dev_best_parameters_are_the_ones_saved(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("checked", [(), ("train",), ("dev",), ("train", "dev")])
-def test_check_fields_only_at_check_epochs(tmp_path, checked):
+def test_check_fields_only_at_check_epochs(tmp_path, monkeypatch, checked):
     """An entry carries train_acc_lf, dev_acc_qm and check_seconds only at an
     epoch that is a multiple of eval_every, and only for the checks asked
     for; the log_path lines are the history entries."""
+    from annosql import model as nn
     from annosql.harness import run_train
 
     tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
-    # with lr 0 the model stays at its random start: train acc_lf never
-    # reaches 1, and dev acc_qm stalls for fewer checks than the patience
-    config = tiny_config(epochs=5, lr=0.0, eval_every=2, patience=5)
+    # with Adam's step a no-op the model stays at its random start: train
+    # acc_lf never reaches 1, and dev acc_qm stalls for fewer checks than
+    # the patience
+    monkeypatch.setattr(nn.Adam, "step", lambda *_args: None)
+    config = tiny_config(epochs=5, eval_every=2, patience=5)
     config.tables_path = tables_path
     config.train_path = split_path
     config.stop_train_acc = 1.0 if "train" in checked else None
@@ -835,7 +842,8 @@ def test_config_round_trip(tmp_path):
         ('{"mode": "stak"}', "config key 'mode' must be one of ('stack', 'substitute'), not 'stak'"),
         ('{"dtype": "Float64"}', "config key 'dtype' must be one of ('float32', 'float64'), not 'Float64'"),
         ('{"dim": 64}', "config key 'type_dim' must be below dim 64, not 150"),
-        ('{"clip": -5, "lr": NaN}', "config key 'clip' must be above 0, not -5"),
+        ('{"clip": -5}', "config key 'clip' must be above 0, not -5"),
+        ('{"clip": -5, "lr": NaN}', "config key 'lr' must be finite, not nan"),
         ('{"lr": NaN}', "config key 'lr' must be finite, not nan"),
         ('{"lr": 0}', "config key 'lr' must be above 0, not 0"),
         ('{"tau_sim": -Infinity}', "config key 'tau_sim' must be finite, not -inf"),
@@ -847,7 +855,7 @@ def test_config_round_trip(tmp_path):
     ids=[
         "str-for-int", "float-for-int", "bool-for-float", "null-for-str", "str-for-optional", "list",
         "batch-size-zero", "eval-every-zero", "mode-choice", "dtype-choice", "type-dim-range",
-        "clip-negative", "lr-nan", "lr-zero", "float-infinite",
+        "clip-negative", "clip-negative-and-lr-nan", "lr-nan", "lr-zero", "float-infinite",
         "theta-val-range", "tau-sim-range", "tau-ed-range", "stop-train-acc-range",
     ],
 )
@@ -869,6 +877,44 @@ def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):
     config_path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(f"{config_path}: {message}")):
         main(["train", "--config", str(config_path)])
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: Config(theta_val=-0.5), "theta_val"),
+        (lambda: Config(lr=0), "lr"),
+        (lambda: Config(beam_width=0), "beam_width"),
+        (lambda: Config(epochs="2"), "epochs"),
+        (lambda: Config(dim=64), "type_dim"),
+        (lambda: replace(Config(), tau_ed=9), "tau_ed"),
+    ],
+    ids=["theta-val", "lr", "beam-width", "epochs", "dim", "replace-tau-ed"],
+)
+def test_config_built_in_code_is_checked(build, key):
+    """A Config built in code or by dataclasses.replace meets the rules a
+    config file meets, and the error names the key."""
+    with pytest.raises(ValueError, match=f"^config key '{key}' must be "):
+        build()
+
+
+# one value of each JSON type
+JSON_SAMPLES = ("x", 2, 0.5, True, None, [1], {"k": 1})
+
+
+def test_every_config_field_refuses_a_value_of_the_wrong_json_type():
+    """Each non-path field refuses, when the Config is built, every JSON value
+    whose type its annotation does not name (an int serves for a float), so
+    a field added later is checked too."""
+    for f in fields(Config):
+        if f.name.endswith("_path"):
+            continue
+        allowed = get_args(f.type) or (f.type,)
+        for value in JSON_SAMPLES:
+            if type(value) in allowed or (type(value) is int and float in allowed):
+                continue
+            with pytest.raises(ValueError, match=re.escape(f"config key {f.name!r} must be ")):
+                Config(**{f.name: value})
 
 
 def test_train_log_keeps_epochs_before_a_failure(tmp_path, monkeypatch):
@@ -1063,14 +1109,18 @@ def test_evaluate_refuses_unprepared_examples():
 
 
 def test_evaluate_raises_on_beam_width_zero():
-    """A configuration error in decoding ends the evaluation with its own
-    message; it is not counted as a failed question."""
+    """A beam width of 0 is refused when the Config is built. One set on a
+    built Config ends the evaluation with the beam's own message; it is not
+    counted as a failed question."""
     from annosql import model as nn
 
-    config = tiny_config(beam_width=0)
+    with pytest.raises(ValueError, match="config key 'beam_width' must be at least 1, not 0"):
+        tiny_config(beam_width=0)
+    config = tiny_config()
     examples, bundles, _records = generate_corpus(6, 2, 23, config)
     _pairs, vocab, _report = build_training_pairs(examples, config)
     params = nn.init_params(config.model_config(len(vocab)), 0)
+    config.beam_width = 0
     with pytest.raises(nn.ModelError, match="beam width must be >= 1"):
         evaluate(examples, bundles, params, vocab, config)
 

@@ -1,7 +1,8 @@
 """Metamorphic tests of the data/schema split. Annotation reads a question
 against a table's schema and cells, so the order of the rows, the order of
 the columns and the table's id may change nothing it finds, beyond what
-names a column by its place or names the table.
+names a column by its place or names the table. A query names its
+columns, so their order may not change its result either.
 
 The questions come from synth.make_question without generate_corpus's
 filter (support.drawn_questions): a fault that made some questions
@@ -145,3 +146,21 @@ def test_renaming_the_table_changes_nothing_but_the_id(drawn):
         assert b.annotation == a.annotation
         assert b.encoded_src == a.encoded_src
         assert (b.aligned, b.alignment_error) == (a.aligned, a.alignment_error)
+
+
+def test_permuting_columns_changes_no_gold_result(drawn):
+    """Columns in another order: each drawn gold query, which names its
+    columns, runs to an equal result with the same flag."""
+    bundles, questions = drawn
+    rng = random.Random(13)
+    permuted = {}
+    for bundle in bundles.values():
+        order = list(range(len(bundle.schema.columns)))
+        while order == sorted(order):
+            rng.shuffle(order)
+        table_id, permuted[table_id] = _rebuilt(bundle, order=order)
+    for _question, table_id, sql in questions:
+        gold = gold_from_wikisql(sql, bundles[table_id].schema, table_id)
+        before = execute(gold, bundles[table_id].table)
+        after = execute(gold, permuted[table_id].table)
+        assert before.flagged == after.flagged and result_equal(before, after)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -29,10 +32,17 @@ def toy_config(**kw):
 
 
 def test_np_dtype_rejects_a_dtype_it_does_not_offer():
+    """np_dtype looks the dtype up; one not offered fails when the config is built."""
     assert toy_config(dtype="float32").np_dtype() is np.float32
     assert toy_config(dtype="float64").np_dtype() is np.float64
     with pytest.raises(nn.ModelError, match="not 'Float64'"):
-        toy_config(dtype="Float64").np_dtype()
+        toy_config(dtype="Float64")
+
+
+@pytest.mark.parametrize("type_dim", [0, 8, 9])
+def test_model_config_refuses_a_type_dim_that_does_not_split_dim(type_dim):
+    with pytest.raises(nn.ModelError, match="type_dim must split dim into two non-empty parts"):
+        toy_config(dim=8, type_dim=type_dim)
 
 
 def toy_batch(seed=0, B=2, S=5, T=4, V=20):
@@ -278,6 +288,23 @@ def test_loss_non_finite_raises():
         nn.loss_and_grad(params, src, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=7)
 
 
+def test_float32_loss_of_an_underflowed_target_is_finite():
+    """In the forward pass of loss_and_grad, a target probability that
+    underflows to 0 in float32 scores -log(tiny), not log(0). A saturated
+    decoder state d = 1 puts the target token's logit far below the rest,
+    and no source position copies it."""
+    cfg = toy_config(dtype="float32")
+    params = nn.init_params(cfg, seed=12)
+    params.tensors["dec.b"][:] = 1e4  # z = r = 1 and n = 1, so d = 1
+    params.tensors["out.U"][: cfg.dec_hidden, 15] = -1e3
+    tgt, mask = np.array([[15, 15]]), np.ones((1, 2))
+    loss, _correct, _tokens, tape = nn._teacher_forced(
+        params, np.array([[5, 6, 7]]), np.ones((1, 3)), tgt, tgt, mask
+    )
+    assert all(cache[3][4][0, 15] == 0.0 for cache, _w in tape[-1])  # the target's score
+    assert loss == pytest.approx(-np.log(np.finfo(np.float32).tiny))
+
+
 def test_gradients_match_finite_differences():
     """Central finite differences on the toy configuration; every tensor
     must agree within 1e-4 relative error (64-bit floats)."""
@@ -421,6 +448,12 @@ def test_beam_matches_reference_100_draws(dtype, tol):
         assert np.allclose(probs, ref_probs, rtol=tol, atol=0.0), i
 
 
+def test_beam_search_rejects_width_below_one():
+    params = nn.init_params(toy_config(), seed=0)
+    with pytest.raises(nn.ModelError, match="beam width must be >= 1"):
+        nn.beam_search(np.array([5, 6, 7]), params, width=0, max_len=4, bos_id=2, eos_id=3)
+
+
 def test_beam_max_len_one():
     cfg = toy_config()
     params = nn.init_params(cfg, seed=0, weight_scale=0.4)
@@ -474,6 +507,29 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.tensors[name], params.tensors[name])
     with pytest.raises(nn.ModelError):
         nn.load_checkpoint(path, expect_vocab_hash="wrong")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"dtype": "float16"}, "dtype must be one of ('float32', 'float64'), not 'float16'"),
+        ({"type_dim": 8}, "type_dim must split dim into two non-empty parts"),
+    ],
+    ids=["dtype", "type-dim"],
+)
+def test_checkpoint_config_checked_at_load(tmp_path, change, message):
+    """A stored config that ModelConfig refuses fails in load_checkpoint,
+    naming the file."""
+    path = str(tmp_path / "model.npz")
+    nn.save_checkpoint(path, nn.init_params(toy_config(), seed=9), vocab_hash="abc123")
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    meta["config"].update(change)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(nn.ModelError, match=re.escape(f"{path}: {message}")):
+        nn.load_checkpoint(path, expect_vocab_hash="abc123")
 
 
 def test_checkpoint_tensor_shapes_checked(tmp_path):

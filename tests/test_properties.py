@@ -1,12 +1,29 @@
 """Property tests over generated inputs: tokenizer offsets, the sketch
 grammar's round trip, canonical-form idempotence, the execution engine
-against the naive row-scan oracle, and value detection without word vectors
-against the brute-force span oracle."""
+against the naive row-scan oracle, value detection without word vectors
+against the brute-force span oracle, and arbitrary question text through
+the repl and evaluate."""
 
+import io
+import json
+import string
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annosql.harness import Config
+from annosql.harness import (
+    ANSWER_KEYS,
+    Config,
+    Example,
+    evaluate,
+    load_split,
+    load_translator,
+    prepare_examples,
+    repl_translate,
+    run_train,
+)
 from annosql.mentions import CandidateMention, Span, detect_value_mentions
 from annosql.meta import EMPTY_EMBEDDINGS, REAL, TEXT, Table, build_value_stats
 from annosql.sqlgen import (
@@ -23,7 +40,10 @@ from annosql.sqlgen import (
 )
 from annosql.text import tokenize, tokenize_with_offsets
 
+from annosql.synth import write_corpus
+
 from support import make_schema, reference_value_mentions
+from test_harness import tiny_config
 from test_sqlgen import naive_execute
 
 FAST = settings(max_examples=200, deadline=None)
@@ -149,9 +169,73 @@ def value_detection_cases(draw):
 def test_value_detection_without_vectors_matches_the_oracle(case):
     """Without word vectors detection scores only spans that are exact cell
     phrases or numbers; at each threshold it finds what scoring every span
-    finds. A score of 0 clears a threshold below 0, so one is included."""
+    finds, the ends of the range a Config takes included."""
     tokens, schema, stats, column_mentions, width = case
-    for theta in (0.0, 0.6, -0.5):
+    for theta in (0.0, 0.6, 1.0):
         config = Config(theta_val=theta, max_value_span=width)
         args = (tokens, schema, stats, EMPTY_EMBEDDINGS, config, column_mentions)
         assert detect_value_mentions(*args) == reference_value_mentions(*args)
+
+
+# question text of every kind a user may type: any unicode on one line
+# (empty included), digits only, punctuation only, and 500 tokens
+QUESTIONS = st.one_of(
+    st.text(st.characters(blacklist_characters="\n\r"), max_size=40),
+    st.text("0123456789 ", max_size=20),
+    st.text(string.punctuation + " ", max_size=20),
+    st.lists(st.sampled_from(["what", "is", "the", "rank", "points", "8", "when", "of"]),
+             min_size=500, max_size=500).map(" ".join),
+)
+TABLE_IDS = ["synth-0", "synth-1"]
+# a repl line: a known or an unknown table id and a question, a line
+# without the TAB, or a blank line
+REPL_LINES = st.one_of(
+    st.tuples(st.sampled_from(TABLE_IDS + ["no-such-table"]), QUESTIONS).map("\t".join),
+    QUESTIONS,
+    st.sampled_from(["", "   "]),
+)
+SLOW = settings(max_examples=25, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny model trained for one epoch on an 8-question synth corpus: its
+    config, tables, parameters, vocabulary and prepared gold examples."""
+    root = tmp_path_factory.mktemp("trained")
+    tables_path, split_path = write_corpus(str(root / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(
+        epochs=1, tables_path=tables_path, train_path=split_path,
+        checkpoint_path=str(root / "model.npz"), vocab_path=str(root / "vocab.txt"),
+    )
+    run_train(config)
+    tables, params, vocab, _lexicon, _emb = load_translator(config)
+    assert sorted(tables) == TABLE_IDS
+    gold = prepare_examples(load_split(config, tables, "train", gold=True), tables, config)
+    return SimpleNamespace(config=config, tables=tables, params=params, vocab=vocab, gold=gold)
+
+
+@SLOW
+@given(st.lists(REPL_LINES, min_size=1, max_size=4))
+def test_repl_answers_every_line_in_one_shape(trained, lines):
+    """Each non-blank line gives exactly one JSON line with the ANSWER_KEYS,
+    and the loop goes on to the next."""
+    stdout = io.StringIO()
+    repl_translate(trained.config, stdin=io.StringIO("\n".join(lines) + "\n"), stdout=stdout)
+    answers = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    assert len(answers) == sum(bool(line.strip()) for line in lines)
+    assert all(list(answer) == list(ANSWER_KEYS) for answer in answers)
+
+
+@SLOW
+@given(st.lists(st.tuples(QUESTIONS, st.integers(0, 7)), min_size=1, max_size=4))
+def test_evaluate_classes_count_every_miss(trained, drawn):
+    """Drawn questions, each asked with one gold query of the corpus, beside
+    the corpus's own questions: the failure classes count every question
+    that misses acc_ex."""
+    asked = [Example(q, trained.gold[i].table_id, trained.gold[i].gold) for q, i in drawn]
+    prepare_examples(asked, trained.tables, trained.config)
+    examples = asked + trained.gold
+    report = evaluate(examples, trained.tables, trained.params, trained.vocab, trained.config)
+    counts = [f["count"] for f in report.translation_failures.values()]
+    assert report.total == len(examples)
+    assert sum(counts) == report.total - report.ex
