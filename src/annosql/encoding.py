@@ -95,9 +95,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        """The vocabulary `save` wrote; a blank line is an error at
-        `path:line`, since no token is blank."""
-        tokens = read_lines(path, _token_line)
+        """The vocabulary `save` wrote; a blank or repeated line is an error
+        at `path:line`, since no token is blank and each has one id."""
+        seen = set()
+
+        def parse(line):
+            if not line.strip() or line in seen:
+                raise ValueError(f"blank or repeated token {line!r}")
+            seen.add(line)
+            return line
+
+        tokens = read_lines(path, parse)
         n = len(cls.SPECIALS)
         if tokens[:n] != list(cls.SPECIALS):
             raise ValueError(f"{path}: not a vocabulary file")
@@ -108,12 +116,6 @@ class Vocabulary:
         if max_index == 0 or tokens[n : n + 3 * max_index] != expected:
             raise ValueError(f"{path}: malformed symbol block")
         return cls(tokens[n + 3 * max_index :], max_index=max_index)
-
-
-def _token_line(line):
-    if not line.strip():
-        raise ValueError("blank vocabulary line")
-    return line
 
 
 def build_vocab(sources, targets, min_count, max_index):

@@ -133,10 +133,13 @@ class Config:
 
     @classmethod
     def from_file(cls, path):
-        """A Config from a JSON object; ValueError naming `path`, for an
-        unknown key or a value the Config refuses."""
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        """A Config from a JSON object; ValueError naming `path`, for a file
+        that is not UTF-8 JSON, an unknown key or a value the Config refuses."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, too deep, or not UTF-8
+            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object, not {type(data).__name__}")
         unknown = set(data) - {f.name for f in fields(cls)}
@@ -169,9 +172,12 @@ def _fits(value, annotation):
 
 @dataclass
 class TableBundle:
-    schema: object
-    table: object
-    stats: object
+    table: object  # Table
+    stats: object  # ValueStats
+
+    @property
+    def schema(self):
+        return self.table.schema
 
 
 @dataclass
@@ -187,11 +193,12 @@ class Example:
 
 
 def _code(choices, code, what):
-    """choices[code] for a WikiSQL integer code; ValueError when out of range."""
-    index = int(code)
-    if not 0 <= index < len(choices):
+    """choices[code] for a WikiSQL code; ValueError unless a JSON integer in range."""
+    if type(code) is not int:  # a bool, a float or a string is no code
+        raise ValueError(f"{what} {code!r} is not an integer")
+    if not 0 <= code < len(choices):
         raise ValueError(f"{what} {code!r} out of range 0..{len(choices) - 1}")
-    return choices[index]
+    return choices[code]
 
 
 def gold_from_wikisql(sql_obj, schema, table_id):
@@ -205,12 +212,9 @@ def gold_from_wikisql(sql_obj, schema, table_id):
     return ConcreteSql(agg, sel, tuple(conds), table_id)
 
 
-def table_bundles(pairs):
-    """A dict of table id -> TableBundle for (TableSchema, Table) pairs."""
-    return {
-        schema.table_id: TableBundle(schema, table, build_value_stats(table))
-        for schema, table in pairs
-    }
+def table_bundles(tables):
+    """A dict of table id -> TableBundle for Tables."""
+    return {table.schema.table_id: TableBundle(table, build_value_stats(table)) for table in tables}
 
 
 def load_wikisql(split_path, tables, trees_path):

@@ -91,31 +91,21 @@ class Table:
         return [row[position] for row in self.rows]
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Distinct values and numeric range of one column."""
-
-    values: frozenset
-    numeric_range: tuple | None
-
-
 @dataclass
 class ValueStats:
-    """Per-column statistics of the cell values of one table; `phrases`:
-    each normalized cell phrase of the table -> the tuple of the positions
-    of the columns whose cells hold it; and `prefixes`: every leading run of
-    tokens of those phrases, joined the same way."""
+    """The cell-value statistics of one table. `phrases`: each normalized
+    cell phrase -> the tuple of the positions of the columns whose cells hold
+    it; `prefixes`: every leading run of tokens of those phrases, joined the
+    same way; `ranges`: each real column's position -> the (min, max) of its
+    numbers, with no entry for a column that has none."""
 
-    per_column: dict
     phrases: dict
     prefixes: frozenset
+    ranges: dict
     _cell_embeds: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def column(self, position):
-        return self.per_column[position]
-
     def cell_embeddings(self, position, emb):
-        """Unit-normalized mean embedding per distinct cell value (cached).
+        """Unit-normalized mean embedding per cell phrase of a column (cached).
 
         Returns an (n, dim) array, possibly with zero rows when no cell
         has embedding evidence.
@@ -125,57 +115,55 @@ class ValueStats:
         if hit is not None:
             return hit
         rows = []
-        for value in sorted(self.per_column[position].values):
-            vec = emb.mean(tokenize(value))
-            if vec is not None:
-                norm = np.linalg.norm(vec)
-                if norm > 0:
-                    rows.append(vec / norm)
+        for phrase in sorted(p for p, positions in self.phrases.items() if position in positions):
+            vec = emb.mean(phrase.split(" "))
+            norm = 0 if vec is None else np.linalg.norm(vec)
+            if norm > 0:
+                rows.append(vec / norm)
         matrix = np.vstack(rows) if rows else np.zeros((0, emb.dim))
         self._cell_embeds[key] = matrix
         return matrix
 
 
 def build_value_stats(table):
-    """Collect distinct values and numeric ranges per column, and the
-    table's phrase map and phrase prefixes."""
-    per_column, phrases = {}, {}
+    """The table's phrase map, its phrase prefixes and its real columns'
+    numeric ranges."""
+    phrases, ranges = {}, {}
     for col in table.schema.columns:
         cells = table.column_values(col.position)
-        values = frozenset(c.casefold() for c in cells)
         for phrase in set(map(normalize, cells)) - {""}:
             phrases[phrase] = phrases.get(phrase, ()) + (col.position,)
-        numeric_range = None
         if col.col_type == REAL:
-            nums = [n for n in (parse_number(c) for c in cells) if n is not None]
+            nums = [n for n in map(parse_number, cells) if n is not None]
             if nums:
-                numeric_range = (min(nums), max(nums))
-        per_column[col.position] = ColumnStats(values, numeric_range)
+                ranges[col.position] = (min(nums), max(nums))
     prefixes = set()
     for phrase in phrases:
         words = phrase.split(" ")
         prefixes.update(" ".join(words[:k]) for k in range(1, len(words) + 1))
-    return ValueStats(per_column, phrases, frozenset(prefixes))
+    return ValueStats(phrases, frozenset(prefixes), ranges)
 
 
 def read_lines(path, parse):
     """`parse(line)` for every line of a text file, newline stripped.
 
-    A KeyError, TypeError or ValueError out of `parse` becomes a MetaError
+    A KeyError, TypeError, ValueError or RecursionError (JSON nested too
+    deep) out of `parse`, or a byte that is not UTF-8, becomes a MetaError
     that starts with `path:lineno: ` and names the exception type.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8")  # a bad byte fails
                 out.append(parse(line.rstrip("\n")))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise MetaError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
     return out
 
 
 def table_from_record(obj):
-    """(TableSchema, Table) of one decoded tables record: a dict with `id`,
+    """The Table of one decoded tables record: a dict with `id`,
     `header`, `types` and `rows`; cells become strings by `cell_str`."""
     table_id, header, types, rows = str(obj["id"]), obj["header"], obj["types"], obj["rows"]
     if not all(isinstance(v, list) for v in (header, types, rows)):
@@ -188,7 +176,7 @@ def table_from_record(obj):
         ColumnMeta(str(name), str(typ), pos) for pos, (name, typ) in enumerate(zip(header, types))
     )
     schema = TableSchema(table_id, columns)
-    return schema, Table(schema, tuple(tuple(cell_str(v) for v in row) for row in rows))
+    return Table(schema, tuple(tuple(cell_str(v) for v in row) for row in rows))
 
 
 def _parse_table(line):
@@ -196,9 +184,9 @@ def _parse_table(line):
 
 
 def load_tables(path):
-    """Load a JSON-lines table file into (TableSchema, Table) pairs, one
-    `table_from_record` per non-blank line."""
-    return [pair for pair in read_lines(path, _parse_table) if pair is not None]
+    """The Tables of a JSON-lines table file, one `table_from_record` per
+    non-blank line."""
+    return [table for table in read_lines(path, _parse_table) if table is not None]
 
 
 def cell_str(value):
@@ -357,7 +345,7 @@ def value_affinity(term, columns, stats, emb):
         if column.position in exact:
             scores.append(1.0)
         elif num is not None and column.col_type == REAL:
-            rng = stats.column(column.position).numeric_range
+            rng = stats.ranges.get(column.position)
             scores.append(1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0)
         elif unit is None:
             scores.append(0.0)

@@ -14,6 +14,7 @@ import numpy as np
 
 NEG_INF = -1e30
 DTYPES = {"float32": np.float32, "float64": np.float64}  # ModelConfig.dtype -> numpy type
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and its epsilon
 
 
 class ModelError(RuntimeError):
@@ -440,6 +441,7 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     tgt_emb, tgt_emb_cache = _embed(params, tgt_in)
     tok3 = _token_projection(params, tgt_emb)
 
+    tiny = np.finfo(dt).tiny
     states = [start]  # states[t] feeds step t
     steps = []
     loss = 0.0
@@ -448,10 +450,10 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
         state, probs, cache = _step(params, tok3[:, t], states[-1], enc)
         w = tgt_mask[:, t] / total_tokens
         py = probs[np.arange(B), tgt_out[:, t]]
-        loss += float(np.sum(-np.log(np.maximum(py, np.finfo(dt).tiny)) * w))
+        loss += float(np.sum(-np.log(np.maximum(py, tiny)) * w))
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
         states.append(state)
-        steps.append((cache, w))
+        steps.append((cache, w * (py >= tiny)))  # a floored term, -log(tiny), has no gradient
     tape = (tgt_out, enc, start, tgt_emb, tgt_emb_cache, tok3, states, steps)
     return loss, correct, total_tokens, tape
 
@@ -486,7 +488,8 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         d = states[t + 1].d
         cat, logits, el, ee, scores, total = out_cache
         ds = (w / total[:, 0])[:, None] * np.ones_like(scores)
-        ds[np.arange(B), tgt_out[:, t]] -= w / scores[np.arange(B), tgt_out[:, t]]
+        target = np.arange(B), tgt_out[:, t]  # scored 0 only at a padded or floored step
+        ds[target] -= np.divide(w, scores[target], out=np.zeros_like(w), where=w > 0)
         d_logits = ds * el
         grads["out.U"] += cat.T @ d_logits
         d_cat = d_logits @ out_U_T
@@ -540,24 +543,24 @@ def clip_gradients(grads, threshold):
 class Adam:
     """Adaptive-moment optimizer; state keyed by parameter name."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params, lr):
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
     def step(self, params, grads):
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params.tensors[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            params.tensors[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from .text import normalize, parse_number
 # a tuple's index is the element's WikiSQL integer code
 AGGREGATES = ("", "MAX", "MIN", "COUNT", "SUM", "AVG")
 OPS = ("=", ">", "<")
+RESULT_TOL = 1e-9  # the relative tolerance of result_equal's numbers
 
 _SYMBOL_RE = re.compile(r"^([cvg])([1-9][0-9]*)$")
 
@@ -259,7 +260,7 @@ def _comparable(value):
     return ("num", float(value))
 
 
-def result_equal(a, b, tol=1e-9):
+def result_equal(a, b):
     """Order-insensitive result comparison with numeric tolerance."""
     va = sorted(_comparable(v) for v in a.values)
     vb = sorted(_comparable(v) for v in b.values)
@@ -269,7 +270,7 @@ def result_equal(a, b, tol=1e-9):
         if ka != kb:
             return False
         if ka == "num":
-            if not abs(xa - xb) <= tol * max(1.0, abs(xa), abs(xb)):  # NaN is equal to nothing
+            if not abs(xa - xb) <= RESULT_TOL * max(1.0, abs(xa), abs(xb)):  # NaN is equal to nothing
                 return False
         elif xa != xb:
             return False

@@ -12,6 +12,7 @@ import random
 from .harness import Config, Example, gold_from_wikisql, prepare_examples, table_bundles
 from .meta import table_from_record
 from .sqlgen import AGGREGATES, OPS
+from .text import normalize
 
 FIRST = (
     "Magic Ada Grace Alan Rosa Leo Ella Omar Ivy Hugo Nina Ravi Mia Kofi "
@@ -58,7 +59,7 @@ ARCHETYPES = [
 
 def make_table(rng, table_id):
     """Random 3-5 column table with 4-8 rows and both column types, as the
-    (TableSchema, Table) that the loader makes of its tables record."""
+    Table that the loader makes of its tables record."""
     while True:
         cols = rng.sample(ARCHETYPES, rng.randint(3, 5))
         types = [t for _, t, _ in cols]
@@ -71,8 +72,8 @@ def make_table(rng, table_id):
 
 def _pick_cond(rng, bundle, want_type, exclude):
     """A (column, cell) of the bundle's table, not in `exclude` and of
-    `want_type` unless None, whose value appears in no other column; None if
-    there is none."""
+    `want_type` unless None, whose phrase is a cell of no other column, as
+    annotation reads the phrase map; None if there is none."""
     candidates = [
         c
         for c in bundle.schema.columns
@@ -82,9 +83,8 @@ def _pick_cond(rng, bundle, want_type, exclude):
     for col in candidates:
         cells = list(dict.fromkeys(bundle.table.column_values(col.position)))
         rng.shuffle(cells)
-        others = [s.values for p, s in bundle.stats.per_column.items() if p != col.position]
         for cell in cells:
-            if not any(cell.casefold() in values for values in others):
+            if bundle.stats.phrases.get(normalize(cell)) == (col.position,):
                 return col, cell
     return None
 

@@ -86,7 +86,6 @@ def reference_value_affinity(term, column, stats, emb):
     test_phrase_map_matches_the_cells checks against the raw cells."""
     if not term:
         raise ValueError("empty term")
-    cstats = stats.column(column.position)
     joined = " ".join(t.casefold() for t in term)
     if column.position in stats.phrases.get(joined, ()):
         return 1.0
@@ -94,7 +93,7 @@ def reference_value_affinity(term, column, stats, emb):
     if len(term) == 1 or (len(term) == 2 and term[0] == "-"):
         num = parse_number("".join(term))
     if num is not None and column.col_type == REAL:
-        rng = cstats.numeric_range
+        rng = stats.ranges.get(column.position)
         return 1.0 if rng is not None and rng[0] <= num <= rng[1] else 0.0
     if emb.dim == 0:
         return 0.0

@@ -557,10 +557,17 @@ def test_load_wikisql_rejects_wrong_tree_line_count(tmp_path):
         json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 0, "conds": [[9, 0, "x"]]}}),
         json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 0, "conds": [[0, 3, "x"]]}}),
         json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 0, "conds": [[0, 0]]}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 0, "conds": []}}).replace(
+            '"agg": 0', '"agg": 1e999'
+        ),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": 2.7, "conds": []}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": True, "agg": 0, "conds": []}}),
+        json.dumps({**TOWNLANDS_RECORD, "sql": {"sel": 0, "agg": "1", "conds": []}}),
     ],
     ids=[
         "json", "missing-key", "not-object", "sel-range", "sel-negative",
-        "agg-code", "cond-column", "op-code", "cond-shape",
+        "agg-code", "cond-column", "op-code", "cond-shape", "agg-infinity", "agg-fraction",
+        "sel-bool", "agg-string",
     ],
 )
 def test_load_wikisql_errors_name_file_and_line(tmp_path, bad):
@@ -851,18 +858,21 @@ def test_config_round_trip(tmp_path):
         ('{"tau_sim": -2}', "config key 'tau_sim' must be in [0, 1], not -2"),
         ('{"tau_ed": 9}', "config key 'tau_ed' must be in [0, 1], not 9"),
         ('{"stop_train_acc": 3.0}', "config key 'stop_train_acc' must be in [0, 1], not 3.0"),
+        ("{bad", "JSONDecodeError: Expecting property name enclosed in double quotes: line 1"),
+        ("[" * 100_000, "RecursionError: maximum recursion depth exceeded"),
     ],
     ids=[
         "str-for-int", "float-for-int", "bool-for-float", "null-for-str", "str-for-optional", "list",
         "batch-size-zero", "eval-every-zero", "mode-choice", "dtype-choice", "type-dim-range",
         "clip-negative", "clip-negative-and-lr-nan", "lr-nan", "lr-zero", "float-infinite",
-        "theta-val-range", "tau-sim-range", "tau-ed-range", "stop-train-acc-range",
+        "theta-val-range", "tau-sim-range", "tau-ed-range", "stop-train-acc-range", "not-json",
+        "json-too-deep",
     ],
 )
 def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):
-    """`annosql train` rejects a config value of the wrong type, a choice not
-    offered, an int out of range or a float out of range, naming the file
-    and the key, before it loads any data."""
+    """`annosql train` rejects text that is not JSON, a config value of the
+    wrong type, a choice not offered, an int out of range or a float out of
+    range, naming the file and the key, before it loads any data."""
     from annosql import harness
     from annosql.cli import main
 
@@ -871,10 +881,14 @@ def test_malformed_config_fails_at_load(tmp_path, monkeypatch, text, message):
 
     monkeypatch.setattr(harness, "load_tables", no_loading)
     config_path = tmp_path / "config.json"
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data.update(tables_path="tables.jsonl", train_path="train.jsonl")
-    config_path.write_text(json.dumps(data))
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError):  # not JSON: the file holds the text as it is
+        config_path.write_text(text)
+    else:
+        if isinstance(data, dict):
+            data.update(tables_path="tables.jsonl", train_path="train.jsonl")
+        config_path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=re.escape(f"{config_path}: {message}")):
         main(["train", "--config", str(config_path)])
 

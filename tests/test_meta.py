@@ -51,7 +51,8 @@ def test_load_tables_townlands_header(tmp_path):
             }
         ],
     )
-    [(schema, table)] = load_tables(path)
+    [table] = load_tables(path)
+    schema = table.schema
     assert len(schema.columns) == 5
     assert schema.columns[3].name == "Population"
     assert schema.columns[3].position == 3
@@ -68,10 +69,9 @@ def test_load_tables_no_rows_gives_empty_stats(tmp_path):
     path = write_tables(
         tmp_path, [{"id": "t", "header": ["A"], "types": ["text"], "rows": []}]
     )
-    [(schema, table)] = load_tables(path)
+    [table] = load_tables(path)
     stats = build_value_stats(table)
-    assert stats.column(0).values == frozenset()
-    assert stats.column(0).numeric_range is None
+    assert stats.phrases == {} and stats.prefixes == frozenset() and stats.ranges == {}
 
 
 def test_load_tables_malformed_line_names_line_number(tmp_path):
@@ -109,10 +109,11 @@ def _table_line(**fields):
         (load_tables, _table_line(), _table_line(rows="xy")),
         (load_tables, _table_line(), _table_line(header=["A", "a"])),
         (load_phrase_lexicon, "Population\tpopulation of <slot>", "Rank\tfrom <slot> to <slot>"),
+        (load_tables, _table_line(), "[" * 100_000),
     ],
     ids=[
         "tree", "vector-component", "vector-width", "vector-non-finite", "vector-nan", "row-width", "types-not-list",
-        "rows-not-list", "rows-string", "duplicate-column", "two-slots",
+        "rows-not-list", "rows-string", "duplicate-column", "two-slots", "json-too-deep",
     ],
 )
 def test_malformed_input_names_file_and_line(tmp_path, load, good, bad):
@@ -125,14 +126,14 @@ def test_malformed_input_names_file_and_line(tmp_path, load, good, bad):
 
 def test_build_value_stats_townlands(townlands):
     _schema, _table, stats, _lex, _q = townlands
-    assert {"mayo", "galway"} <= stats.column(0).values
-    assert stats.column(3).numeric_range == (356.0, 1225.0)
+    assert stats.phrases["mayo"] == stats.phrases["galway"] == (0,)
+    assert stats.ranges == {3: (356.0, 1225.0)}
 
 
 def test_build_value_stats_single_row_range():
     schema = make_schema("t", [("N", "real")])
     stats = build_value_stats(Table(schema, (("356",),)))
-    assert stats.column(0).numeric_range == (356.0, 356.0)
+    assert stats.ranges == {0: (356.0, 356.0)}
 
 
 def test_non_finite_cells_are_not_numbers():
@@ -140,7 +141,7 @@ def test_non_finite_cells_are_not_numbers():
     column's range."""
     schema = make_schema("t", [("N", "real")])
     stats = build_value_stats(Table(schema, (("nan",), ("3",), ("inf",), ("5",))))
-    assert stats.column(0).numeric_range == (3.0, 5.0)
+    assert stats.ranges == {0: (3.0, 5.0)}
     for text in ("nan", "NaN", "inf", "-inf", "Infinity", "-infinity"):
         assert parse_number(text) is None
 
@@ -186,7 +187,7 @@ def test_build_value_stats_distinct_and_idempotent():
     schema = make_schema("t", [("A", "text")])
     table = Table(schema, (("x",), ("x",)))
     stats = build_value_stats(table)
-    assert len(stats.column(0).values) == 1
+    assert stats.phrases == {"x": (0,)}
     assert build_value_stats(table) == stats
 
 
@@ -303,11 +304,23 @@ def test_value_affinity_embedding_path_below_exact():
     assert 0.0 < fuzzy < 1.0
 
 
+def test_cell_embeddings_are_the_columns_cell_phrases():
+    """A column's rows are the unit mean vectors of its distinct cell
+    phrases that have one, a phrase another column also holds included."""
+    emb = embedding_store({"ann": [1.0, 0.0], "lee": [0.0, 2.0], "12": [3.0, 4.0]})
+    schema = make_schema("t", [("Name", "text"), ("Score", "real")])
+    stats = build_value_stats(Table(schema, (("Ann  LEE", "12"), ("ann lee", "7"), ("12", "zzz"))))
+    name, score = (sorted(map(tuple, stats.cell_embeddings(p, emb))) for p in (0, 1))
+    assert np.allclose(name, [(5**-0.5, 2 * 5**-0.5), (0.6, 0.8)])
+    assert np.allclose(score, [(0.6, 0.8)])
+
+
 def _oracle_table():
     """A synth table, its stats, the words of its cells, and seeded random
     8-d embeddings for about half of those words (one of them the zero
     vector), none of them in column 2."""
-    schema, table = make_table(random.Random(17), "t")
+    table = make_table(random.Random(17), "t")
+    schema = table.schema
     words = sorted({t for row in table.rows for cell in row for t in tokenize(cell)})
     bare = {t for cell in table.column_values(2) for t in tokenize(cell)}
     rng = np.random.default_rng(17)

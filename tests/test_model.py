@@ -292,7 +292,9 @@ def test_float32_loss_of_an_underflowed_target_is_finite():
     """In the forward pass of loss_and_grad, a target probability that
     underflows to 0 in float32 scores -log(tiny), not log(0). A saturated
     decoder state d = 1 puts the target token's logit far below the rest,
-    and no source position copies it."""
+    and no source position copies it. The floored term is a constant, so
+    the backward gives every gradient exactly 0, not 0/0, also when the
+    second step is a padded one."""
     cfg = toy_config(dtype="float32")
     params = nn.init_params(cfg, seed=12)
     params.tensors["dec.b"][:] = 1e4  # z = r = 1 and n = 1, so d = 1
@@ -303,6 +305,12 @@ def test_float32_loss_of_an_underflowed_target_is_finite():
     )
     assert all(cache[3][4][0, 15] == 0.0 for cache, _w in tape[-1])  # the target's score
     assert loss == pytest.approx(-np.log(np.finfo(np.float32).tiny))
+    for tgt_mask in (mask, np.array([[1.0, 0.0]])):
+        full_loss, grads, _stats = nn.loss_and_grad(
+            params, np.array([[5, 6, 7]]), np.ones((1, 3)), tgt, tgt, tgt_mask
+        )
+        assert full_loss == loss
+        assert all(not g.any() for g in grads.values())
 
 
 def test_gradients_match_finite_differences():

@@ -7,12 +7,14 @@ the repl and evaluate."""
 import io
 import json
 import string
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annosql.encoding import Vocabulary
 from annosql.harness import (
     ANSWER_KEYS,
     Config,
@@ -20,12 +22,24 @@ from annosql.harness import (
     evaluate,
     load_split,
     load_translator,
+    load_wikisql,
     prepare_examples,
     repl_translate,
     run_train,
+    table_bundles,
 )
 from annosql.mentions import CandidateMention, Span, detect_value_mentions
-from annosql.meta import EMPTY_EMBEDDINGS, REAL, TEXT, Table, build_value_stats
+from annosql.meta import (
+    EMPTY_EMBEDDINGS,
+    REAL,
+    TEXT,
+    Table,
+    build_value_stats,
+    load_embeddings,
+    load_phrase_lexicon,
+    load_tables,
+    table_from_record,
+)
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
@@ -39,6 +53,7 @@ from annosql.sqlgen import (
     sketch_tokens,
 )
 from annosql.text import tokenize, tokenize_with_offsets
+from annosql.trees import load_trees
 
 from annosql.synth import write_corpus
 
@@ -239,3 +254,99 @@ def test_evaluate_classes_count_every_miss(trained, drawn):
     counts = [f["count"] for f in report.translation_failures.values()]
     assert report.total == len(examples)
     assert sum(counts) == report.total - report.ex
+
+
+# any JSON value, non-finite floats included
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+# raw bytes or drawn text
+LINE_BYTES = st.binary(max_size=40) | st.text(max_size=40).map(str.encode)
+TABLE_RECORD = json.dumps({"id": "t", "header": ["A", "B"], "types": ["text", "real"], "rows": [["x", 1]]})
+SPLIT_TABLES = table_bundles([table_from_record(json.loads(TABLE_RECORD))])
+# per input file: its loader, its good lines, and drawn lines shaped like its own
+GARBAGE_FILES = {
+    "tables": (
+        load_tables,
+        [TABLE_RECORD],
+        st.fixed_dictionaries({
+            "id": JSON,
+            "header": JSON | st.lists(st.text(max_size=6), max_size=3),
+            "types": JSON | st.lists(st.sampled_from([TEXT, REAL, "int"]), max_size=3),
+            "rows": JSON | st.lists(st.lists(JSON, max_size=3), max_size=3),
+        }).map(json.dumps),
+    ),
+    "split": (
+        lambda path: load_wikisql(path, SPLIT_TABLES, None),
+        [json.dumps({"question": "what", "table_id": "t", "sql": {"sel": 0, "agg": 0, "conds": []}})],
+        st.fixed_dictionaries({
+            "question": JSON,
+            "table_id": st.just("t") | JSON,
+            "sql": JSON | st.fixed_dictionaries({
+                "sel": st.integers(-1, 2) | JSON,
+                "agg": st.integers(-1, 6) | JSON,
+                "conds": JSON | st.lists(st.lists(st.integers(-1, 3) | JSON, max_size=4), max_size=2),
+            }),
+        }).map(json.dumps),
+    ),
+    "lexicon": (
+        load_phrase_lexicon,
+        ["Population\tpopulation of <slot>"],
+        st.text(alphabet="ab <slot>⟨⟩|\t?", max_size=30),
+    ),
+    "embeddings": (
+        load_embeddings,
+        ["a 1.0 0.0"],
+        st.lists(st.text(max_size=4) | st.floats().map(repr), max_size=4).map(" ".join),
+    ),
+    "trees": (load_trees, ["(S (A x) (B y))"], st.text(alphabet="() ab\t", max_size=30)),
+    "vocabulary": (
+        Vocabulary.load,
+        [*Vocabulary.SPECIALS, "c1", "v1", "g1", "word"],
+        st.sampled_from([*Vocabulary.SPECIALS, "c1", "c2", "word", " "]),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def garbage_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("garbage")
+
+
+@pytest.mark.parametrize("kind", sorted(GARBAGE_FILES))
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_garbage_line_fails_at_its_line(garbage_dir, kind, data):
+    """Good lines, then one drawn line of raw bytes, of text or shaped like
+    the file's own lines: the file loads, or a ValueError names the file and
+    the drawn line."""
+    load, good, shaped = GARBAGE_FILES[kind]
+    line = data.draw(LINE_BYTES | shaped.map(str.encode))
+    line = line.replace(b"\n", b"").replace(b"\r", b"")  # one line: no line break
+    path = garbage_dir / kind
+    path.write_bytes("".join(f"{good_line}\n" for good_line in good).encode() + line + b"\n")
+    try:
+        load(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:{len(good) + 1}: "), exc
+
+
+CONFIG_KEYS = st.sampled_from([f.name for f in fields(Config)]) | st.text(max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=60),
+    st.dictionaries(CONFIG_KEYS, JSON, max_size=4).map(lambda obj: json.dumps(obj).encode()),
+    JSON.map(lambda value: json.dumps(value).encode()),
+))
+def test_a_garbage_config_fails_naming_its_file(garbage_dir, raw):
+    """Drawn config bytes load, or a ValueError names the file."""
+    path = garbage_dir / "config.json"
+    path.write_bytes(raw)
+    try:
+        Config.from_file(str(path))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), exc

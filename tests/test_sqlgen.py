@@ -359,8 +359,8 @@ def test_result_equal_semantics():
     assert result_equal(ResultSet(("356",)), ResultSet((356,)))
     assert result_equal(ResultSet((1.0, "x")), ResultSet(("x", 1)))
     assert not result_equal(ResultSet((1.0,)), ResultSet((1.0, 1.0)))
-    assert result_equal(ResultSet((1.0000000000001,)), ResultSet((1.0,)), tol=1e-9)
-    assert not result_equal(ResultSet((1.001,)), ResultSet((1.0,)), tol=1e-9)
+    assert result_equal(ResultSet((1.0000000000001,)), ResultSet((1.0,)))
+    assert not result_equal(ResultSet((1.001,)), ResultSet((1.0,)))
 
 
 def test_result_equal_nan_equals_nothing():
