@@ -41,6 +41,16 @@ class CandidateMention:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
 
+def keep_disjoint(items):
+    """The items (anything with a `.span`), in priority order, whose span
+    overlaps no item kept before them."""
+    kept = []
+    for item in items:
+        if not any(item.span.overlaps(k.span) for k in kept):
+            kept.append(item)
+    return kept
+
+
 @lru_cache(maxsize=1 << 14)  # bounded: a long repl session keeps meeting new words
 def edit_closeness(x, y):
     """Levenshtein distance over the longer length, in [0, 1] (memoized)."""
@@ -249,11 +259,7 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
                 if score > theta:
                     per_column[column.position].append(CandidateMention(span, column, score))
     out = []
-    for position in sorted(per_column):
-        kept = []
-        for m in sorted(per_column[position], key=lambda m: (-len(m.span), -m.score, m.span.start)):
-            if not any(m.span.overlaps(k.span) for k in kept):
-                kept.append(m)
-        out.extend(kept)
+    for found in per_column.values():
+        out += keep_disjoint(sorted(found, key=lambda m: (-len(m.span), -m.score, m.span.start)))
     out.sort(key=lambda m: (m.span.start, m.span.end, m.column.position))
     return out

@@ -205,8 +205,8 @@ class PhraseTemplate:
     tokens: tuple
 
     def __post_init__(self):
-        if not self.tokens:
-            raise MetaError("empty phrase template")
+        if all(t is None for t in self.tokens):
+            raise MetaError("phrase template has no word besides its slot")
         if sum(1 for t in self.tokens if t is None) > 1:
             raise MetaError("template has more than one slot")
 

@@ -8,6 +8,7 @@ inference; a training step owns them exclusively.
 """
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -349,8 +350,7 @@ def _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_copy, grads):
     states' gradient alpha (x) d_beta + d_u @ attn.W2.T, and the attn.W2
     gradient enc.states.T @ d_u."""
     d_alpha = np.einsum("bd,bsd->bs", d_beta, enc.states)
-    d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-    d_e = (d_e + d_e_copy) * enc.mask
+    d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True)) + d_e_copy
     grads["attn.v"] += np.einsum("bsa,bs->a", tu, d_e)
     d_tu = d_e[:, :, None] * params["attn.v"][None, None, :]
     d_u = d_tu * (1.0 - tu * tu)
@@ -630,23 +630,24 @@ def save_checkpoint(path, params, vocab_hash, extra=None):
 
 
 def load_checkpoint(path, expect_vocab_hash):
-    """Load a checkpoint trained with the vocabulary of `expect_vocab_hash`."""
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ModelError(f"unsupported checkpoint version {meta.get('version')}")
-        if meta["vocab_hash"] != expect_vocab_hash:
-            raise ModelError("checkpoint vocabulary hash does not match")
-        try:
+    """Load a checkpoint trained with the vocabulary of `expect_vocab_hash`.
+    A malformed or mismatched checkpoint fails as a ModelError naming `path`."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ModelError(f"unsupported checkpoint version {meta.get('version')}")
+            if meta["vocab_hash"] != expect_vocab_hash:
+                raise ModelError("checkpoint vocabulary hash does not match")
             config = ModelConfig(**meta["config"])
-        except ModelError as exc:
-            raise ModelError(f"{path}: {exc}") from None
-        tensors = {name: data[f"t{i}"] for i, name in enumerate(meta["tensor_names"])}
-    expected = _param_shapes(config)
-    for name in sorted(set(expected) | set(tensors)):
-        got = tensors[name].shape if name in tensors else None
-        if got != expected.get(name):
-            raise ModelError(
-                f"{path}: tensor {name!r} has shape {got}, expected {expected.get(name)}"
-            )
+            tensors = {name: data[f"t{i}"] for i, name in enumerate(meta["tensor_names"])}
+        expected = _param_shapes(config)
+        for name in sorted(set(expected) | set(tensors)):
+            got = tensors[name].shape if name in tensors else None
+            if got != expected.get(name):
+                raise ModelError(f"tensor {name!r} has shape {got}, expected {expected.get(name)}")
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
+    except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ModelError(f"{path}: {type(exc).__name__}: {exc}") from None
     return ModelParams(config, tensors), meta

@@ -10,7 +10,7 @@ when there is no usable tree.
 import logging
 from dataclasses import dataclass
 
-from .mentions import CandidateMention, detect_column_mentions, detect_value_mentions
+from .mentions import CandidateMention, detect_column_mentions, detect_value_mentions, keep_disjoint
 from .text import tokenize_with_offsets
 
 log = logging.getLogger(__name__)
@@ -42,20 +42,11 @@ class ValueVertex:
     """All value mentions sharing one span, merged into a single vertex."""
 
     span: object
-    mentions: tuple  # CandidateMention per candidate column
+    mentions: tuple  # one CandidateMention per candidate column
 
     @property
     def score(self):
         return max(m.score for m in self.mentions)
-
-    @property
-    def columns(self):
-        seen, out = set(), []
-        for m in self.mentions:
-            if m.column.position not in seen:
-                seen.add(m.column.position)
-                out.append(m.column)
-        return out
 
 
 @dataclass(frozen=True)
@@ -86,46 +77,33 @@ def build_match_graph(values, columns, closeness):
     Only a value's best-closeness edges to column mentions survive, under
     `closeness(i, j)` of two token positions. Candidate columns with no
     mention get a synthetic vertex reachable only from their triggering
-    value, always kept (nothing to measure against).
+    value, always kept (nothing to measure against). A value's edges run
+    best-scored, earliest, lowest column position first; synthetics last.
     """
-    vertices = []
     by_span = {}
     for m in values:
         by_span.setdefault(m.span, []).append(m)
-    for span in sorted(by_span):
-        vertices.append(ValueVertex(span, tuple(by_span[span])))
+    vertices = [ValueVertex(span, tuple(by_span[span])) for span in sorted(by_span)]
 
     col_vertices = sorted(columns, key=lambda m: (m.span.start, m.span.end, m.column.position))
     vertices_of = {}
     for ci, cv in enumerate(col_vertices):
         vertices_of.setdefault(cv.column.position, []).append(ci)
+    rank = [(-cv.score, cv.span.start, cv.column.position) for cv in col_vertices]
 
     adjacency = []
     for vv in vertices:
-        scored = []
-        synthetic_cols = []
-        for col in vv.columns:
-            if col.position in vertices_of:
-                for ci in vertices_of[col.position]:
-                    scored.append((ci, _span_closeness(vv.span, col_vertices[ci].span, closeness)))
-            else:
-                synthetic_cols.append(col)
-        edges = []
-        if scored:
-            best = max(c for _, c in scored)
-            edges = [ci for ci, c in scored if c == best]
-        for col in synthetic_cols:
-            col_vertices.append(CandidateMention(None, col, 0.0))
-            edges.append(len(col_vertices) - 1)
-        # mentioned targets first (score desc, position asc), synthetics last
-        edges.sort(
-            key=lambda ci: (
-                col_vertices[ci].span is None,
-                -col_vertices[ci].score,
-                col_vertices[ci].span.start if col_vertices[ci].span else 0,
-                col_vertices[ci].column.position,
-            )
-        )
+        scored = [
+            (_span_closeness(vv.span, col_vertices[ci].span, closeness), ci)
+            for m in vv.mentions
+            for ci in vertices_of.get(m.column.position, ())
+        ]
+        best = max((c for c, _ in scored), default=None)
+        edges = sorted((ci for c, ci in scored if c == best), key=rank.__getitem__)
+        for m in vv.mentions:
+            if m.column.position not in vertices_of:
+                col_vertices.append(CandidateMention(None, m.column, 0.0))
+                edges.append(len(col_vertices) - 1)
         adjacency.append(tuple(edges))
     return MatchGraph(tuple(vertices), tuple(col_vertices), tuple(adjacency))
 
@@ -221,54 +199,42 @@ def assign_indices(graph, matching, question):
     Matched pairs share an index; unmatched mentions get their own. Indices
     follow the earliest question position of each group's earliest accepted
     mention (an unmentioned matched column inherits its value's position).
-    Overlapping accepted spans keep the higher-score, longer, earlier one.
+    Overlapping accepted spans keep the higher-score, longer, earlier one,
+    then a column's span before a value's.
     """
-    # a group: (column vertex, value vertex or None, built from a matching edge)
-    groups = [(graph.columns[matching[vi]], graph.values[vi], True) for vi in sorted(matching)]
-    matched_cols = set(matching.values())
+    # a group: (column vertex with a span or None, value vertex or None, its
+    # column, whether it binds the column); each vertex is in one group
+    groups = []
+    for vi, ci in sorted(matching.items()):
+        cv = graph.columns[ci]
+        groups.append((cv if cv.span is not None else None, graph.values[vi], cv.column, True))
+    matched = set(matching.values())
     for ci, cv in enumerate(graph.columns):
-        if ci not in matched_cols and cv.span is not None:
-            groups.append((cv, None, False))
+        if ci not in matched and cv.span is not None:
+            groups.append((cv, None, cv.column, True))
     for vi, vv in enumerate(graph.values):
         if vi not in matching:
             best = max(vv.mentions, key=lambda m: (m.score, -m.column.position))
-            groups.append((CandidateMention(None, best.column, 0.0), vv, False))
+            groups.append((None, vv, best.column, False))
 
-    # resolve overlaps among would-be accepted spans
-    units = []
-    for g, (cv, value, _paired) in enumerate(groups):
-        if cv.span is not None:
-            units.append((cv.score, cv.span, g, "col"))
-        if value is not None:
-            units.append((value.score, value.span, g, "val"))
-    units.sort(key=lambda u: (-u[0], -len(u[1]), u[1].start, u[3]))
-    kept_spans, lost = [], set()
-    for _score, span, g, part in units:
-        if any(span.overlaps(k) for k in kept_spans):
-            lost.add((g, part))
-        else:
-            kept_spans.append(span)
-
+    parts = [part for group in groups for part in group[:2] if part is not None]
+    parts.sort(key=lambda p: (-p.score, -len(p.span), p.span.start, isinstance(p, ValueVertex)))
+    kept = {id(part) for part in keep_disjoint(parts)}
     final = []
-    for g, (cv, value, paired) in enumerate(groups):
-        col_span = None if (g, "col") in lost else cv.span
-        if (g, "val") in lost:
-            value = None
-        spans = [s for s in (col_span, value.span if value is not None else None) if s is not None]
-        if not spans:
-            continue
-        position = min(s.start for s in spans)
-        final.append((position, col_span, value, col_span is not None or paired, cv.column))
+    for col, value, column, binds in groups:
+        col = col if id(col) in kept else None
+        value = value if id(value) in kept else None
+        spans = [part.span for part in (col, value) if part is not None]
+        if spans:
+            final.append((min(s.start for s in spans), col, value, column, binds))
 
     final.sort(key=lambda item: item[0])
     columns, values, accepted = {}, {}, []
-    for index, (position, col_span, value, binds_column, column) in enumerate(final, start=1):
-        if binds_column:
-            columns[index] = ColumnBinding(
-                column.name, col_span.start if col_span is not None else None
-            )
-            if col_span is not None:
-                accepted.append(AcceptedMention(col_span, "c", index))
+    for index, (_position, col, value, column, binds) in enumerate(final, start=1):
+        if binds:
+            columns[index] = ColumnBinding(column.name, col.span.start if col is not None else None)
+            if col is not None:
+                accepted.append(AcceptedMention(col.span, "c", index))
         if value is not None:
             values[index] = ValueBinding(
                 question.surface(value.span), value.span.start, column.name

@@ -110,10 +110,11 @@ def _table_line(**fields):
         (load_tables, _table_line(), _table_line(header=["A", "a"])),
         (load_phrase_lexicon, "Population\tpopulation of <slot>", "Rank\tfrom <slot> to <slot>"),
         (load_tables, _table_line(), "[" * 100_000),
+        (load_phrase_lexicon, "Population\tpopulation of <slot>", "Rank\t<slot>"),
     ],
     ids=[
         "tree", "vector-component", "vector-width", "vector-non-finite", "vector-nan", "row-width", "types-not-list",
-        "rows-not-list", "rows-string", "duplicate-column", "two-slots", "json-too-deep",
+        "rows-not-list", "rows-string", "duplicate-column", "two-slots", "json-too-deep", "slot-only",
     ],
 )
 def test_malformed_input_names_file_and_line(tmp_path, load, good, bad):

@@ -540,6 +540,45 @@ def test_checkpoint_config_checked_at_load(tmp_path, change, message):
         nn.load_checkpoint(path, expect_vocab_hash="abc123")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta, arrays: meta.pop("config"), "KeyError: 'config'"),
+        (lambda meta, arrays: meta.pop("vocab_hash"), "KeyError: 'vocab_hash'"),
+        (lambda meta, arrays: meta["config"].update(width=3), "TypeError: "),
+        (lambda meta, arrays: arrays.pop("meta"), "KeyError: "),
+        (lambda meta, arrays: arrays.pop("t3"), "KeyError: "),
+        (lambda meta, arrays: meta.update(tensor_names=5), "TypeError: "),
+        (lambda meta, arrays: meta.update(version=99), "unsupported checkpoint version 99"),
+        (lambda meta, arrays: meta.update(vocab_hash="other"), "checkpoint vocabulary hash does not match"),
+        (None, "ValueError: "),
+    ],
+    ids=[
+        "no-config", "no-vocab-hash", "unknown-config-key", "no-meta", "no-tensor", "tensor-names-not-list",
+        "version", "vocab-hash", "text-file",
+    ],
+)
+def test_malformed_checkpoint_names_file(tmp_path, edit, message):
+    """Whatever is wrong with a checkpoint, load_checkpoint fails with a
+    ModelError naming the file."""
+    path = str(tmp_path / "model.npz")
+    nn.save_checkpoint(path, nn.init_params(toy_config(), seed=9), vocab_hash="abc123")
+    if edit is None:
+        with open(path, "w") as fh:
+            fh.write("not a checkpoint\n")
+    else:
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        edit(meta, arrays)
+        if "meta" in arrays:
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+    with pytest.raises(nn.ModelError) as info:
+        nn.load_checkpoint(path, expect_vocab_hash="abc123")
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
 def test_checkpoint_tensor_shapes_checked(tmp_path):
     """A tensor whose shape disagrees with the stored config fails at load,
     naming the tensor and both shapes; so does a missing tensor."""

@@ -6,6 +6,7 @@ the repl and evaluate."""
 
 import io
 import json
+import random
 import string
 from dataclasses import fields
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from annosql.harness import (
 from annosql.mentions import CandidateMention, Span, detect_value_mentions
 from annosql.meta import (
     EMPTY_EMBEDDINGS,
+    EMPTY_LEXICON,
     REAL,
     TEXT,
     Table,
@@ -40,6 +42,7 @@ from annosql.meta import (
     load_tables,
     table_from_record,
 )
+from annosql.resolve import annotate
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
@@ -53,11 +56,11 @@ from annosql.sqlgen import (
     sketch_tokens,
 )
 from annosql.text import tokenize, tokenize_with_offsets
-from annosql.trees import load_trees
+from annosql.trees import load_trees, parse_bracketed
 
 from annosql.synth import write_corpus
 
-from support import make_schema, reference_value_mentions
+from support import bracketed, drawn_questions, embedding_store, make_schema, reference_value_mentions
 from test_harness import tiny_config
 from test_sqlgen import naive_execute
 
@@ -190,6 +193,63 @@ def test_value_detection_without_vectors_matches_the_oracle(case):
         config = Config(theta_val=theta, max_value_span=width)
         args = (tokens, schema, stats, EMPTY_EMBEDDINGS, config, column_mentions)
         assert detect_value_mentions(*args) == reference_value_mentions(*args)
+
+
+@pytest.fixture(scope="module")
+def drawn_for_annotation():
+    """Drawn questions on synth tables, and random 8-d vectors for every
+    word of their questions and cells."""
+    bundles, drawn = drawn_questions(200, 20, 5)
+    words = {tok for question, _, _ in drawn for tok in tokenize(question)}
+    for bundle in bundles.values():
+        words.update(tok for row in bundle.table.rows for cell in row for tok in tokenize(str(cell)))
+    rng = random.Random(5)
+    vectors = embedding_store({w: [rng.uniform(-1.0, 1.0) for _ in range(8)] for w in sorted(words)})
+    return bundles, drawn, vectors
+
+
+@FAST
+@given(st.data())
+def test_annotation_invariants(drawn_for_annotation, data):
+    """A drawn question, as drawn or shuffled with up to 3 of its table's
+    words, with or without a random tree and word vectors: accepted spans
+    are disjoint; the indices are 1..n and each has an accepted span, the
+    first of which moves right as the index grows; a cN's position is its
+    span's start, and a cN with none shares its index with a vN; a vN's
+    surface is its span's text, and it names a schema column."""
+    bundles, drawn, vectors = drawn_for_annotation
+    question, table_id, _sql = data.draw(st.sampled_from(drawn))
+    bundle = bundles[table_id]
+    if data.draw(st.booleans()):
+        table_words = sorted({tok for row in bundle.table.rows for cell in row for tok in tokenize(str(cell))})
+        extra = data.draw(st.lists(st.sampled_from(table_words), max_size=3))
+        question = " ".join(data.draw(st.permutations(tokenize(question) + extra)))
+    tree = None
+    if data.draw(st.booleans()):
+        tree = parse_bracketed(bracketed(tokenize(question), random.Random(data.draw(st.integers(0, 999)))))
+    emb = data.draw(st.sampled_from([EMPTY_EMBEDDINGS, vectors]))
+    ann = annotate(question, bundle.schema, bundle.stats, EMPTY_LEXICON, emb, tree, Config())
+
+    spans = sorted(m.span for m in ann.accepted)
+    assert all(a.end <= b.start for a, b in zip(spans, spans[1:]))
+    syms = ann.symbols
+    indices = sorted(set(syms.columns) | set(syms.values))
+    assert indices == list(range(1, len(indices) + 1))
+    first = [min(m.span.start for m in ann.accepted if m.index == i) for i in indices]
+    assert first == sorted(first)
+    names = {c.name for c in bundle.schema.columns}
+    assert {m.index for m in ann.accepted if m.family == "v"} == set(syms.values)
+    assert {m.index for m in ann.accepted if m.family == "c"} == {
+        i for i, c in syms.columns.items() if c.position is not None
+    }
+    for m in ann.accepted:
+        if m.family == "c":
+            assert syms.columns[m.index].position == m.span.start
+        else:
+            value = syms.values[m.index]
+            assert (value.surface, value.position) == (ann.question.surface(m.span), m.span.start)
+            assert value.column in names
+    assert all(i in syms.values for i, c in syms.columns.items() if c.position is None)
 
 
 # question text of every kind a user may type: any unicode on one line
