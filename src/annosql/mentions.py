@@ -108,73 +108,54 @@ def _close_rows(content, column, emb, config):
 
 
 def _coverage_mention(content, column, emb, config):
-    """The best span covering the column effectively and efficiently.
+    """The shortest span that covers every column word the question covers;
+    ties go to more close pairs, then to the earlier start.
 
-    A span qualifies when (1) no containing span covers more column words
-    and (2) every contained span covers fewer; among qualifying spans the
-    shortest wins, then the one with more close pairs, then the earliest.
-    Word coverage (not raw pair count) drives maximality: "play" pairing
-    with column "player" must not stretch a mention that already covers
-    the word.
+    Coverage counts column words, not pairs: "play" pairing with column
+    "player" must not stretch a mention that already covers the word.
     """
     rows = _close_rows(content, column, emb, config)
-    total = frozenset().union(*rows) if rows else frozenset()
+    total = frozenset().union(*rows)
     if not total:
         return None
-    n = len(rows)
-    candidates = []
-    for a in range(n):
-        if not rows[a]:
-            continue
+    best = None
+    for a, row in enumerate(rows):
+        if not row:
+            continue  # the span from the next close token covers as much, and is shorter
         covered = set()
-        end = None
-        for b in range(a, n):
+        for b in range(a, len(rows)):
             covered |= rows[b]
             if covered == total:
-                end = b + 1
                 break
-        if end is None:
+        else:
             break  # later starts have even less material
-        trimmed = frozenset().union(*rows[a + 1 : end]) if end > a + 1 else frozenset()
-        if trimmed != total:  # the first token must be load-bearing
-            pairs = sum(len(r) for r in rows[a:end])
-            candidates.append((end - a, -pairs, a, end))
-    if not candidates:
-        return None
-    _length, neg_pairs, a, end = min(candidates)
+        key = (b + 1 - a, -sum(len(r) for r in rows[a : b + 1]), a)
+        if best is None or key < best:
+            best = key
+    length, neg_pairs, a = best
     score = min(1.0, -neg_pairs / len(column.tokens))
-    return CandidateMention(Span(a, end), column, score)
+    return CandidateMention(Span(a, a + length), column, score)
 
 
 def _match_template_at(template, qtokens, start):
     """Try to match `template` at token `start`.
 
-    Returns (match_end, literal_span) or None. The wildcard slot matches a
-    run of 1-4 tokens, shortest first; the literal span omits an edge slot
-    so the slot's tokens stay available as a value mention.
+    Returns (match_end, literal_span) or None. The slot matches a run of 1-4
+    tokens, shortest first; the literal span leaves out an edge slot, so its
+    tokens stay available as a value mention.
     """
-    toks = template.tokens
-    slot = template.slot
-    if slot is None:
-        end = start + len(toks)
-        if end <= len(qtokens) and toks == tuple(qtokens[start:end]):
-            return end, Span(start, end)
-        return None
-    before, after = toks[:slot], toks[slot + 1 :]
-    if tuple(qtokens[start : start + len(before)]) != before:
-        return None
+    toks, slot = template.tokens, template.slot
+    before, after = (toks, ()) if slot is None else (toks[:slot], toks[slot + 1 :])
     gap_start = start + len(before)
-    for gap in range(1, 5):
+    if tuple(qtokens[start:gap_start]) != before:
+        return None
+    for gap in (0,) if slot is None else range(1, 5):
         rest = gap_start + gap
         end = rest + len(after)
         if end > len(qtokens):
             break
         if tuple(qtokens[rest:end]) == after:
-            if not before:  # leading slot: literal part follows the gap
-                return end, Span(rest, end)
-            if not after:  # trailing slot: literal part precedes the gap
-                return end, Span(start, gap_start)
-            return end, Span(start, end)  # interior slot: keep the whole match
+            return end, Span(start if before else rest, end if after else gap_start)
     return None
 
 
@@ -197,8 +178,8 @@ def _lexicon_mentions(qtokens, column, lexicon):
 
 
 def detect_column_mentions(qtokens, schema, lexicon, emb, config):
-    """Candidate column mentions: maximal coverage spans plus template hits,
-    under `config`'s tau_ed and tau_sim.
+    """Candidate column mentions: per column, its template hits plus its
+    shortest covering span, under `config`'s tau_ed and tau_sim.
 
     When a coverage span overlaps a template hit for the same column, the
     template wins; curated phrases are higher precision.

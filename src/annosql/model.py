@@ -244,7 +244,6 @@ class EncoderOutput:
     states: np.ndarray  # (B, S, 2H) top-layer concatenated states
     fwd_final: np.ndarray  # (B, H) forward state at each row's last token
     bwd_final: np.ndarray  # (B, H) backward state at position 0
-    mask: np.ndarray  # (B, S)
     src_ids: np.ndarray  # (B, S)
     keys: np.ndarray  # (B, S, A) attention keys states @ attn.W2
     pad_bias: np.ndarray  # (B, S) 0 at real tokens, NEG_INF at padding
@@ -294,7 +293,7 @@ def encoder_forward(src_ids, params, src_mask=None):
     copy_index = (rows * params.config.vocab_size + src_ids).reshape(-1)
     cache = (emb_cache, layer_caches, rev, last)
     return EncoderOutput(
-        x, fwd_final, bwd_final, src_mask, src_ids, keys, pad_bias, copy_index, cache
+        x, fwd_final, bwd_final, src_ids, keys, pad_bias, copy_index, cache
     )
 
 
@@ -646,6 +645,10 @@ def load_checkpoint(path, expect_vocab_hash):
             got = tensors[name].shape if name in tensors else None
             if got != expected.get(name):
                 raise ModelError(f"tensor {name!r} has shape {got}, expected {expected.get(name)}")
+            if tensors[name].dtype != config.np_dtype():
+                raise ModelError(
+                    f"tensor {name!r} has dtype {tensors[name].dtype}, expected {config.dtype}"
+                )
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None
     except (AttributeError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:

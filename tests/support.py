@@ -11,7 +11,7 @@ import numpy as np
 
 from annosql import model as nn
 from annosql.harness import Config, table_bundles
-from annosql.mentions import CandidateMention, Span, _close_rows
+from annosql.mentions import CandidateMention, Span, _close_rows, words_close
 from annosql.meta import REAL, ColumnMeta, EmbeddingStore, MetaError, TableSchema
 from annosql.synth import make_question, make_table
 from annosql.text import is_content_token, parse_number
@@ -135,6 +135,68 @@ def reference_value_mentions(qtokens, schema, stats, emb, config, column_mention
     return sorted(out, key=lambda m: (m.span.start, m.span.end, m.column.position))
 
 
+def _reference_template_hit(tokens, qtokens, pos):
+    """(match end, literal span) of template `tokens` matched at `pos`, or
+    None. The slot (a None entry) takes 1, 2, 3, then 4 question tokens,
+    each tried in full; a slot at either edge is left out of the span."""
+    slot = tokens.index(None) if None in tokens else None
+    for gap in (0,) if slot is None else (1, 2, 3, 4):
+        pattern = tokens if slot is None else tokens[:slot] + (None,) * gap + tokens[slot + 1 :]
+        end = pos + len(pattern)
+        window = qtokens[pos:end]
+        if len(window) == len(pattern) and all(p in (None, q) for p, q in zip(pattern, window)):
+            if slot == 0:
+                return end, Span(pos + gap, end)
+            if slot == len(tokens) - 1:
+                return end, Span(pos, end - gap)
+            return end, Span(pos, end)
+    return None
+
+
+def reference_column_mentions(qtokens, schema, lexicon, emb, config):
+    """detect_column_mentions by brute force. Coverage: words_close once per
+    (content token, content column word) pair; of all spans that cover every
+    column word the question covers, the least by (length, -pairs, start),
+    scored min(1, pairs / column name length). Templates: each scanned left
+    to right, jumping past a hit; one column's hits kept once per span, and
+    its coverage span dropped if it overlaps one. Per column, by (start,
+    end)."""
+    n = len(qtokens)
+    out = []
+    for column in schema.columns:
+        words = [w for w in column.tokens if is_content_token(w)]
+        close = [
+            {j for j, w in enumerate(words) if is_content_token(tok)
+             and words_close(tok, w, emb, config.tau_ed, config.tau_sim)}
+            for tok in qtokens
+        ]
+        found = []
+        for template in lexicon.templates_for(column):
+            pos = 0
+            while pos < n:
+                hit = _reference_template_hit(template.tokens, qtokens, pos)
+                if hit is None:
+                    pos += 1
+                    continue
+                pos, span = hit
+                if span not in [m.span for m in found]:
+                    found.append(CandidateMention(span, column, 1.0))
+        total = set().union(*close)
+        covering = [
+            (b - a, -sum(len(c) for c in close[a:b]), a)
+            for a in range(n)
+            for b in range(a + 1, n + 1)
+            if set().union(*close[a:b]) == total
+        ]
+        if total:
+            length, neg_pairs, a = min(covering)
+            span = Span(a, a + length)
+            if not any(span.overlaps(m.span) for m in found):
+                found.append(CandidateMention(span, column, min(1.0, -neg_pairs / len(column.tokens))))
+        out.extend(sorted(found, key=lambda m: (m.span.start, m.span.end)))
+    return out
+
+
 def matching_oracle(adjacency, n_right):
     """Exhaustive maximum-matching cardinality via bitmask recursion."""
     from functools import lru_cache
@@ -190,22 +252,22 @@ def greedy_decode(src_ids, params, max_len, bos_id, eos_id, src_mask=None):
     return tokens, logp
 
 
-def _reference_attention(params, d, enc, hw2):
+def _reference_attention(params, d, enc, hw2, mask):
     tu = np.tanh(hw2 + (d @ params["attn.W3"])[:, None, :])
     e_raw = tu @ params["attn.v"]
-    e = np.where(enc.mask > 0, e_raw, nn.NEG_INF)
+    e = np.where(mask > 0, e_raw, nn.NEG_INF)
     shift = e.max(axis=1, keepdims=True)
-    ee_att = np.exp(e - shift) * enc.mask
+    ee_att = np.exp(e - shift) * mask
     alpha = ee_att / ee_att.sum(axis=1, keepdims=True)
     return e, np.einsum("bs,bsd->bd", alpha, enc.states)
 
 
-def _reference_output_distribution(params, d, beta, e, enc):
+def _reference_output_distribution(params, d, beta, e, enc, mask):
     logits = np.concatenate([d, beta], axis=1) @ params["out.U"]
-    valid_e = np.where(enc.mask > 0, e, nn.NEG_INF)
+    valid_e = np.where(mask > 0, e, nn.NEG_INF)
     shift = np.maximum(logits.max(axis=1), valid_e.max(axis=1))
     scores = np.exp(logits - shift[:, None])
-    ee = np.exp(valid_e - shift[:, None]) * enc.mask
+    ee = np.exp(valid_e - shift[:, None]) * mask
     rows = np.repeat(np.arange(scores.shape[0]), enc.src_ids.shape[1])
     np.add.at(scores, (rows, enc.src_ids.reshape(-1)), ee.reshape(-1))
     return scores / scores.sum(axis=1, keepdims=True)
@@ -214,13 +276,15 @@ def _reference_output_distribution(params, d, beta, e, enc):
 def reference_decoder_step(prev_ids, state, enc, params):
     """The decoder step as first written: every product recomputed per call,
     the full input projection on [embed(prev); beta]. The oracle for the
-    hoisted decoder_step."""
+    hoisted decoder_step. Decoding feeds unpadded rows, so every source
+    position is unmasked."""
     prev_ids = np.asarray(prev_ids, dtype=np.int64).reshape(-1, 1)
+    mask = np.ones(enc.src_ids.shape, dtype=enc.states.dtype)
     emb, _ = nn._embed(params, prev_ids)
     inp = np.concatenate([emb[:, 0, :], state.beta], axis=1)
     d_new, _ = nn._gru_cell(inp @ params["dec.W"] + params["dec.b"], state.d, params["dec.U"])
-    e, beta = _reference_attention(params, d_new, enc, enc.states @ params["attn.W2"])
-    probs = _reference_output_distribution(params, d_new, beta, e, enc)
+    e, beta = _reference_attention(params, d_new, enc, enc.states @ params["attn.W2"], mask)
+    probs = _reference_output_distribution(params, d_new, beta, e, enc, mask)
     return nn.DecoderState(d_new, beta), probs
 
 
@@ -321,7 +385,7 @@ def _reference_encoder_forward(src_ids, params, src_mask):
     pad_bias = np.where(src_mask > 0, 0.0, nn.NEG_INF).astype(x.dtype)
     copy_index = (np.arange(len(src_ids))[:, None] * params.config.vocab_size + src_ids).reshape(-1)
     return nn.EncoderOutput(
-        x, fwd_final, bwd_final, src_mask, src_ids, x @ params["attn.W2"], pad_bias,
+        x, fwd_final, bwd_final, src_ids, x @ params["attn.W2"], pad_bias,
         copy_index, (emb_cache, layer_caches),
     )
 
@@ -347,11 +411,13 @@ def _reference_encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final,
     nn._embed_backward(params, emb_cache, d_x, grads)
 
 
-def _reference_attention_backward(params, d, enc, tu, alpha, d_beta, d_e_copy, grads, d_states):
+def _reference_attention_backward(
+    params, d, enc, mask, tu, alpha, d_beta, d_e_copy, grads, d_states
+):
     d_alpha = np.einsum("bd,bsd->bs", d_beta, enc.states)
     d_states += alpha[:, :, None] * d_beta[:, None, :]
     d_e = alpha * (d_alpha - (d_alpha * alpha).sum(axis=1, keepdims=True))
-    d_e = (d_e + d_e_copy) * enc.mask
+    d_e = (d_e + d_e_copy) * mask
     grads["attn.v"] += np.einsum("bsa,bs->a", tu, d_e)
     d_u = d_e[:, :, None] * params["attn.v"][None, None, :] * (1.0 - tu * tu)
     flat_states = enc.states.reshape(-1, enc.states.shape[-1])
@@ -401,7 +467,7 @@ def reference_loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
         d_cat = d_logits @ params["out.U"].T
         d_e_copy = ds.reshape(-1)[enc.copy_index].reshape(B, S) * ee
         d_d = d_cat[:, :Hd] + _reference_attention_backward(
-            params, states[t + 1].d, enc, tu, alpha, d_cat[:, Hd:] + carry_beta, d_e_copy,
+            params, states[t + 1].d, enc, src_mask, tu, alpha, d_cat[:, Hd:] + carry_beta, d_e_copy,
             grads, d_states,
         )
         dX3[:, t], carry_d = _reference_gru_cell_backward(

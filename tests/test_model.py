@@ -594,3 +594,16 @@ def test_checkpoint_tensor_shapes_checked(tmp_path):
     nn.save_checkpoint(path, params, vocab_hash="abc123")
     with pytest.raises(nn.ModelError, match=r"'attn\.v' has shape None, expected \(\d+,\)"):
         nn.load_checkpoint(path, expect_vocab_hash="abc123")
+
+
+def test_checkpoint_tensor_dtypes_checked(tmp_path):
+    """A tensor whose dtype is not the stored config's fails at load, naming
+    the file, the tensor and both dtypes, instead of running at another
+    precision."""
+    path = str(tmp_path / "model.npz")
+    params = nn.init_params(toy_config(dtype="float32"), seed=9)
+    params.tensors["dec.U"] = params.tensors["dec.U"].astype(np.float64)
+    nn.save_checkpoint(path, params, vocab_hash="abc123")
+    with pytest.raises(nn.ModelError) as info:
+        nn.load_checkpoint(path, expect_vocab_hash="abc123")
+    assert str(info.value) == f"{path}: tensor 'dec.U' has dtype float64, expected float32"

@@ -1,7 +1,8 @@
 """Property tests over generated inputs: tokenizer offsets, the sketch
 grammar's round trip, canonical-form idempotence, the execution engine
 against the naive row-scan oracle, value detection without word vectors
-against the brute-force span oracle, and arbitrary question text through
+against the brute-force span oracle, column detection against the
+brute-force coverage and template oracle, and arbitrary question text through
 the repl and evaluate."""
 
 import io
@@ -12,7 +13,7 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annosql.encoding import Vocabulary
@@ -29,12 +30,14 @@ from annosql.harness import (
     run_train,
     table_bundles,
 )
-from annosql.mentions import CandidateMention, Span, detect_value_mentions
+from annosql.mentions import CandidateMention, Span, detect_column_mentions, detect_value_mentions
 from annosql.meta import (
     EMPTY_EMBEDDINGS,
     EMPTY_LEXICON,
     REAL,
     TEXT,
+    PhraseLexicon,
+    PhraseTemplate,
     Table,
     build_value_stats,
     load_embeddings,
@@ -60,7 +63,14 @@ from annosql.trees import load_trees, parse_bracketed
 
 from annosql.synth import write_corpus
 
-from support import bracketed, drawn_questions, embedding_store, make_schema, reference_value_mentions
+from support import (
+    bracketed,
+    drawn_questions,
+    embedding_store,
+    make_schema,
+    reference_column_mentions,
+    reference_value_mentions,
+)
 from test_harness import tiny_config
 from test_sqlgen import naive_execute
 
@@ -193,6 +203,62 @@ def test_value_detection_without_vectors_matches_the_oracle(case):
         config = Config(theta_val=theta, max_value_span=width)
         args = (tokens, schema, stats, EMPTY_EMBEDDINGS, config, column_mentions)
         assert detect_value_mentions(*args) == reference_value_mentions(*args)
+
+
+# column names with repeated words, stop words, punctuation, or no content
+# word at all; question words add near-misses of the column words, and
+# compounds close to two of them at tau_ed 0.7
+COLUMN_NAMES = ["alpha", "beta", "gamma", "alpha beta", "beta beta", "gamma of alpha",
+                "alpha - gamma", "alpha beta gamma", "no.", "of the"]
+COLUMN_QUESTION_WORDS = ["alpha", "beta", "gamma", "no", "alp", "gama", "bet", "alphas",
+                         "alphabeta", "betagamma", "of", "the", "-"]
+
+
+@st.composite
+def column_detection_cases(draw):
+    """1-4 columns; per column up to 3 templates of 1-3 words, each with its
+    slot at any position or none; a question of column words, near-misses,
+    stop words and "-"; both thresholds; and random 8-d vectors for every
+    word on some draws."""
+    names = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=1, max_size=4, unique=True))
+    words = st.sampled_from(COLUMN_QUESTION_WORDS)
+    by_column = {}
+    for name in names:
+        templates = []
+        for literal in draw(st.lists(st.lists(words, min_size=1, max_size=3), max_size=3)):
+            slot = draw(st.none() | st.integers(0, len(literal)))
+            if slot is not None:
+                literal = literal[:slot] + [None] + literal[slot:]
+            templates.append(PhraseTemplate(tuple(literal)))
+        by_column[name.casefold()] = tuple(templates)
+    tokens = draw(st.lists(words, max_size=12))
+    emb = EMPTY_EMBEDDINGS
+    seed = draw(st.none() | st.integers(0, 999))
+    if seed is not None:
+        rng = random.Random(seed)
+        vocab = set(COLUMN_QUESTION_WORDS) | {t for name in COLUMN_NAMES for t in tokenize(name)}
+        emb = embedding_store({w: [rng.uniform(-1.0, 1.0) for _ in range(8)] for w in sorted(vocab)})
+    config = Config(
+        tau_ed=draw(st.sampled_from([0.3, 0.5, 0.7])), tau_sim=draw(st.sampled_from([0.15, 0.4]))
+    )
+    schema = make_schema("t", [(name, TEXT) for name in names])
+    return tokens, schema, PhraseLexicon(by_column), emb, config
+
+
+@FAST
+@given(column_detection_cases())
+@example((  # two shortest covering spans; the second has 4 close pairs, the first 3
+    ["alphabeta", "gamma", "-", "alphabeta", "betagamma"],
+    make_schema("t", [("alpha beta gamma", TEXT)]), EMPTY_LEXICON, EMPTY_EMBEDDINGS,
+    Config(tau_ed=0.7),
+))
+def test_column_detection_matches_the_oracle(case):
+    """Column detection finds what the brute-force rules find: per column,
+    the shortest span covering every column word the question covers (more
+    pairs, then the earlier start, breaking ties), and each template's hits
+    with a slot of 1-4 tokens, shortest first; a coverage span that overlaps
+    a hit is dropped."""
+    assert detect_column_mentions(*case) == reference_column_mentions(*case)
 
 
 @pytest.fixture(scope="module")
