@@ -8,6 +8,7 @@ g_i slot per column so unmentioned columns stay addressable.
 """
 
 import hashlib
+import sys
 from collections import Counter
 
 from .meta import read_lines
@@ -23,7 +24,8 @@ def encode_question(annotation, schema, mode, headers):
 
     Substitute drops accepted spans in favor of their symbols; stack keeps
     the surface words after each symbol. With `headers`, a separator and
-    g_1..g_|C| follow (each with its column words under stack).
+    g_1..g_|C| follow (each with its column words under stack). Symbol
+    tokens are interned, so every question shares one "c1".
     """
     if mode not in (SUBSTITUTE, STACK):
         raise ValueError(f"unknown encoding mode {mode!r}")
@@ -37,14 +39,14 @@ def encode_question(annotation, schema, mode, headers):
             out.append(tokens[i])
             i += 1
             continue
-        out.append(f"{mention.family}{mention.index}")
+        out.append(sys.intern(f"{mention.family}{mention.index}"))
         if mode == STACK:
             out.extend(tokens[i : mention.span.end])
         i = mention.span.end
     if headers:
         out.append(SEP)
         for column in schema.columns:
-            out.append(f"g{column.position + 1}")
+            out.append(sys.intern(f"g{column.position + 1}"))
             if mode == STACK:
                 out.extend(column.tokens)
     return out

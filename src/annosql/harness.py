@@ -180,7 +180,7 @@ class TableBundle:
         return self.table.schema
 
 
-@dataclass
+@dataclass(slots=True)
 class Example:
     question: str
     table_id: str

@@ -12,7 +12,7 @@ from .meta import cosine, term_number, value_affinity
 from .text import is_content_token
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Half-open token interval [start, end) over the question."""
 
@@ -30,7 +30,7 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateMention:
     span: Span
     column: object  # ColumnMeta; for a value, the column it likely belongs to

@@ -373,7 +373,7 @@ def _output_distribution(params, d, beta, e, enc):
     np.add.at(scores.reshape(-1), enc.copy_index, ee.reshape(-1))
     total = scores.sum(axis=1, keepdims=True)
     probs = scores / total
-    return probs, (cat, logits, el, ee, scores, total)
+    return probs, (cat, el, ee, scores, total)
 
 
 @dataclass
@@ -447,12 +447,17 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     correct = 0.0
     for t in range(T):
         state, probs, cache = _step(params, tok3[:, t], states[-1], enc)
+        gru_cache, alpha, tu, (cat, el, ee, scores, total) = cache
         w = tgt_mask[:, t] / total_tokens
-        py = probs[np.arange(B), tgt_out[:, t]]
+        target = np.arange(B), tgt_out[:, t]
+        py = probs[target]
         loss += float(np.sum(-np.log(np.maximum(py, tiny)) * w))
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
         states.append(state)
-        steps.append((cache, w * (py >= tiny)))  # a floored term, -log(tiny), has no gradient
+        # of the (B, V) scores the backward reads only each row's target; a
+        # floored term, -log(tiny), has no gradient
+        cache = gru_cache, alpha, tu, (cat, el, ee, total, scores[target])
+        steps.append((cache, w * (py >= tiny)))
     tape = (tgt_out, enc, start, tgt_emb, tgt_emb_cache, tok3, states, steps)
     return loss, correct, total_tokens, tape
 
@@ -485,10 +490,9 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
     for t in reversed(range(T)):
         (gru_cache, alpha, tu, out_cache), w = steps[t]
         d = states[t + 1].d
-        cat, logits, el, ee, scores, total = out_cache
-        ds = (w / total[:, 0])[:, None] * np.ones_like(scores)
-        target = np.arange(B), tgt_out[:, t]  # scored 0 only at a padded or floored step
-        ds[target] -= np.divide(w, scores[target], out=np.zeros_like(w), where=w > 0)
+        cat, el, ee, total, score_y = out_cache  # score_y is 0 only at a padded or floored step
+        ds = (w / total[:, 0])[:, None] * np.ones_like(el)
+        ds[np.arange(B), tgt_out[:, t]] -= np.divide(w, score_y, out=np.zeros_like(w), where=w > 0)
         d_logits = ds * el
         grads["out.U"] += cat.T @ d_logits
         d_cat = d_logits @ out_U_T

@@ -16,13 +16,13 @@ from .text import tokenize_with_offsets
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """A tokenized question with enough context to recover exact surfaces."""
 
     text: str
     tokens: tuple
-    offsets: tuple
+    offsets: tuple  # flat: token i spans text[offsets[2 * i] : offsets[2 * i + 1]]
 
     @classmethod
     def from_text(cls, text):
@@ -31,7 +31,7 @@ class Question:
 
     def surface(self, span):
         """The question substring covering `span`, original spelling intact."""
-        return self.text[self.offsets[span.start][0] : self.offsets[span.end - 1][1]]
+        return self.text[self.offsets[2 * span.start] : self.offsets[2 * span.end - 1]]
 
     def __len__(self):
         return len(self.tokens)
@@ -142,20 +142,20 @@ def max_bipartite_matching(graph):
     return kuhn_match(graph.adjacency, order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnBinding:
     name: str
     position: int | None  # earliest question token, None when unmentioned
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueBinding:
     surface: str
     position: int
     column: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolTable:
     """Bindings for c_i / v_i symbols; g_i binds by header position."""
 
@@ -175,14 +175,14 @@ class SymbolTable:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcceptedMention:
     span: object
     family: str  # "c" or "v"
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     question: Question
     accepted: tuple  # AcceptedMention, sorted by span

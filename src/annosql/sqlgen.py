@@ -10,6 +10,7 @@ quoting never needs normalizing elsewhere.
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .meta import REAL
 from .text import normalize, parse_number
@@ -34,7 +35,7 @@ class AlignmentError(ValueError):
     """Raised when a gold query cannot be expressed over an annotation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SqlSymbol:
     family: str  # "c", "v", or "g"
     index: int
@@ -47,12 +48,18 @@ class SqlSymbol:
         return f"{self.family}{self.index}"
 
 
+@lru_cache(maxsize=1 << 12)  # bounded: symbol-like words in a corpus are keys too
+def _symbol(family, index):
+    """The shared SqlSymbol of (family, index): every sketch holds one `c1`."""
+    return SqlSymbol(family, index)
+
+
 def parse_symbol(token):
     m = _SYMBOL_RE.match(token)
-    return SqlSymbol(m.group(1), int(m.group(2))) if m else None
+    return _symbol(m.group(1), int(m.group(2))) if m else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSqlAst:
     agg: str
     select: SqlSymbol
@@ -112,7 +119,7 @@ def parse_annotated_sql(tokens):
         raise SketchParseError(f"{exc} in {toks}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteSql:
     agg: str
     select: str
@@ -298,11 +305,11 @@ def align_gold_sql(gold, annotation, schema, max_index):
         want = name.casefold()
         for i in sorted(symtab.columns):
             if symtab.columns[i].name.casefold() == want:
-                return SqlSymbol("c", i)
+                return _symbol("c", i)
         column = schema.column_by_name(name)
         if column is None:
             raise AlignmentError(f"gold column {name!r} not in schema")
-        return SqlSymbol("g", column.position + 1)
+        return _symbol("g", column.position + 1)
 
     def condition_symbols(col, value):
         want = col.casefold()
@@ -312,8 +319,8 @@ def align_gold_sql(gold, annotation, schema, max_index):
         for i in matches:
             bound = symtab.columns.get(i)
             if bound is not None and bound.name.casefold() == want:
-                return SqlSymbol("c", i), SqlSymbol("v", i)
-        return column_symbol(col), SqlSymbol("v", matches[0])
+                return _symbol("c", i), _symbol("v", i)
+        return column_symbol(col), _symbol("v", matches[0])
 
     conds = []
     for col, op, value in gold.conds:

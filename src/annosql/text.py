@@ -6,6 +6,7 @@ surfaces) is built on, so the tokenizer lives in one place.
 
 import math
 import re
+import sys
 
 # Order matters: numbers with interior , or . stay one token ("1,225"),
 # then letter runs (underscore is a separator so "Film_Name" splits),
@@ -21,16 +22,18 @@ STOP_WORDS = frozenset(
 
 
 def tokenize(text):
-    """Case-folded tokens of `text`."""
-    return [t.casefold() for t in _TOKEN_RE.findall(text)]
+    """Case-folded tokens of `text`, interned: every question that uses a
+    word holds the one string."""
+    return [sys.intern(t.casefold()) for t in _TOKEN_RE.findall(text)]
 
 
 def tokenize_with_offsets(text):
-    """(case-folded tokens, (start, end) char offsets)."""
+    """(interned case-folded tokens, flat char offsets): token i spans
+    text[offsets[2 * i] : offsets[2 * i + 1]]."""
     folded, offsets = [], []
     for m in _TOKEN_RE.finditer(text):
-        folded.append(m.group().casefold())
-        offsets.append((m.start(), m.end()))
+        folded.append(sys.intern(m.group().casefold()))
+        offsets += m.span()
     return folded, offsets
 
 

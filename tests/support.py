@@ -459,7 +459,7 @@ def reference_loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
     carry_d = np.zeros_like(start.d)
     carry_beta = np.zeros_like(start.beta)
     for t in reversed(range(T)):
-        gru_cache, alpha, tu, (cat, _logits, el, ee, scores, total), w = caches[t]
+        gru_cache, alpha, tu, (cat, el, ee, scores, total), w = caches[t]
         ds = (w / total[:, 0])[:, None] * np.ones_like(scores)
         ds[np.arange(B), tgt_out[:, t]] -= w / scores[np.arange(B), tgt_out[:, t]]
         d_logits = ds * el

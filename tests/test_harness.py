@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import random
 import re
@@ -28,6 +29,7 @@ from annosql.harness import (
     translate_example,
     translate_question,
 )
+from annosql.mentions import CandidateMention, Span
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, load_tables
 from annosql.sqlgen import ConcreteSql, serialize_sketch, sketch_tokens, sql_tokens
 from annosql.synth import KINDS, generate_corpus, write_corpus
@@ -290,6 +292,60 @@ def test_synth_corpus_aligns_and_round_trips():
             if shape == (agg, [op for _type, op in conds]) and re.fullmatch(pattern, rec["question"]):
                 drawn.add(kind)
     assert drawn == set(KINDS)
+
+
+def _sketch_symbols(ast):
+    return [ast.select] + [sym for col, _op, val in ast.conds for sym in (col, val)]
+
+
+def test_prepared_questions_share_tokens_and_symbols():
+    """Prepared questions hold one object for a word they share, for a symbol
+    token and for an equal SqlSymbol, and no per-question record carries a
+    __dict__."""
+    config = Config()
+    _examples, bundles, records = generate_corpus(20, n_tables=2, seed=3, config=config)
+    examples = []
+    for rec in records:
+        table_id = rec["table_id"]
+        gold = gold_from_wikisql(rec["sql"], bundles[table_id].schema, table_id)
+        examples.append(Example(rec["question"], table_id, gold))
+    prepare_examples(examples, bundles, config)
+
+    def words(ex):  # one-letter strings are shared by the interpreter anyway
+        return {t for t in ex.annotation.tokens if len(t) > 1 and t in ex.encoded_src}
+
+    a, b = next(
+        (a, b)
+        for a, b in itertools.combinations(examples, 2)
+        if words(a) & words(b)
+        and "c1" in a.encoded_src
+        and "c1" in b.encoded_src
+        and set(_sketch_symbols(a.aligned)) & set(_sketch_symbols(b.aligned))
+    )
+    for token in (min(words(a) & words(b)), "c1"):
+        held = [t for ex in (a, b) for t in (*ex.annotation.tokens, *ex.encoded_src) if t == token]
+        assert len(held) >= 2 and len({id(t) for t in held}) == 1, token
+    for sym in set(_sketch_symbols(a.aligned)) & set(_sketch_symbols(b.aligned)):
+        held = [s for ex in (a, b) for s in _sketch_symbols(ex.aligned) if s == sym]
+        assert len({id(s) for s in held}) == 1, sym
+
+    instances = {}
+    for ex in examples:
+        ann = ex.annotation
+        column = bundles[ex.table_id].schema.columns[0]
+        for record in (
+            ex, ex.gold, ex.aligned, *_sketch_symbols(ex.aligned), ann, ann.question, ann.symbols,
+            *ann.accepted, *(m.span for m in ann.accepted), *ann.symbols.columns.values(),
+            *ann.symbols.values.values(), CandidateMention(Span(0, 1), column, 1.0),
+        ):
+            instances.setdefault(type(record).__name__, record)
+    assert set(instances) == {
+        "Example", "ConcreteSql", "AnnotatedSqlAst", "SqlSymbol", "Annotation", "Question",
+        "SymbolTable", "AcceptedMention", "Span", "ColumnBinding", "ValueBinding",
+        "CandidateMention",
+    }
+    for name, record in instances.items():
+        assert not hasattr(record, "__dict__"), name
 
 
 def test_synth_write_corpus_round_trip(tmp_path):

@@ -1,9 +1,9 @@
-"""Property tests over generated inputs: tokenizer offsets, the sketch
-grammar's round trip, canonical-form idempotence, the execution engine
-against the naive row-scan oracle, value detection without word vectors
-against the brute-force span oracle, column detection against the
-brute-force coverage and template oracle, and arbitrary question text through
-the repl and evaluate."""
+"""Property tests over generated inputs: tokenizer offsets and question
+surfaces, the sketch grammar's round trip, canonical-form idempotence, the
+execution engine against the naive row-scan oracle, value detection without
+word vectors against the brute-force span oracle, column detection against
+the brute-force coverage and template oracle, and arbitrary question text
+through the repl and evaluate."""
 
 import io
 import json
@@ -45,7 +45,7 @@ from annosql.meta import (
     load_tables,
     table_from_record,
 )
-from annosql.resolve import annotate
+from annosql.resolve import Question, annotate
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
@@ -58,7 +58,7 @@ from annosql.sqlgen import (
     serialize_sketch,
     sketch_tokens,
 )
-from annosql.text import tokenize, tokenize_with_offsets
+from annosql.text import _TOKEN_RE, tokenize, tokenize_with_offsets
 from annosql.trees import load_trees, parse_bracketed
 
 from annosql.synth import write_corpus
@@ -117,13 +117,31 @@ def tables_and_queries(draw):
 @FAST
 @given(st.text(max_size=60))
 def test_token_offsets_reproduce_tokens(text):
-    tokens, offsets = tokenize_with_offsets(text)
+    tokens, flat = tokenize_with_offsets(text)
     assert tokens == tokenize(text)
-    assert len(offsets) == len(tokens)
+    assert len(flat) == 2 * len(tokens)
+    offsets = list(zip(flat[0::2], flat[1::2]))
     for tok, (start, end) in zip(tokens, offsets):
         assert text[start:end].casefold() == tok
     ends = [0] + [end for _start, end in offsets]
     assert all(prev <= start < end for prev, (start, end) in zip(ends, offsets))
+
+
+# any unicode, and dense runs of letters, digits and the separators that
+# split or join them ("1,225", "Film_Name")
+SURFACE_TEXT = st.text(max_size=40) | st.text(alphabet="aZé1٣,._ -?'", max_size=40)
+
+
+@FAST
+@given(SURFACE_TEXT)
+def test_question_surface_is_the_text_between_token_matches(text):
+    question = Question.from_text(text)
+    matches = list(_TOKEN_RE.finditer(text))
+    assert len(question) == len(matches)
+    for i in range(len(matches)):
+        for j in range(i, len(matches)):
+            span = Span(i, j + 1)
+            assert question.surface(span) == text[matches[i].start() : matches[j].end()]
 
 
 @FAST
