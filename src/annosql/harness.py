@@ -370,6 +370,7 @@ def train_model(
     history = []
     order = np.arange(len(pairs))
     best_qm, best_params, stall = -1.0, None, 0
+    grads = None  # one gradient set, which every batch overwrites
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         rng.shuffle(order)
@@ -381,7 +382,7 @@ def train_model(
             tgt_out, tgt_mask = _pad_batch([b[1] + [vocab.eos] for b in batch], vocab.pad)
             label = f"{lo // config.batch_size} of epoch {epoch}"
             loss, grads, stats = nn.loss_and_grad(
-                params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=label
+                params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=label, grads=grads
             )
             grads, norm = nn.clip_gradients(grads, config.clip)
             if not np.isfinite(norm):

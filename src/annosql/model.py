@@ -191,12 +191,13 @@ def _gru_cell_backward(d_new, cache, U_T):
     return np.concatenate([dzr, dn_pre], axis=1), d_h
 
 
-def _gru_weight_grad(caches, dX3, dU):
-    """Add the U gradient of a run of GRU steps, where caches[t] is step t's
-    cache and dX3[:, t] its d_x3: two matmuls over the stacked steps."""
+def _gru_weight_grad(hs, rs, dX3, dU):
+    """Add the U gradient of a run of GRU steps, where hs[t], rs[t] and
+    dX3[:, t] are step t's input state, reset gate and d_x3: two matmuls
+    over the stacked steps."""
     H = dU.shape[0]
-    h = np.stack([c[0] for c in caches], axis=1).reshape(-1, H)
-    r = np.stack([c[2] for c in caches], axis=1).reshape(-1, H)
+    h = np.stack(hs, axis=1).reshape(-1, H)
+    r = np.stack(rs, axis=1).reshape(-1, H)
     dX = dX3.reshape(-1, 3 * H)
     dU[:, : 2 * H] += h.T @ dX[:, : 2 * H]
     dU[:, 2 * H :] += (r * h).T @ dX[:, 2 * H :]
@@ -229,7 +230,7 @@ def _gru_backward(d_hseq, x, cache, grads, prefix):
     U_T = _transposed(U)
     for t in reversed(range(S)):
         dX3[:, t], dh = _gru_cell_backward(dh + d_hseq[:, t], steps[t], U_T)
-    _gru_weight_grad(steps, dX3, grads[prefix + ".U"])
+    _gru_weight_grad([c[0] for c in steps], [c[2] for c in steps], dX3, grads[prefix + ".U"])
     x2 = x.reshape(-1, x.shape[-1])
     dX2 = dX3.reshape(-1, 3 * H)
     grads[prefix + ".W"] += x2.T @ dX2
@@ -298,13 +299,15 @@ def encoder_forward(src_ids, params, src_mask=None):
 
 
 def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
-    """Backward of encoder_forward; adds the final states' gradients into d_states."""
+    """Backward of encoder_forward; adds the final states' gradients into
+    d_states. It takes each layer's cache out of enc.cache as it reads it,
+    so a layer's tape is freed before the layer below runs."""
     H, L = params.config.enc_hidden, params.config.enc_layers
     emb_cache, layer_caches, rev, last = enc.cache
     rows, row = np.arange(len(rev))[:, None], np.arange(len(rev))
     d_x = d_states
     for l in reversed(range(L)):
-        x_in, y, cf, cb = layer_caches[l]
+        x_in, y, cf, cb = layer_caches.pop()
         d_hf, d_hb = d_x[:, :, :H], d_x[:, :, H:][rows, rev]  # d_hb in run order
         if l == L - 1:
             d_hf[row, last] += d_fwd_final
@@ -447,26 +450,34 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     correct = 0.0
     for t in range(T):
         state, probs, cache = _step(params, tok3[:, t], states[-1], enc)
-        gru_cache, alpha, tu, (cat, el, ee, scores, total) = cache
+        gru_cache, alpha, tu, (_cat, el, ee, scores, total) = cache
         w = tgt_mask[:, t] / total_tokens
         target = np.arange(B), tgt_out[:, t]
         py = probs[target]
         loss += float(np.sum(-np.log(np.maximum(py, tiny)) * w))
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
         states.append(state)
-        # of the (B, V) scores the backward reads only each row's target; a
-        # floored term, -log(tiny), has no gradient
-        cache = gru_cache, alpha, tu, (cat, el, ee, total, scores[target])
+        # the backward rebuilds [d; beta] from `states`, and of the (B, V)
+        # scores reads only each row's target; a floored term, -log(tiny),
+        # has no gradient
+        cache = gru_cache, alpha, tu, (el, ee, total, scores[target])
         steps.append((cache, w * (py >= tiny)))
-    tape = (tgt_out, enc, start, tgt_emb, tgt_emb_cache, tok3, states, steps)
+    tape = (tgt_out, enc, start, tgt_emb, tgt_emb_cache, states, steps)
     return loss, correct, total_tokens, tape
 
 
-def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=None):
+def loss_and_grad(
+    params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=None, *, grads=None
+):
     """Teacher-forced mean token negative log-likelihood and its gradients.
 
     tgt_in rows start with <bos>; tgt_out rows end with <eos>. The mean is
     over non-pad target tokens across the whole batch.
+
+    `grads`, a gradient dict an earlier call returned, is zeroed and takes
+    this batch's gradients. A training loop passes its last one, so it
+    holds one gradient set, and the allocator keeps that set's memory
+    instead of giving it back and faulting fresh pages in every batch.
     """
     loss, correct, total_tokens, tape = _teacher_forced(
         params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
@@ -475,31 +486,46 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
         label = f" (batch {batch_label})" if batch_label is not None else ""
         raise ModelError(f"non-finite loss{label}")
 
-    tgt_out, enc, start, tgt_emb, tgt_emb_cache, tok3, states, steps = tape
-    del tape  # `steps` is freed below, before the encoder's backward
-    grads = zero_grads(params)
+    tgt_out, enc, start, tgt_emb, tgt_emb_cache, states, steps = tape
+    del tape  # each step's tape is freed as the loop below reads it
+    if grads is None:
+        grads = zero_grads(params)
+    else:
+        for g in grads.values():
+            g.fill(0)
     B, T, S = *tgt_out.shape, enc.src_ids.shape[1]
     Hd, D = params.config.dec_hidden, params.config.dim
+    dt = start.d.dtype
     out_U_T, W3_T, U_T = (_transposed(params[k]) for k in ("out.U", "attn.W3", "dec.U"))
     W_beta_T = _transposed(params["dec.W"][D:])
-    dX3 = np.zeros_like(tok3)
+    dX3 = np.zeros((B, T, 3 * Hd), dtype=dt)
     d_u_sum = np.zeros_like(enc.keys)
-    d_betas = np.zeros((B, T, enc.states.shape[-1]), dtype=tok3.dtype)
+    d_betas = np.zeros((B, T, enc.states.shape[-1]), dtype=dt)
+    alphas = np.empty((B, S, T), dtype=dt)
+    hs, rs = [None] * T, [None] * T  # each step's GRU input state and reset gate
     carry_d = np.zeros_like(start.d)
     carry_beta = np.zeros_like(start.beta)
     for t in reversed(range(T)):
-        (gru_cache, alpha, tu, out_cache), w = steps[t]
-        d = states[t + 1].d
-        cat, el, ee, total, score_y = out_cache  # score_y is 0 only at a padded or floored step
-        ds = (w / total[:, 0])[:, None] * np.ones_like(el)
+        # a step's tape is freed once this iteration has read it: alpha goes
+        # into the stacked weights, and of the GRU cache the dec.U gradient
+        # keeps h and r
+        (gru_cache, alpha, tu, out_cache), w = steps.pop()
+        alphas[:, :, t] = alpha
+        hs[t], _z, rs[t], _n = gru_cache
+        state = states[t + 1]
+        el, ee, total, score_y = out_cache  # score_y is 0 only at a padded or floored step
+        # ds, the scores' gradient, in one (B, V) buffer that then takes
+        # d_logits = ds * el in place
+        ds = np.empty_like(el)
+        ds[:] = (w / total[:, 0])[:, None]
         ds[np.arange(B), tgt_out[:, t]] -= np.divide(w, score_y, out=np.zeros_like(w), where=w > 0)
-        d_logits = ds * el
-        grads["out.U"] += cat.T @ d_logits
+        d_e_copy = ds.reshape(-1)[enc.copy_index].reshape(B, S) * ee
+        d_logits = np.multiply(ds, el, out=ds)
+        grads["out.U"] += np.concatenate([state.d, state.beta], axis=1).T @ d_logits
         d_cat = d_logits @ out_U_T
         d_beta = d_cat[:, Hd:] + carry_beta
         d_betas[:, t] = d_beta
-        d_e_copy = ds.reshape(-1)[enc.copy_index].reshape(B, S) * ee
-        dq, d_u = _attention_backward(params, d, enc, tu, alpha, d_beta, d_e_copy, grads)
+        dq, d_u = _attention_backward(params, state.d, enc, tu, alpha, d_beta, d_e_copy, grads)
         d_u_sum += d_u
         d_d = d_cat[:, :Hd] + dq @ W3_T + carry_d
         d_x3, carry_d = _gru_cell_backward(d_d, gru_cache, U_T)
@@ -508,13 +534,9 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
     # the products with what is the same at every step, for all steps at
     # once: the states' and attn.W2's gradients, and the decoder GRU's
     # recurrent and input projection weights'
-    alphas = np.stack([cache[1] for cache, _w in steps], axis=2)  # (B, S, T)
     d_states = alphas @ d_betas + d_u_sum @ _transposed(params["attn.W2"])
     grads["attn.W2"] += enc.states.reshape(B * S, -1).T @ d_u_sum.reshape(B * S, -1)
-    _gru_weight_grad([cache[0] for cache, _w in steps], dX3, grads["dec.U"])
-    # the decoder's step caches are used up: free them before the encoder's
-    # backward
-    del steps
+    _gru_weight_grad(hs, rs, dX3, grads["dec.U"])
     betas_in = np.stack([s.beta for s in states[:-1]], axis=1)
     inputs = np.concatenate([tgt_emb, betas_in], axis=2)
     dX3_flat = dX3.reshape(B * T, -1)
@@ -532,7 +554,8 @@ def loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_la
 
 
 def clip_gradients(grads, threshold):
-    """Scale all gradients so the global L2 norm is at most `threshold`."""
+    """Scale all gradients, in place, so the global L2 norm is at most
+    `threshold`; returns them and their norm before scaling."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g.astype(np.float64) ** 2))
@@ -540,7 +563,9 @@ def clip_gradients(grads, threshold):
     if norm <= threshold or norm == 0.0:
         return grads, norm
     scale = threshold / norm
-    return {k: g * scale for k, g in grads.items()}, norm
+    for g in grads.values():
+        g *= scale
+    return grads, norm
 
 
 class Adam:

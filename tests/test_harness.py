@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -404,6 +405,43 @@ def test_train_and_evaluate_deterministic():
     assert report_a.to_dict() == report_b.to_dict()
     assert report_a.total == 16
     assert report_a.aligned == 16
+
+
+def test_train_model_holds_one_gradient_set(monkeypatch):
+    """On entry to each loss_and_grad call, no gradient array an earlier
+    call returned, or Adam applied, is alive unless it is one of the arrays
+    handed in to be overwritten; after the first call every batch reuses
+    them."""
+    from annosql import model as nn
+
+    config = tiny_config(epochs=2)
+    examples, _bundles, _records = generate_corpus(16, n_tables=4, seed=9, config=config)
+    pairs, vocab, _report = build_training_pairs(examples, config)
+    real_loss_and_grad, real_step = nn.loss_and_grad, nn.Adam.step
+    seen = []  # weakrefs to every gradient array so far
+    handed, returned = [], []  # gradient arrays per call, handed in and returned
+
+    def loss_and_grad(*args, **kwargs):
+        given = kwargs.get("grads") or {}
+        alive = [ref() for ref in seen if ref() is not None]
+        assert all(any(a is g for g in given.values()) for a in alive), len(handed)
+        loss, grads, stats = real_loss_and_grad(*args, **kwargs)
+        assert all(grads[k] is g for k, g in given.items())
+        seen.extend(weakref.ref(g) for g in grads.values())
+        handed.append(len(given))
+        returned.append(len(grads))
+        return loss, grads, stats
+
+    def step(self, params, grads):
+        seen.extend(weakref.ref(g) for g in grads.values())
+        return real_step(self, params, grads)
+
+    monkeypatch.setattr(nn, "loss_and_grad", loss_and_grad)
+    monkeypatch.setattr(nn.Adam, "step", step)
+    train_model(pairs, vocab, config)
+    # 16 pairs at batch size 8, two epochs: each call after the first is
+    # handed the whole set the one before it returned
+    assert handed == [0] + returned[:3] and len(returned) == 4
 
 
 def test_translate_example_handles_garbage_model():

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ def test_float32_loss_of_an_underflowed_target_is_finite():
     loss, _correct, _tokens, tape = nn._teacher_forced(
         params, np.array([[5, 6, 7]]), np.ones((1, 3)), tgt, tgt, mask
     )
-    assert all(cache[3][4][0] == 0.0 for cache, _w in tape[-1])  # the target's score
+    assert all(cache[3][3][0] == 0.0 for cache, _w in tape[-1])  # the target's score
     assert loss == pytest.approx(-np.log(np.finfo(np.float32).tiny))
     for tgt_mask in (mask, np.array([[1.0, 0.0]])):
         full_loss, grads, _stats = nn.loss_and_grad(
@@ -353,6 +354,71 @@ def test_gradients_match_per_step_reference(enc_layers):
                 assert err <= 1e-10 * max(np.linalg.norm(ref), 1e-300), (B, tail, name, err)
 
 
+def test_decoder_backward_frees_each_step_tape_as_it_reads_it(monkeypatch):
+    """The reversed decoder loop drops a step's tape once it has read it:
+    when a step's attention backward runs, the attention tanh tape of every
+    later step is already freed."""
+    params = nn.init_params(toy_config(), seed=4)
+    batch = drawn_batch(np.random.default_rng(4), B=3, tail=1)
+    real_attention, real_backward = nn._attention, nn._attention_backward
+    tus, checked = [], []  # weakrefs to each step's tu, in step order
+
+    def attention(*args):
+        out = real_attention(*args)
+        tus.append(weakref.ref(out[3]))
+        return out
+
+    def attention_backward(params, d, enc, tu, *rest):
+        t = next(i for i, ref in enumerate(tus) if ref() is tu)
+        assert all(ref() is None for ref in tus[t + 1 :]), t
+        checked.append(t)
+        return real_backward(params, d, enc, tu, *rest)
+
+    monkeypatch.setattr(nn, "_attention", attention)
+    monkeypatch.setattr(nn, "_attention_backward", attention_backward)
+    nn.loss_and_grad(params, *batch)
+    assert checked == list(reversed(range(len(tus)))) and len(tus) > 1
+
+
+def test_encoder_backward_frees_each_layer_tape_before_the_layer_below(monkeypatch):
+    """When layer 0's GRU backward runs, every step array layer 1's GRU
+    passes cached is already freed."""
+    params = nn.init_params(toy_config(enc_layers=2), seed=5)
+    batch = drawn_batch(np.random.default_rng(5), B=3, tail=1)
+    real_forward, real_backward = nn._gru_forward, nn._gru_backward
+    layer1, checked = [], []  # weakrefs to layer 1's step arrays
+
+    def gru_forward(x, W, U, b):
+        hseq, cache = real_forward(x, W, U, b)
+        if any(W is params[f"enc1.{direction}.W"] for direction in ("fwd", "bwd")):
+            layer1.extend(weakref.ref(a) for step in cache[2] for a in step)
+        return hseq, cache
+
+    def gru_backward(d_hseq, x, cache, grads, prefix):
+        if prefix.startswith("enc0."):
+            assert all(ref() is None for ref in layer1), prefix
+            checked.append(prefix)
+        return real_backward(d_hseq, x, cache, grads, prefix)
+
+    monkeypatch.setattr(nn, "_gru_forward", gru_forward)
+    monkeypatch.setattr(nn, "_gru_backward", gru_backward)
+    nn.loss_and_grad(params, *batch)
+    assert checked == ["enc0.fwd", "enc0.bwd"] and layer1
+
+
+def test_loss_and_grad_overwrites_the_gradients_it_is_handed():
+    """Gradient arrays handed in are zeroed and take the batch's gradients:
+    the same objects come back, equal to a fresh call's gradients."""
+    params = nn.init_params(toy_config(), seed=6)
+    batch = drawn_batch(np.random.default_rng(6), B=3, tail=1)
+    loss, fresh, _stats = nn.loss_and_grad(params, *batch)
+    stale = {k: np.full_like(g, 7.0) for k, g in fresh.items()}
+    reused_loss, reused, _stats = nn.loss_and_grad(params, *batch, grads=stale)
+    assert reused_loss == loss
+    for k, g in fresh.items():
+        assert reused[k] is stale[k] and np.array_equal(reused[k], g), k
+
+
 def test_loss_decreases_on_memorizable_pair():
     cfg = toy_config(vocab_size=30, dim=16, type_dim=8, enc_hidden=12, dec_hidden=16, attn_dim=12)
     params = nn.init_params(cfg, seed=2)
@@ -389,6 +455,7 @@ def test_clip_gradients():
     big = {"a": np.array([6.0, 8.0])}  # norm 10 -> scaled by 0.5
     clipped, norm = nn.clip_gradients(big, 5.0)
     assert norm == pytest.approx(10.0)
+    assert clipped["a"] is big["a"]  # scaled in place
     assert np.allclose(clipped["a"], [3.0, 4.0])
     total = np.sqrt(sum(np.sum(g**2) for g in clipped.values()))
     assert total == pytest.approx(5.0)
