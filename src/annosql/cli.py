@@ -7,12 +7,13 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import nullcontext
 
 from .harness import (
     Config,
     load_meta,
+    load_model,
     load_split,
-    load_translator,
     prepare_examples,
     repl_translate,
     run_eval,
@@ -24,13 +25,11 @@ from .sqlgen import serialize_sketch, sketch_tokens
 _SPLITS = ("train", "dev", "test")
 
 
-def _emit(obj, out_path):
-    text = json.dumps(obj, indent=None)
-    if out_path:
-        with open(out_path, "a", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(records, out_path):
+    """Each record as one JSON line, to a fresh `out_path` or to stdout."""
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 def cmd_annotate(args):
@@ -38,10 +37,8 @@ def cmd_annotate(args):
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, args.split)
     prepare_examples(examples, tables, config, lexicon, emb)
-    if args.out:
-        open(args.out, "w").close()  # fresh file, _emit appends
-    for ex in examples:
-        record = {
+    records = (
+        {
             "question": ex.question,
             "table_id": ex.table_id,
             "symbols": ex.annotation.symbols.to_dict(),
@@ -50,29 +47,32 @@ def cmd_annotate(args):
             "target_tokens": sketch_tokens(ex.aligned) if ex.aligned else None,
             "alignment_error": ex.alignment_error,
         }
-        _emit(record, args.out)
+        for ex in examples
+    )
+    _emit(records, args.out)
     return 0
 
 
 def cmd_train(args):
     config = Config.from_file(args.config)
-    _params, _vocab, history, coverage = run_train(config)
-    _emit({"coverage": coverage, "epochs": history, "config": config.to_dict()}, args.out)
+    history, coverage = run_train(config)
+    _emit([{"coverage": coverage, "epochs": history, "config": config.to_dict()}], args.out)
     return 0
 
 
 def cmd_eval(args):
     config = Config.from_file(args.config)
     report = run_eval(config, args.split)
-    _emit(report.to_dict(), args.out)
+    _emit([report.to_dict()], args.out)
     return 0
 
 
 def cmd_translate(args):
     config = Config.from_file(args.config)
-    tables, params, vocab, lexicon, emb = load_translator(config)
+    tables, lexicon, emb = load_meta(config)
+    params, vocab = load_model(config)
     out = translate_question(args.question, args.table, tables, params, vocab, config, lexicon, emb)
-    _emit(out, args.out)
+    _emit([out], args.out)
     return 0 if out["logp"] is not None else 1  # 1: the question never reached the model
 
 
@@ -86,7 +86,7 @@ def cmd_synth(args):
     from .synth import write_corpus
 
     tables_path, split_path = write_corpus(args.out_dir, args.questions, args.tables, args.seed)
-    _emit({"tables": tables_path, "split": split_path}, None)
+    _emit([{"tables": tables_path, "split": split_path}], None)
     return 0
 
 

@@ -384,7 +384,7 @@ def train_model(
             loss, grads, stats = nn.loss_and_grad(
                 params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask, batch_label=label, grads=grads
             )
-            grads, norm = nn.clip_gradients(grads, config.clip)
+            norm = nn.clip_gradients(grads, config.clip)
             if not np.isfinite(norm):
                 raise nn.ModelError(f"non-finite gradient norm (batch {label})")
             optimizer.step(params, grads)
@@ -580,9 +580,10 @@ def load_split(config, tables, split, gold=False):
 
 
 def run_train(config):
-    """Train from the configured files; writes vocab, checkpoint, and log.
-    train_model checks the train split when `stop_train_acc` is set and the
-    dev split when one is configured."""
+    """Train from the configured files; writes vocab, checkpoint, and log,
+    and returns (per-epoch history, training-pair coverage). train_model
+    checks the train split when `stop_train_acc` is set and the dev split
+    when one is configured."""
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, "train", gold=config.stop_train_acc is not None)
     dev_examples = load_split(config, tables, "dev", gold=True) if config.dev_path else None
@@ -611,7 +612,7 @@ def run_train(config):
         vocab.content_hash(),
         extra={"config": config.to_dict(), "coverage": coverage},
     )
-    return params, vocab, history, coverage
+    return history, coverage
 
 
 def load_model(config):
@@ -630,13 +631,6 @@ def run_eval(config, split):
     params, vocab = load_model(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     return evaluate(examples, tables, params, vocab, config)
-
-
-def load_translator(config):
-    """(tables, params, vocab, lexicon, emb) for translate_question."""
-    tables, lexicon, emb = load_meta(config)
-    params, vocab = load_model(config)
-    return tables, params, vocab, lexicon, emb
 
 
 # the keys of every translate_question output, in order
@@ -673,7 +667,8 @@ def repl_translate(config, stdin=None, stdout=None):
     """Interactive loop: one `table_id<TAB>question` per line, JSON out."""
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    tables, params, vocab, lexicon, emb = load_translator(config)
+    tables, lexicon, emb = load_meta(config)
+    params, vocab = load_model(config)
     for line in stdin:
         line = line.strip()
         if not line:

@@ -280,7 +280,9 @@ EMPTY_EMBEDDINGS = EmbeddingStore({}, 0)
 
 
 def load_embeddings(path):
-    """Load a GloVe-style text vector file; dimension inferred from line 1."""
+    """Load a GloVe-style text vector file; dimension inferred from line 1.
+    The last `dim` fields of a line are the vector and all before them is
+    the word, which may hold spaces."""
     vectors = {}
     dim = None
 
@@ -288,12 +290,12 @@ def load_embeddings(path):
         nonlocal dim
         if not line.strip():
             return
-        word, *nums = line.split()
         if dim is None:
-            dim = len(nums)
+            dim = len(line.split()) - 1
             if dim == 0:
                 raise MetaError("no vector components")
-        elif len(nums) != dim:
+        word, *nums = line.rsplit(maxsplit=dim)
+        if len(nums) != dim:
             raise MetaError(f"expected {dim} components, got {len(nums)}")
         vector = np.asarray([float(x) for x in nums])
         if not np.isfinite(vector).all():

@@ -137,13 +137,12 @@ def _embed(params, ids):
         out[sym] = np.concatenate(
             [params["type_emb"][fam], params["index_emb"][idx]], axis=1
         )
-    cache = (flat, sym, fam, idx, ids.shape)
-    return out.reshape(ids.shape + (cfg.dim,)), cache
+    return out.reshape(ids.shape + (cfg.dim,)), (flat, sym, fam, idx)
 
 
 def _embed_backward(params, cache, d_out, grads):
     cfg = params.config
-    flat, sym, fam, idx, _shape = cache
+    flat, sym, fam, idx = cache
     d_flat = d_out.reshape(len(flat), cfg.dim)
     nonsym = ~sym
     np.add.at(grads["emb"], flat[nonsym], d_flat[nonsym])
@@ -243,8 +242,7 @@ class EncoderOutput:
     """Encoder states plus the per-question constants every decoder step reads."""
 
     states: np.ndarray  # (B, S, 2H) top-layer concatenated states
-    fwd_final: np.ndarray  # (B, H) forward state at each row's last token
-    bwd_final: np.ndarray  # (B, H) backward state at position 0
+    final: np.ndarray  # (B, 2H) [fwd state at each row's last token; bwd state at position 0]
     src_ids: np.ndarray  # (B, S)
     keys: np.ndarray  # (B, S, A) attention keys states @ attn.W2
     pad_bias: np.ndarray  # (B, S) 0 at real tokens, NEG_INF at padding
@@ -286,21 +284,19 @@ def encoder_forward(src_ids, params, src_mask=None):
         y = x @ W0 + b0
         hf, cf = _gru_forward(y, *(params[f"enc{l}.fwd.{k}"] for k in "WUb"))
         hb, cb = _gru_forward(y[rows, rev], *(params[f"enc{l}.bwd.{k}"] for k in "WUb"))
-        fwd_final, bwd_final = hf[row, last], hb[row, last]
         layer_caches.append((x, y, cf, cb))
         x = np.concatenate([hf, hb[rows, rev]], axis=2)
+    final = np.concatenate([hf[row, last], hb[row, last]], axis=1)
     keys = x @ params["attn.W2"]
     pad_bias = np.where(src_mask > 0, 0.0, NEG_INF).astype(dt)
     copy_index = (rows * params.config.vocab_size + src_ids).reshape(-1)
     cache = (emb_cache, layer_caches, rev, last)
-    return EncoderOutput(
-        x, fwd_final, bwd_final, src_ids, keys, pad_bias, copy_index, cache
-    )
+    return EncoderOutput(x, final, src_ids, keys, pad_bias, copy_index, cache)
 
 
-def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
-    """Backward of encoder_forward; adds the final states' gradients into
-    d_states. It takes each layer's cache out of enc.cache as it reads it,
+def _encoder_backward(params, enc, d_states, d_final, grads):
+    """Backward of encoder_forward; adds d_final, the gradient of
+    enc.final, into d_states. It takes each layer's cache out of enc.cache as it reads it,
     so a layer's tape is freed before the layer below runs."""
     H, L = params.config.enc_hidden, params.config.enc_layers
     emb_cache, layer_caches, rev, last = enc.cache
@@ -310,8 +306,8 @@ def _encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
         x_in, y, cf, cb = layer_caches.pop()
         d_hf, d_hb = d_x[:, :, :H], d_x[:, :, H:][rows, rev]  # d_hb in run order
         if l == L - 1:
-            d_hf[row, last] += d_fwd_final
-            d_hb[row, last] += d_bwd_final
+            d_hf[row, last] += d_final[:, :H]
+            d_hb[row, last] += d_final[:, H:]
         dy = _gru_backward(d_hf, y, cf, grads, f"enc{l}.fwd")
         dy += _gru_backward(d_hb, y[rows, rev], cb, grads, f"enc{l}.bwd")[rows, rev]
         x2 = x_in.reshape(-1, x_in.shape[-1])
@@ -376,7 +372,7 @@ def _output_distribution(params, d, beta, e, enc):
     np.add.at(scores.reshape(-1), enc.copy_index, ee.reshape(-1))
     total = scores.sum(axis=1, keepdims=True)
     probs = scores / total
-    return probs, (cat, el, ee, scores, total)
+    return probs, (el, ee, scores, total)
 
 
 @dataclass
@@ -414,10 +410,9 @@ def decoder_step(prev_ids, state, enc, params):
 
 
 def initial_decoder_state(params, enc):
-    """d_0 = tanh(W1 [fwd_final; bwd_final]) and a zero context beta_0."""
-    pre = np.concatenate([enc.fwd_final, enc.bwd_final], axis=1)
-    beta0 = np.zeros((pre.shape[0], enc.states.shape[-1]), dtype=params.config.np_dtype())
-    return DecoderState(np.tanh(pre @ params["W1"]), beta0)
+    """d_0 = tanh(final @ W1) and a zero context beta_0."""
+    beta0 = np.zeros((len(enc.final), enc.states.shape[-1]), dtype=params.config.np_dtype())
+    return DecoderState(np.tanh(enc.final @ params["W1"]), beta0)
 
 
 def zero_grads(params):
@@ -450,7 +445,7 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     correct = 0.0
     for t in range(T):
         state, probs, cache = _step(params, tok3[:, t], states[-1], enc)
-        gru_cache, alpha, tu, (_cat, el, ee, scores, total) = cache
+        gru_cache, alpha, tu, (el, ee, scores, total) = cache
         w = tgt_mask[:, t] / total_tokens
         target = np.arange(B), tgt_out[:, t]
         py = probs[target]
@@ -543,29 +538,26 @@ def loss_and_grad(
     grads["dec.W"] += inputs.reshape(B * T, -1).T @ dX3_flat
     grads["dec.b"] += dX3_flat.sum(axis=0)
     _embed_backward(params, tgt_emb_cache, dX3 @ _transposed(params["dec.W"][:D]), grads)
-    # step 1 consumed beta_0 = 0 (a constant) and d_0 = tanh(W1 [...])
+    # step 1 consumed beta_0 = 0 (a constant) and d_0 = tanh(final @ W1)
     d_d0_pre = carry_d * (1.0 - start.d * start.d)
-    grads["W1"] += np.concatenate([enc.fwd_final, enc.bwd_final], axis=1).T @ d_d0_pre
-    d_pre = d_d0_pre @ params["W1"].T
-    H = params.config.enc_hidden
-    _encoder_backward(params, enc, d_states, d_pre[:, :H], d_pre[:, H:], grads)
-    token_acc = correct / total_tokens
-    return loss, grads, {"token_accuracy": token_acc, "tokens": total_tokens}
+    grads["W1"] += enc.final.T @ d_d0_pre
+    _encoder_backward(params, enc, d_states, d_d0_pre @ params["W1"].T, grads)
+    return loss, grads, {"token_accuracy": correct / total_tokens}
 
 
 def clip_gradients(grads, threshold):
     """Scale all gradients, in place, so the global L2 norm is at most
-    `threshold`; returns them and their norm before scaling."""
+    `threshold`; returns their norm before scaling."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g.astype(np.float64) ** 2))
     norm = total**0.5
     if norm <= threshold or norm == 0.0:
-        return grads, norm
+        return norm
     scale = threshold / norm
     for g in grads.values():
         g *= scale
-    return grads, norm
+    return norm
 
 
 class Adam:
@@ -588,7 +580,14 @@ class Adam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            params.tensors[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+            # lr * (m / b1t) / (sqrt(v / b2t) + eps), in two buffers
+            denom = v / b2t
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step = m / b1t
+            step *= self.lr
+            step /= denom
+            params.tensors[k] -= step
 
 
 @dataclass(frozen=True)

@@ -385,12 +385,12 @@ def _reference_encoder_forward(src_ids, params, src_mask):
     pad_bias = np.where(src_mask > 0, 0.0, nn.NEG_INF).astype(x.dtype)
     copy_index = (np.arange(len(src_ids))[:, None] * params.config.vocab_size + src_ids).reshape(-1)
     return nn.EncoderOutput(
-        x, fwd_final, bwd_final, src_ids, x @ params["attn.W2"], pad_bias,
-        copy_index, (emb_cache, layer_caches),
+        x, np.concatenate([fwd_final, bwd_final], axis=1), src_ids, x @ params["attn.W2"],
+        pad_bias, copy_index, (emb_cache, layer_caches),
     )
 
 
-def _reference_encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final, grads):
+def _reference_encoder_backward(params, enc, d_states, d_final, grads):
     H = params.config.enc_hidden
     emb_cache, layer_caches = enc.cache
     d_x = d_states
@@ -398,10 +398,10 @@ def _reference_encoder_backward(params, enc, d_states, d_fwd_final, d_bwd_final,
         x_in, cf, cb = layer_caches[l]
         top = l == params.config.enc_layers - 1
         dy = _reference_gru_backward(
-            d_x[:, :, :H], d_fwd_final if top else None, cf, grads, f"enc{l}.fwd"
+            d_x[:, :, :H], d_final[:, :H] if top else None, cf, grads, f"enc{l}.fwd"
         )
         dy += _reference_gru_backward(
-            d_x[:, :, H:], d_bwd_final if top else None, cb, grads, f"enc{l}.bwd"
+            d_x[:, :, H:], d_final[:, H:] if top else None, cb, grads, f"enc{l}.bwd"
         )
         x2 = x_in.reshape(-1, x_in.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
@@ -459,7 +459,8 @@ def reference_loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
     carry_d = np.zeros_like(start.d)
     carry_beta = np.zeros_like(start.beta)
     for t in reversed(range(T)):
-        gru_cache, alpha, tu, (cat, el, ee, scores, total), w = caches[t]
+        gru_cache, alpha, tu, (el, ee, scores, total), w = caches[t]
+        cat = np.concatenate([states[t + 1].d, states[t + 1].beta], axis=1)
         ds = (w / total[:, 0])[:, None] * np.ones_like(scores)
         ds[np.arange(B), tgt_out[:, t]] -= w / scores[np.arange(B), tgt_out[:, t]]
         d_logits = ds * el
@@ -479,11 +480,23 @@ def reference_loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
     grads["dec.b"] += dX3.reshape(B * T, -1).sum(axis=0)
     nn._embed_backward(params, tgt_emb_cache, dX3 @ params["dec.W"][:D].T, grads)
     d_d0_pre = carry_d * (1.0 - start.d * start.d)
-    grads["W1"] += np.concatenate([enc.fwd_final, enc.bwd_final], axis=1).T @ d_d0_pre
-    d_pre = d_d0_pre @ params["W1"].T
-    H = params.config.enc_hidden
-    _reference_encoder_backward(params, enc, d_states, d_pre[:, :H], d_pre[:, H:], grads)
+    grads["W1"] += enc.final.T @ d_d0_pre
+    _reference_encoder_backward(params, enc, d_states, d_d0_pre @ params["W1"].T, grads)
     return loss, grads
+
+
+def reference_adam_step(tensors, m, v, t, lr, grads):
+    """Adam's update at step `t` as first written, one temporary per
+    operation: the oracle for Adam.step's update in its own buffers. The
+    name -> array dicts `tensors`, `m` and `v` are updated in place."""
+    b1t = 1.0 - nn.ADAM_BETA1**t
+    b2t = 1.0 - nn.ADAM_BETA2**t
+    for k, g in grads.items():
+        m[k] *= nn.ADAM_BETA1
+        m[k] += (1.0 - nn.ADAM_BETA1) * g
+        v[k] *= nn.ADAM_BETA2
+        v[k] += (1.0 - nn.ADAM_BETA2) * g * g
+        tensors[k] -= lr * (m[k] / b1t) / (np.sqrt(v[k] / b2t) + nn.ADAM_EPS)
 
 
 @cache

@@ -484,7 +484,9 @@ def test_run_train_eval_translate_cli(tmp_path):
     assert all(e["grad_norm_max"] >= e["grad_norm_mean"] > 0.0 for e in trained["epochs"])
 
     out_eval = tmp_path / "eval.json"
-    assert main(["eval", "--config", str(config_path), "--split", "test", "--out", str(out_eval)]) == 0
+    for _ in range(2):  # each run writes a fresh file
+        assert main(["eval", "--config", str(config_path), "--split", "test", "--out", str(out_eval)]) == 0
+    assert len(out_eval.read_text().splitlines()) == 1
     report = json.loads(out_eval.read_text())
     assert report["total"] == 12
     assert 0.0 <= report["acc_ex"] <= 1.0
@@ -834,7 +836,7 @@ def test_dev_early_stopping_with_patience(tmp_path, monkeypatch):
     config.dev_path = split_path
     config.checkpoint_path = str(tmp_path / "model.npz")
     config.vocab_path = str(tmp_path / "vocab.txt")
-    _params, _vocab, history, _coverage = run_train(config)
+    history, _coverage = run_train(config)
     assert history[-1]["epoch"] == 2
 
 
@@ -843,6 +845,7 @@ def test_dev_best_parameters_are_the_ones_saved(tmp_path, monkeypatch):
     training at epoch 2, and the checkpoint holds the parameters of epoch 1."""
     from annosql import harness
     from annosql import model as nn
+    from annosql.encoding import Vocabulary
 
     tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
     config = tiny_config(epochs=30, eval_every=1, patience=1)
@@ -852,8 +855,9 @@ def test_dev_best_parameters_are_the_ones_saved(tmp_path, monkeypatch):
     config.vocab_path = str(tmp_path / "vocab.txt")
     scripted_qm = iter([0.5, 0.25])
     monkeypatch.setattr(harness, "evaluate", lambda *_args: SimpleNamespace(acc_qm=next(scripted_qm)))
-    _params, vocab, history, _coverage = harness.run_train(config)
+    history, _coverage = harness.run_train(config)
     assert [entry["dev_acc_qm"] for entry in history] == [0.5, 0.25]
+    vocab = Vocabulary.load(config.vocab_path)
     saved, _meta = nn.load_checkpoint(config.checkpoint_path, vocab.content_hash())
     tables = table_bundles(load_tables(tables_path))
     examples = prepare_examples(load_wikisql(split_path, tables, None), tables, config)
@@ -886,7 +890,7 @@ def test_check_fields_only_at_check_epochs(tmp_path, monkeypatch, checked):
     config.checkpoint_path = str(tmp_path / "model.npz")
     config.vocab_path = str(tmp_path / "vocab.txt")
     config.log_path = str(tmp_path / "train.log")
-    _params, _vocab, history, _coverage = run_train(config)
+    history, _coverage = run_train(config)
     assert [entry["epoch"] for entry in history] == [1, 2, 3, 4, 5]
     for entry in history:
         at_check = entry["epoch"] % config.eval_every == 0
@@ -1091,7 +1095,7 @@ def test_run_train_stops_at_stop_train_acc(tmp_path):
     config.train_path = split_path
     config.checkpoint_path = str(tmp_path / "model.npz")
     config.vocab_path = str(tmp_path / "vocab.txt")
-    _params, _vocab, history, _coverage = run_train(config)
+    history, _coverage = run_train(config)
     assert [entry["epoch"] for entry in history] == [1, 2]
 
 

@@ -243,6 +243,18 @@ def test_load_embeddings_tiny():
         assert list(store.get("a")) == [1.0, 0.0]
 
 
+def test_load_embeddings_words_with_spaces(tmp_path):
+    """The last `dim` fields are the vector and all before them the word,
+    so a word may hold spaces or a non-breaking space."""
+    path = tmp_path / "v.txt"
+    path.write_text("the 0.1 0.2 0.3\n. . . 0.4 0.5 0.6\nat\xa0name 0.7 0.8 0.9\n", encoding="utf-8")
+    store = load_embeddings(str(path))
+    assert store.dim == 3
+    assert list(store.get(". . .")) == [0.4, 0.5, 0.6]
+    assert list(store.get("at\xa0name")) == [0.7, 0.8, 0.9]
+    assert store.get(".") is None and store.get("at") is None
+
+
 def test_load_embeddings_inconsistent_dim_names_line(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("a 1.0 0.0\nb 1.0\n")

@@ -22,8 +22,9 @@ from annosql.harness import (
     Config,
     Example,
     evaluate,
+    load_meta,
+    load_model,
     load_split,
-    load_translator,
     load_wikisql,
     prepare_examples,
     repl_translate,
@@ -367,7 +368,8 @@ def trained(tmp_path_factory):
         checkpoint_path=str(root / "model.npz"), vocab_path=str(root / "vocab.txt"),
     )
     run_train(config)
-    tables, params, vocab, _lexicon, _emb = load_translator(config)
+    tables, _lexicon, _emb = load_meta(config)
+    params, vocab = load_model(config)
     assert sorted(tables) == TABLE_IDS
     gold = prepare_examples(load_split(config, tables, "train", gold=True), tables, config)
     return SimpleNamespace(config=config, tables=tables, params=params, vocab=vocab, gold=gold)
