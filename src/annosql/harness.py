@@ -45,7 +45,7 @@ from .sqlgen import (
     sketch_tokens,
     sql_tokens,
 )
-from .trees import load_trees
+from .trees import parse_bracketed
 
 log = logging.getLogger(__name__)
 
@@ -92,9 +92,6 @@ class Config:
     test_path: str | None = None
     lexicon_path: str | None = None
     embeddings_path: str | None = None
-    train_trees_path: str | None = None
-    dev_trees_path: str | None = None
-    test_trees_path: str | None = None
     checkpoint_path: str = "model.npz"
     vocab_path: str = "vocab.txt"
     log_path: str | None = None
@@ -217,18 +214,14 @@ def table_bundles(tables):
     return {table.schema.table_id: TableBundle(table, build_value_stats(table)) for table in tables}
 
 
-def load_wikisql(split_path, tables, trees_path):
+def load_wikisql(split_path, tables):
     """The Examples of a WikiSQL-format split joined to `tables` (id -> TableBundle).
 
-    A line without a `sql` object gives an Example whose gold is None. Tree
-    line i of `trees_path`, when not None, belongs to split line i, so the two
-    files have the same number of lines, blank ones included.
+    A line without a `sql` object gives an Example whose gold is None, and
+    one without a `tree` string (or with null) an Example whose tree is None.
     """
-    trees = load_trees(trees_path) if trees_path else []
-    tree_of_line = iter(trees)
 
     def parse(line):
-        tree = next(tree_of_line, None)
         if not line.strip():
             return None
         obj = json.loads(line)
@@ -239,14 +232,12 @@ def load_wikisql(split_path, tables, trees_path):
         gold = None
         if "sql" in obj:
             gold = gold_from_wikisql(obj["sql"], tables[table_id].schema, table_id)
-        return Example(question, table_id, gold, tree)
+        tree = obj.get("tree")
+        if not isinstance(tree, str | None):
+            raise TypeError(f"tree must be a string or null, not {type(tree).__name__}")
+        return Example(question, table_id, gold, None if tree is None else parse_bracketed(tree))
 
-    parsed = read_lines(split_path, parse)
-    if trees_path and len(trees) != len(parsed):
-        raise ValueError(
-            f"{trees_path}: {len(trees)} tree lines for {len(parsed)} lines of {split_path}"
-        )
-    return [ex for ex in parsed if ex is not None]
+    return [ex for ex in read_lines(split_path, parse) if ex is not None]
 
 
 def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_EMBEDDINGS):
@@ -567,13 +558,12 @@ def load_meta(config):
 
 
 def load_split(config, tables, split, gold=False):
-    """The Examples of one configured split ("train", "dev" or "test") with
-    the trees of that split's tree file; with `gold`, ValueError for a line
-    without a gold query."""
+    """The Examples of one configured split ("train", "dev" or "test"); with
+    `gold`, ValueError for a line without a gold query."""
     path = getattr(config, f"{split}_path")
     if not path:
         raise ValueError(f"config needs a path for split {split!r}")
-    examples = load_wikisql(path, tables, getattr(config, f"{split}_trees_path"))
+    examples = load_wikisql(path, tables)
     if gold:
         _require_gold(examples, path)
     return examples

@@ -179,14 +179,21 @@ def table_from_record(obj):
     return Table(schema, tuple(tuple(cell_str(v) for v in row) for row in rows))
 
 
-def _parse_table(line):
-    return table_from_record(json.loads(line)) if line.strip() else None
-
-
 def load_tables(path):
     """The Tables of a JSON-lines table file, one `table_from_record` per
-    non-blank line."""
-    return [table for table in read_lines(path, _parse_table) if table is not None]
+    non-blank line; a table id repeated on a later line is malformed."""
+    seen = set()
+
+    def parse(line):
+        if not line.strip():
+            return None
+        table = table_from_record(json.loads(line))
+        if table.schema.table_id in seen:
+            raise MetaError(f"repeated table id {table.schema.table_id!r}")
+        seen.add(table.schema.table_id)
+        return table
+
+    return [table for table in read_lines(path, parse) if table is not None]
 
 
 def cell_str(value):
@@ -282,7 +289,8 @@ EMPTY_EMBEDDINGS = EmbeddingStore({}, 0)
 def load_embeddings(path):
     """Load a GloVe-style text vector file; dimension inferred from line 1.
     The last `dim` fields of a line are the vector and all before them is
-    the word, which may hold spaces."""
+    the word, which may hold spaces. Words are case-folded, and the first
+    line of a folded word keeps its vector."""
     vectors = {}
     dim = None
 
@@ -300,7 +308,7 @@ def load_embeddings(path):
         vector = np.asarray([float(x) for x in nums])
         if not np.isfinite(vector).all():
             raise MetaError(f"vector of {word!r} has a non-finite component")
-        vectors[word.casefold()] = vector
+        vectors.setdefault(word.casefold(), vector)
 
     read_lines(path, parse)
     return EmbeddingStore(vectors, dim or 0)
@@ -329,9 +337,7 @@ def value_affinity(term, columns, stats, emb):
     column score on the range check alone. Otherwise the score is the best
     cosine between the term's mean embedding and the cell values' mean
     embeddings, rescaled to [0, 1]; 0.0 with no embedding evidence. The
-    phrase, the number and the term vector are computed once for all columns;
-    a term with no exact cell, no number and no term vector scores 0.0
-    everywhere in one step.
+    phrase, the number and the term vector are computed once for all columns.
     """
     if not term:
         raise ValueError("empty term")
@@ -340,8 +346,6 @@ def value_affinity(term, columns, stats, emb):
     tvec = emb.mean(t.casefold() for t in term) if emb.dim else None
     tnorm = 0 if tvec is None else np.linalg.norm(tvec)
     unit = tvec / tnorm if tnorm != 0 else None
-    if not exact and num is None and unit is None:
-        return [0.0] * len(columns)
     scores = []
     for column in columns:
         if column.position in exact:

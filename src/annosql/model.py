@@ -653,7 +653,8 @@ def save_checkpoint(path, params, vocab_hash, extra=None):
     }
     arrays = {f"t{i}": params.tensors[name] for i, name in enumerate(names)}
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, meta=meta_bytes, **arrays)
+    with open(path, "wb") as fh:  # np.savez would add ".npz" to a path without it
+        np.savez(fh, meta=meta_bytes, **arrays)
 
 
 def load_checkpoint(path, expect_vocab_hash):

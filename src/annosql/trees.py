@@ -1,12 +1,10 @@
 """Bracketed constituency trees and lowest-common-ancestor depth.
 
-Trees are consumed, not produced: input is one PTB-style bracketed tree per
-line, aligned by line number to the question file.
+Trees are consumed, not produced: a question's line may carry one
+PTB-style bracketed tree as its `tree` string.
 """
 
 from dataclasses import dataclass
-
-from .meta import read_lines
 
 
 class TreeParseError(ValueError):
@@ -79,8 +77,3 @@ def parse_bracketed(line):
     while all(len(p) > top + 2 for p in paths) and len({p[top + 1] for p in paths}) == 1:
         top += 1
     return ConstituencyTree(tuple(tokens), tuple(p[top:] for p in paths))
-
-
-def load_trees(path):
-    """One tree per line; blank lines mean "no tree for this question"."""
-    return read_lines(path, lambda line: parse_bracketed(line) if line.strip() else None)

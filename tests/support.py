@@ -53,7 +53,7 @@ def tree_tokens(tree):
 
 
 def bracketed(tokens, rng):
-    """A seeded random binary bracketing of `tokens`, as one tree-file line."""
+    """A seeded random binary bracketing of `tokens`, as one `tree` string."""
     if len(tokens) == 1:
         return f"(X {tokens[0]})"
     cut = rng.randrange(1, len(tokens))

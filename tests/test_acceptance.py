@@ -50,7 +50,7 @@ def test_criterion_1_fixture_questions(tmp_path):
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = Config()
     tables = table_bundles(load_tables(tables_path))
-    examples = load_wikisql(split_path, tables, None)
+    examples = load_wikisql(split_path, tables)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)
 

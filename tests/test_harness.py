@@ -81,7 +81,7 @@ def write_film_and_townland_fixtures(tmp_path):
 def test_load_wikisql_two_examples(tmp_path):
     tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
     tables = table_bundles(load_tables(tables_path))
-    examples = load_wikisql(split_path, tables, None)
+    examples = load_wikisql(split_path, tables)
     assert len(examples) == 2
     assert set(tables) == {"film_awards", "townlands"}
     gold = examples[0].gold
@@ -94,7 +94,7 @@ def test_load_wikisql_empty_split(tmp_path):
     tables_path, _split, _lex = write_film_and_townland_fixtures(tmp_path)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    examples = load_wikisql(str(empty), table_bundles(load_tables(tables_path)), None)
+    examples = load_wikisql(str(empty), table_bundles(load_tables(tables_path)))
     assert examples == []
 
 
@@ -103,7 +103,7 @@ def test_load_wikisql_dangling_table_id(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({**FILM_AWARDS_RECORD, "table_id": "ghost"}) + "\n")
     with pytest.raises(ValueError, match="ghost"):
-        load_wikisql(str(bad), table_bundles(load_tables(tables_path)), None)
+        load_wikisql(str(bad), table_bundles(load_tables(tables_path)))
 
 
 def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
@@ -114,7 +114,7 @@ def test_gold_less_questions_annotate_but_do_not_evaluate(tmp_path):
     asked = {k: v for k, v in TOWNLANDS_RECORD.items() if k != "sql"}
     split.write_text(json.dumps(FILM_AWARDS_RECORD) + "\n" + json.dumps(asked) + "\n")
     tables = table_bundles(load_tables(tables_path))
-    examples = load_wikisql(str(split), tables, None)
+    examples = load_wikisql(str(split), tables)
     assert [ex.gold is None for ex in examples] == [False, True]
     prepare_examples(examples, tables, Config())
     with pytest.raises(ValueError, match="no gold query .*How many people live in Mayo"):
@@ -141,7 +141,7 @@ def film_fixtures_prepared(tmp_path, config=None):
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
     config = config or Config()
     tables = table_bundles(load_tables(tables_path))
-    examples = load_wikisql(split_path, tables, None)
+    examples = load_wikisql(split_path, tables)
     lexicon = load_phrase_lexicon(lex_path)
     prepare_examples(examples, tables, config, lexicon, EMPTY_EMBEDDINGS)
     return examples, tables, config
@@ -358,7 +358,7 @@ def test_synth_write_corpus_round_trip(tmp_path):
     tables = table_bundles(load_tables(tables_path))
     _examples, bundles, _records = generate_corpus(200, n_tables=20, seed=7, config=Config())
     assert tables == bundles
-    examples = load_wikisql(split_path, tables, None)
+    examples = load_wikisql(split_path, tables)
     assert len(examples) == 200
     config = Config()
     prepare_examples(examples, tables, config)
@@ -617,28 +617,20 @@ def test_repl_townlands_returns_356(tmp_path):
 
 
 def test_load_wikisql_trees_by_line_number(tmp_path):
-    """Tree line i belongs to question-file line i, blank lines included."""
+    """A line's `tree` belongs to that line's question, blank lines
+    between; a line without one, or with null, has no tree."""
     tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
-    film, townland = json.dumps(FILM_AWARDS_RECORD), json.dumps(TOWNLANDS_RECORD)
+    film = json.dumps({**FILM_AWARDS_RECORD, "tree": "(S (A x) (B y))"})
+    townland = json.dumps({**TOWNLANDS_RECORD, "tree": "(S (A z) (B w))"})
     gap = tmp_path / "gap.jsonl"
     gap.write_text(f"{film}\n\n{townland}\n")
-    trees_path = tmp_path / "trees.txt"
-    trees_path.write_text("(S (A x) (B y))\n\n(S (A z) (B w))\n")
-    examples = load_wikisql(str(gap), table_bundles(load_tables(tables_path)), str(trees_path))
+    examples = load_wikisql(str(gap), table_bundles(load_tables(tables_path)))
     assert [tree_tokens(ex.tree) for ex in examples] == [["x", "y"], ["z", "w"]]
-    trees_path.write_text("\n\n(S (A z) (B w))\n")
-    examples = load_wikisql(str(gap), table_bundles(load_tables(tables_path)), str(trees_path))
-    assert examples[0].tree is None
-    assert tree_tokens(examples[1].tree) == ["z", "w"]
-
-
-def test_load_wikisql_rejects_wrong_tree_line_count(tmp_path):
-    tables_path, split_path, _lex = write_film_and_townland_fixtures(tmp_path)
-    trees_path = tmp_path / "trees.txt"
-    for text, n in (("(S (A x) (B y))\n", 1), ("\n\n\n", 3)):
-        trees_path.write_text(text)
-        with pytest.raises(ValueError, match=f"trees.txt: {n} tree lines for 2 lines of "):
-            load_wikisql(split_path, table_bundles(load_tables(tables_path)), str(trees_path))
+    for untreed in (json.dumps(FILM_AWARDS_RECORD), json.dumps({**FILM_AWARDS_RECORD, "tree": None})):
+        gap.write_text(f"{untreed}\n\n{townland}\n")
+        examples = load_wikisql(str(gap), table_bundles(load_tables(tables_path)))
+        assert examples[0].tree is None
+        assert tree_tokens(examples[1].tree) == ["z", "w"]
 
 
 @pytest.mark.parametrize(
@@ -671,7 +663,7 @@ def test_load_wikisql_errors_name_file_and_line(tmp_path, bad):
     split = tmp_path / "bad.jsonl"
     split.write_text(json.dumps(TOWNLANDS_RECORD) + "\n" + bad + "\n")
     with pytest.raises(ValueError, match=r"bad\.jsonl:2: "):
-        load_wikisql(str(split), table_bundles(load_tables(tables_path)), None)
+        load_wikisql(str(split), table_bundles(load_tables(tables_path)))
 
 
 def test_translate_cli_reports_unanswerable_questions(tmp_path, capsys):
@@ -713,33 +705,35 @@ def test_translate_and_repl_need_tables_path(tmp_path):
 
 
 def test_annotate_uses_the_split_tree_file(tmp_path):
-    """`annosql annotate --split train` reads train_trees_path: its output is
-    prepare_examples run with those trees, which differs from the output
-    without them."""
+    """`annosql annotate --split train` reads the trees on the train split's
+    lines: its output is prepare_examples run with those trees, which
+    differs from the output without them."""
     from annosql.cli import main
     from annosql.text import tokenize
 
     tables_path, split_path = write_corpus(str(tmp_path / "data"), 30, n_tables=4, seed=29)
     rng = random.Random(29)
-    trees_path = tmp_path / "trees.txt"
+    treed_path = str(tmp_path / "treed.jsonl")
     with open(split_path) as fh:
-        questions = [json.loads(line)["question"] for line in fh]
-    trees_path.write_text("".join(bracketed(tokenize(q), rng) + "\n" for q in questions))
-    config = Config(tables_path=tables_path, train_path=split_path, train_trees_path=str(trees_path))
+        records = [json.loads(line) for line in fh]
+    with open(treed_path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps({**record, "tree": bracketed(tokenize(record["question"]), rng)}) + "\n")
+    config = Config(tables_path=tables_path, train_path=treed_path)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config.to_dict()))
     out = tmp_path / "ann.jsonl"
     assert main(["annotate", "--config", str(config_path), "--split", "train", "--out", str(out)]) == 0
     annotated = [json.loads(line) for line in out.read_text().splitlines()]
 
-    def expected(trees):
+    def expected(path):
         tables = table_bundles(load_tables(tables_path))
-        examples = prepare_examples(load_wikisql(split_path, tables, trees), tables, config)
+        examples = prepare_examples(load_wikisql(path, tables), tables, config)
         return [(ex.annotation.symbols.to_dict(), ex.encoded_src) for ex in examples]
 
     got = [(a["symbols"], a["encoded"]) for a in annotated]
-    assert got == expected(str(trees_path))
-    assert got != expected(None)
+    assert got == expected(treed_path)
+    assert got != expected(split_path)
 
 
 def test_eval_loads_the_model_before_annotating(tmp_path, monkeypatch):
@@ -860,7 +854,7 @@ def test_dev_best_parameters_are_the_ones_saved(tmp_path, monkeypatch):
     vocab = Vocabulary.load(config.vocab_path)
     saved, _meta = nn.load_checkpoint(config.checkpoint_path, vocab.content_hash())
     tables = table_bundles(load_tables(tables_path))
-    examples = prepare_examples(load_wikisql(split_path, tables, None), tables, config)
+    examples = prepare_examples(load_wikisql(split_path, tables), tables, config)
     pairs, _vocab, _report = build_training_pairs(examples, config)
     first, _hist = train_model(pairs, vocab, replace(config, epochs=1))
     last, _hist = train_model(pairs, vocab, replace(config, epochs=2))
@@ -1141,7 +1135,7 @@ def test_coverage_report_counts_gold_less_examples_apart(tmp_path):
     tables_path, split_path = write_corpus_with_gold_less_line(tmp_path)
     config = tiny_config()
     tables = table_bundles(load_tables(tables_path))
-    examples = load_wikisql(split_path, tables, None)
+    examples = load_wikisql(split_path, tables)
     prepare_examples(examples, tables, config)
     _pairs, _vocab, report = build_training_pairs(examples, config)
     assert report["total"] == 9

@@ -15,12 +15,12 @@ from annosql.meta import (
     load_embeddings,
     load_phrase_lexicon,
     load_tables,
+    table_from_record,
     value_affinity,
 )
-from annosql.harness import Config
+from annosql.harness import Config, load_wikisql, table_bundles
 from annosql.synth import generate_corpus, make_table
 from annosql.text import normalize, parse_number, tokenize
-from annosql.trees import load_trees
 
 from support import embedding_store, make_schema, reference_value_affinity
 
@@ -95,10 +95,18 @@ def _table_line(**fields):
                        "rows": [["x", 1]], **fields})
 
 
+def _split_line(**fields):
+    return json.dumps({"question": "x y", "table_id": "t", **fields})
+
+
+def _load_split(path):
+    return load_wikisql(path, table_bundles([table_from_record(json.loads(_table_line()))]))
+
+
 @pytest.mark.parametrize(
     "load, good, bad",
     [
-        (load_trees, "(S (A x) (B y))", "(S (A x) (B y)"),
+        (_load_split, _split_line(tree="(S (A x) (B y))"), _split_line(tree="(S (A x) (B y)")),
         (load_embeddings, "a 1.0 0.0", "b 1.0 zero"),
         (load_embeddings, "a 1.0 0.0", "b 1.0"),
         (load_embeddings, "a 1.0 0.0", "b 1.0 inf"),
@@ -111,10 +119,14 @@ def _table_line(**fields):
         (load_phrase_lexicon, "Population\tpopulation of <slot>", "Rank\tfrom <slot> to <slot>"),
         (load_tables, _table_line(), "[" * 100_000),
         (load_phrase_lexicon, "Population\tpopulation of <slot>", "Rank\t<slot>"),
+        (_load_split, _split_line(tree="(S (A x) (B y))"), _split_line(tree=["(S x)"])),
+        (_load_split, _split_line(), _split_line(tree="")),
+        (load_tables, _table_line(), _table_line()),
     ],
     ids=[
         "tree", "vector-component", "vector-width", "vector-non-finite", "vector-nan", "row-width", "types-not-list",
         "rows-not-list", "rows-string", "duplicate-column", "two-slots", "json-too-deep", "slot-only",
+        "tree-not-string", "tree-empty", "repeated-table-id",
     ],
 )
 def test_malformed_input_names_file_and_line(tmp_path, load, good, bad):
@@ -253,6 +265,15 @@ def test_load_embeddings_words_with_spaces(tmp_path):
     assert list(store.get(". . .")) == [0.4, 0.5, 0.6]
     assert list(store.get("at\xa0name")) == [0.7, 0.8, 0.9]
     assert store.get(".") is None and store.get("at") is None
+
+
+def test_load_embeddings_first_line_of_a_folded_word_wins(tmp_path):
+    """Words are case-folded, and a later spelling of a folded word does
+    not replace the vector of the first."""
+    path = tmp_path / "v.txt"
+    path.write_text("the 1 0\nThe 0 1\nTHE 0 -1\n")
+    store = load_embeddings(str(path))
+    assert list(store.get("the")) == list(store.get("The")) == [1.0, 0.0]
 
 
 def test_load_embeddings_inconsistent_dim_names_line(tmp_path):

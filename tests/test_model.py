@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import weakref
 
@@ -591,11 +592,14 @@ def test_training_determinism_bit_identical():
         assert np.array_equal(a.tensors[name], b.tensors[name]), name
 
 
-def test_checkpoint_round_trip(tmp_path):
+@pytest.mark.parametrize("name", ["model.npz", "model.ckpt"])
+def test_checkpoint_round_trip(tmp_path, name):
+    """The checkpoint is written at exactly its path, whatever its suffix."""
     cfg = toy_config()
     params = nn.init_params(cfg, seed=9)
-    path = str(tmp_path / "model.npz")
+    path = str(tmp_path / name)
     nn.save_checkpoint(path, params, vocab_hash="abc123", extra={"note": "test"})
+    assert os.listdir(tmp_path) == [name]
     loaded, meta = nn.load_checkpoint(path, expect_vocab_hash="abc123")
     assert meta["extra"]["note"] == "test"
     assert loaded.config == cfg

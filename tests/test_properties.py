@@ -60,7 +60,7 @@ from annosql.sqlgen import (
     sketch_tokens,
 )
 from annosql.text import _TOKEN_RE, tokenize, tokenize_with_offsets
-from annosql.trees import load_trees, parse_bracketed
+from annosql.trees import parse_bracketed
 
 from annosql.synth import write_corpus
 
@@ -425,7 +425,7 @@ GARBAGE_FILES = {
         }).map(json.dumps),
     ),
     "split": (
-        lambda path: load_wikisql(path, SPLIT_TABLES, None),
+        lambda path: load_wikisql(path, SPLIT_TABLES),
         [json.dumps({"question": "what", "table_id": "t", "sql": {"sel": 0, "agg": 0, "conds": []}})],
         st.fixed_dictionaries({
             "question": JSON,
@@ -447,7 +447,13 @@ GARBAGE_FILES = {
         ["a 1.0 0.0"],
         st.lists(st.text(max_size=4) | st.floats().map(repr), max_size=4).map(" ".join),
     ),
-    "trees": (load_trees, ["(S (A x) (B y))"], st.text(alphabet="() ab\t", max_size=30)),
+    "trees": (
+        lambda path: load_wikisql(path, SPLIT_TABLES),
+        [json.dumps({"question": "x y", "table_id": "t", "tree": "(S (A x) (B y))"})],
+        (st.text(alphabet="() ab\t", max_size=30) | JSON).map(
+            lambda tree: json.dumps({"question": "x y", "table_id": "t", "tree": tree})
+        ),
+    ),
     "vocabulary": (
         Vocabulary.load,
         [*Vocabulary.SPECIALS, "c1", "v1", "g1", "word"],

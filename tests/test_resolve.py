@@ -6,7 +6,7 @@ import re
 import pytest
 
 from annosql.encoding import encode_question
-from annosql.harness import Config
+from annosql.harness import Config, load_wikisql, table_bundles
 from annosql.mentions import CandidateMention, Span, detect_column_mentions, detect_value_mentions
 from annosql.meta import (
     EMPTY_EMBEDDINGS,
@@ -16,6 +16,7 @@ from annosql.meta import (
     PhraseTemplate,
     Table,
     build_value_stats,
+    table_from_record,
 )
 from annosql.resolve import (
     Question,
@@ -28,7 +29,7 @@ from annosql.resolve import (
     token_closeness,
 )
 from annosql.synth import generate_corpus
-from annosql.trees import TreeParseError, load_trees, parse_bracketed
+from annosql.trees import TreeParseError, parse_bracketed
 from annosql.text import tokenize
 
 from support import bracketed, embedding_store, make_schema, matching_oracle, tree_tokens
@@ -281,28 +282,25 @@ def test_annotate_mismatched_tree_falls_back(townlands, caplog):
     assert any("falling back" in rec.message for rec in caplog.records)
 
 
-def test_load_trees_blank_lines(tmp_path):
-    path = tmp_path / "trees.txt"
-    path.write_text("(S (A x) (B y))\n\n(S z)\n")
-    trees = load_trees(str(path))
-    assert len(trees) == 3
-    assert trees[1] is None
-    assert tree_tokens(trees[0]) == ["x", "y"]
-
-
 def test_load_trees_nested_5000_deep(tmp_path):
-    """Nesting depth is not limited: a 5000-deep line loads (its singleton
-    wrappers unwrap down to the last node above the leaf), and the same
-    line with one bracket missing fails naming line 2."""
-    path = tmp_path / "trees.txt"
+    """Nesting depth is not limited: a 5000-deep tree on a split line loads
+    (its singleton wrappers unwrap down to the last node above the leaf),
+    and the same tree with one bracket missing fails naming line 2."""
+    tables = table_bundles([table_from_record({"id": "t", "header": ["A"], "types": ["text"], "rows": []})])
+    path = tmp_path / "split.jsonl"
     deep = "(A " * 5000 + "x" + ")" * 5000
-    path.write_text(f"(S (A x) (B y))\n{deep}\n")
-    tree = load_trees(str(path))[1]
+
+    def write(tree):
+        lines = (json.dumps({"question": "x", "table_id": "t", "tree": t}) for t in ("(S (A x) (B y))", tree))
+        path.write_text("".join(line + "\n" for line in lines))
+
+    write(deep)
+    tree = load_wikisql(str(path), tables)[1].tree
     assert tree_tokens(tree) == ["x"]
     assert tree.lca_depth(0, 0) == 1
-    path.write_text(f"(S (A x) (B y))\n{deep[:-1]}\n")
+    write(deep[:-1])
     with pytest.raises(MetaError, match=f"^{re.escape(str(path))}:2: TreeParseError: unbalanced brackets$"):
-        load_trees(str(path))
+        load_wikisql(str(path), tables)
 
 
 def test_singleton_wrapper_unwraps():
