@@ -10,6 +10,7 @@ import sys
 from contextlib import nullcontext
 
 from .harness import (
+    ANNOTATE_KEYS,
     Config,
     load_meta,
     load_model,
@@ -20,7 +21,6 @@ from .harness import (
     run_train,
     translate_question,
 )
-from .sqlgen import serialize_sketch, sketch_tokens
 
 _SPLITS = ("train", "dev", "test")
 
@@ -37,19 +37,7 @@ def cmd_annotate(args):
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, args.split)
     prepare_examples(examples, tables, config, lexicon, emb)
-    records = (
-        {
-            "question": ex.question,
-            "table_id": ex.table_id,
-            "symbols": ex.annotation.symbols.to_dict(),
-            "encoded": ex.encoded_src,
-            "aligned_sketch": serialize_sketch(ex.aligned) if ex.aligned else None,
-            "target_tokens": sketch_tokens(ex.aligned) if ex.aligned else None,
-            "alignment_error": ex.alignment_error,
-        }
-        for ex in examples
-    )
-    _emit(records, args.out)
+    _emit((ex.to_dict(ANNOTATE_KEYS) for ex in examples), args.out)
     return 0
 
 

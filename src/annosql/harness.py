@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import get_args
 
 import numpy as np
@@ -170,23 +171,64 @@ def _fits(value, annotation):
 @dataclass
 class TableBundle:
     table: object  # Table
-    stats: object  # ValueStats
 
     @property
     def schema(self):
         return self.table.schema
 
+    @cached_property
+    def stats(self):
+        """The table's ValueStats, built when a question first needs them."""
+        return build_value_stats(self.table)
+
 
 @dataclass(slots=True)
 class Example:
+    """One question's record, which prepare_examples and translate_example fill."""
+
     question: str
-    table_id: str
+    table_id: str | None  # None for a repl line that names no table
     gold: ConcreteSql | None  # None for a question asked without a gold query
     tree: object = None
     annotation: object = None
     encoded_src: list = None
     aligned: object = None  # AnnotatedSqlAst
     alignment_error: str | None = None
+    sketch: str | None = None
+    sql: ConcreteSql | None = None
+    logp: float | None = None  # None when the model did not run
+    failure: str | None = None  # the FAILURE_CLASSES stage that stopped the translation
+    error: str | None = None  # its message, or why the question was not translated
+    result: object = None  # the ResultSet of `sql`, with its flag
+
+    def to_dict(self, keys):
+        """The record's JSON object of `keys` (ANNOTATE_KEYS or ANSWER_KEYS),
+        in order; a field the question did not get to is None."""
+        ann, aligned, sql, res = self.annotation, self.aligned, self.sql, self.result
+        symbols = None if ann is None else ann.symbols.to_dict()
+        every = {
+            "question": self.question, "table_id": self.table_id,
+            "symbols": symbols, "annotation": symbols, "encoded": self.encoded_src,
+            "aligned_sketch": None if aligned is None else serialize_sketch(aligned),
+            "target_tokens": None if aligned is None else sketch_tokens(aligned),
+            "alignment_error": self.alignment_error, "sketch": self.sketch, "logp": self.logp,
+            "sql": None if sql is None else serialize_sql(sql),
+            "result": None if res is None else list(res.values),
+            "flagged": None if res is None else res.flagged,
+            "error": self.error if self.failure is None else f"{self.failure}: {self.error}",
+        }
+        return {key: every[key] for key in keys}
+
+
+# the keys, in order, of every `annotate` record and translate_question output
+ANNOTATE_KEYS = (
+    "question", "table_id", "symbols", "encoded", "aligned_sketch", "target_tokens",
+    "alignment_error",
+)
+ANSWER_KEYS = (
+    "question", "table_id", "annotation", "encoded", "sketch",
+    "logp", "sql", "result", "flagged", "error",
+)
 
 
 def _code(choices, code, what):
@@ -211,7 +253,7 @@ def gold_from_wikisql(sql_obj, schema, table_id):
 
 def table_bundles(tables):
     """A dict of table id -> TableBundle for Tables."""
-    return {table.schema.table_id: TableBundle(table, build_value_stats(table)) for table in tables}
+    return {table.schema.table_id: TableBundle(table) for table in tables}
 
 
 def load_wikisql(split_path, tables):
@@ -298,23 +340,17 @@ def build_training_pairs(examples, config):
 
 def acc_lf(pred_tokens, gold_tokens):
     """Token-exact logical-form match; a failed prediction is never a match."""
-    if pred_tokens is None:
-        return False
-    return list(pred_tokens) == list(gold_tokens)
+    return pred_tokens is not None and list(pred_tokens) == list(gold_tokens)
 
 
 def acc_qm(pred_sql, gold_sql):
     """Canonical-form query match."""
-    if pred_sql is None:
-        return False
-    return canonicalize(pred_sql) == canonicalize(gold_sql)
+    return pred_sql is not None and canonicalize(pred_sql) == canonicalize(gold_sql)
 
 
 def acc_ex(pred_sql, gold_sql, table):
     """Execution match: both queries return the same result multiset."""
-    if pred_sql is None:
-        return False
-    return result_equal(execute(pred_sql, table), execute(gold_sql, table))
+    return pred_sql is not None and result_equal(execute(pred_sql, table), execute(gold_sql, table))
 
 
 def _pad_batch(rows, pad_id):
@@ -415,37 +451,29 @@ def train_model(
     return (params if best_params is None else best_params), history
 
 
-@dataclass
-class Translation:
-    sketch: str | None
-    sql: ConcreteSql | None
-    logp: float | None  # None when the model did not run
-    failure: str | None = None  # the FAILURE_CLASSES stage that stopped it
-    error: str | None = None
-
-
-def _failed(stage, message, sketch=None, logp=None):
-    return Translation(sketch, None, logp, stage, str(message))
-
-
-def translate_example(example, tables, params, vocab, config):
-    """Question -> sketch -> concrete SQL, or the stage that failed, for one prepared example."""
-    if not example.encoded_src:
-        return _failed("encode", "empty source sequence")
-    bundle = tables[example.table_id]
-    src = vocab.encode(example.encoded_src)
+def translate_example(ex, tables, params, vocab, config):
+    """Question -> sketch -> concrete SQL -> its result, or the stage that
+    failed, for one prepared example: sets every translation field of `ex`,
+    so a field of an earlier call never survives."""
+    ex.sketch = ex.sql = ex.logp = ex.failure = ex.error = ex.result = None
+    if not ex.encoded_src:
+        ex.failure, ex.error = "encode", "empty source sequence"
+        return
+    bundle = tables[ex.table_id]
+    src = vocab.encode(ex.encoded_src)
     hyp = nn.beam_search(
         src, params, config.beam_width, config.max_decode_len, vocab.bos, vocab.eos
     )
+    ex.logp = hyp.logp
     try:
         ast = parse_annotated_sql(vocab.decode(hyp.tokens))
-    except SketchParseError as exc:
-        return _failed("parse", exc, logp=hyp.logp)
-    try:
-        sql = resolve_symbols(ast, example.annotation.symbols, bundle.schema)
-    except SymbolResolutionError as exc:
-        return _failed("resolve", exc, serialize_sketch(ast), hyp.logp)
-    return Translation(serialize_sketch(ast), sql, hyp.logp)
+        ex.sketch = serialize_sketch(ast)
+        ex.sql = resolve_symbols(ast, ex.annotation.symbols, bundle.schema)
+    except (SketchParseError, SymbolResolutionError) as exc:
+        ex.failure = "parse" if isinstance(exc, SketchParseError) else "resolve"
+        ex.error = str(exc)
+        return
+    ex.result = execute(ex.sql, bundle.table)
 
 
 # translation failure classes: the question leaves the model nothing to
@@ -499,11 +527,9 @@ class EvalReport:
 
 def _require_gold(examples, source):
     """ValueError naming `source` and the first question without a gold query."""
-    gold_less = next((ex for ex in examples if ex.gold is None), None)
-    if gold_less is not None:
-        raise ValueError(
-            f"{source}: no gold query to evaluate against for {gold_less.question!r}"
-        )
+    for ex in examples:
+        if ex.gold is None:
+            raise ValueError(f"{source}: no gold query to evaluate against for {ex.question!r}")
 
 
 def evaluate(examples, tables, params, vocab, config):
@@ -512,35 +538,29 @@ def evaluate(examples, tables, params, vocab, config):
     _require_gold(examples, "evaluate")
     if any(ex.encoded_src is None for ex in examples):
         raise ValueError("evaluate: examples must be prepared before evaluation")
-    lf = qm = ex_count = aligned = 0
-    reasons = Counter()
+    lf = qm = ex_count = 0
     failed = {name: {"count": 0, "examples": []} for name in FAILURE_CLASSES}
     for ex in examples:
-        if ex.aligned is not None:
-            aligned += 1
-        else:
-            reasons[ex.alignment_error] += 1
-        result = translate_example(ex, tables, params, vocab, config)
-        pred, gold, table = result.sql, ex.gold, tables[ex.table_id].table
-        if pred is not None and acc_lf(sql_tokens(pred), sql_tokens(gold)):
-            lf += 1
-        if acc_qm(pred, gold):
-            qm += 1
-        if acc_ex(pred, gold, table):
+        translate_example(ex, tables, params, vocab, config)
+        pred, gold = ex.sql, ex.gold
+        lf += pred is not None and acc_lf(sql_tokens(pred), sql_tokens(gold))
+        qm += acc_qm(pred, gold)
+        if pred is not None and result_equal(ex.result, execute(gold, tables[ex.table_id].table)):
             ex_count += 1
             continue
-        # a miss with SQL: its own result tells flagged from wrong_result
-        kind = result.failure or ("flagged" if execute(pred, table).flagged else "wrong_result")
+        # a miss with SQL: its stored result tells flagged from wrong_result
+        kind = ex.failure or ("flagged" if ex.result.flagged else "wrong_result")
         failed[kind]["count"] += 1
         if len(failed[kind]["examples"]) < FAILURE_EXAMPLES:
             failed[kind]["examples"].append(ex.question)
+    unaligned = [ex.alignment_error for ex in examples if ex.aligned is None]
     return EvalReport(
         total=len(examples),
         lf=lf,
         qm=qm,
         ex=ex_count,
-        aligned=aligned,
-        failures=dict(reasons),
+        aligned=len(examples) - len(unaligned),
+        failures=dict(Counter(unaligned)),
         config=config.to_dict(),
         translation_failures=failed,
     )
@@ -623,34 +643,16 @@ def run_eval(config, split):
     return evaluate(examples, tables, params, vocab, config)
 
 
-# the keys of every translate_question output, in order
-ANSWER_KEYS = (
-    "question", "table_id", "annotation", "encoded", "sketch",
-    "logp", "sql", "result", "flagged", "error",
-)
-
-
 def translate_question(question, table_id, tables, params, vocab, config, lexicon, emb):
     """Annotate and translate a raw question against one table; the output has
     the ANSWER_KEYS, None where the question did not get that far."""
-    out = dict.fromkeys(ANSWER_KEYS)
-    out.update(question=question, table_id=table_id)
-    if table_id not in tables:
-        out["error"] = f"unknown table id {table_id!r}"
-        return out
     ex = Example(question, table_id, None)
-    prepare_examples([ex], tables, config, lexicon, emb)
-    result = translate_example(ex, tables, params, vocab, config)
-    out.update(annotation=ex.annotation.symbols.to_dict(), encoded=ex.encoded_src)
-    out.update(sketch=result.sketch, logp=result.logp)
-    if result.failure is not None:
-        out["error"] = f"{result.failure}: {result.error}"
+    if table_id not in tables:
+        ex.error = f"unknown table id {table_id!r}"
     else:
-        out["sql"] = serialize_sql(result.sql)
-        res = execute(result.sql, tables[table_id].table)
-        out["result"] = list(res.values)
-        out["flagged"] = res.flagged
-    return out
+        prepare_examples([ex], tables, config, lexicon, emb)
+        translate_example(ex, tables, params, vocab, config)
+    return ex.to_dict(ANSWER_KEYS)
 
 
 def repl_translate(config, stdin=None, stdout=None):
@@ -669,6 +671,6 @@ def repl_translate(config, stdin=None, stdout=None):
                 question, table_id.strip(), tables, params, vocab, config, lexicon, emb
             )
         else:
-            out = dict.fromkeys(ANSWER_KEYS)
-            out.update(question=line, error="expected: table_id<TAB>question")
+            bad = Example(line, None, None, error="expected: table_id<TAB>question")
+            out = bad.to_dict(ANSWER_KEYS)
         print(json.dumps(out), file=stdout)

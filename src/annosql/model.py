@@ -8,6 +8,7 @@ inference; a training step owns them exclusively.
 """
 
 import json
+import os
 import zipfile
 from dataclasses import asdict, dataclass, field
 
@@ -642,7 +643,8 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, params, vocab_hash, extra=None):
-    """Versioned npz blob: named tensors plus a JSON metadata record."""
+    """Versioned npz blob: named tensors plus a JSON metadata record, written
+    beside `path` and renamed over it, so a failed write keeps the old file."""
     names = params.names()
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -653,8 +655,15 @@ def save_checkpoint(path, params, vocab_hash, extra=None):
     }
     arrays = {f"t{i}": params.tensors[name] for i, name in enumerate(names)}
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:  # np.savez would add ".npz" to a path without it
-        np.savez(fh, meta=meta_bytes, **arrays)
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "wb")  # np.savez would add ".npz" to a path without it
+    try:
+        with fh:
+            np.savez(fh, meta=meta_bytes, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expect_vocab_hash):

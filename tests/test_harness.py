@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from annosql.harness import (
+    ANNOTATE_KEYS,
     ANSWER_KEYS,
     Config,
     Example,
@@ -452,8 +453,33 @@ def test_translate_example_handles_garbage_model():
 
     params = nn.init_params(config.model_config(len(vocab)), seed=0)
     for ex in examples:
-        result = translate_example(ex, bundles, params, vocab, config)
-        assert (result.sql is None) == (result.error is not None)
+        translate_example(ex, bundles, params, vocab, config)
+        assert (ex.sql is None) == (ex.error is not None)
+
+
+def test_translate_example_leaves_no_field_of_an_earlier_call(monkeypatch):
+    """evaluate translates the same Examples at every check: a second call
+    whose sketch does not parse keeps no SQL, result or flag of a first
+    call that answered."""
+    from annosql import model as nn
+
+    config = tiny_config()
+    examples, bundles, _records = generate_corpus(1, 2, 23, config)
+    _pairs, vocab, _report = build_training_pairs(examples, config)
+    [ex] = examples
+
+    def translate_to(sketch):
+        hyp = nn.Hypothesis(tuple(vocab.encode(sketch)), -1.0, None)
+        monkeypatch.setattr(nn, "beam_search", lambda *_args: hyp)
+        translate_example(ex, bundles, None, vocab, config)
+
+    translate_to(sketch_tokens(ex.aligned))
+    assert ex.failure is None and ex.sql is not None and ex.result is not None
+    translate_to(["where", "select"])
+    assert (ex.sketch, ex.sql, ex.result, ex.failure) == (None, None, None, "parse")
+    out = ex.to_dict(ANSWER_KEYS)
+    assert (out["sql"], out["result"], out["flagged"]) == (None, None, None)
+    assert out["error"].startswith("parse: ")
 
 
 def test_run_train_eval_translate_cli(tmp_path):
@@ -518,6 +544,22 @@ def test_run_train_eval_translate_cli(tmp_path):
     annotated = [json.loads(l) for l in out_ann.read_text().splitlines()]
     assert len(annotated) == 12
     assert all(a["aligned_sketch"] for a in annotated)
+
+
+def test_annotate_out_has_the_annotate_keys_in_order(tmp_path):
+    """Every `annotate --out` record has the ANNOTATE_KEYS in order, as every
+    `translate` and `repl` line has the ANSWER_KEYS."""
+    from annosql.cli import main
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=21)
+    config = tiny_config(tables_path=tables_path, train_path=split_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "ann.jsonl"
+    assert main(["annotate", "--config", str(config_path), "--split", "train", "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 6
+    assert all(list(record) == list(ANNOTATE_KEYS) for record in records)
 
 
 def test_repl_translate(tmp_path):

@@ -609,6 +609,27 @@ def test_checkpoint_round_trip(tmp_path, name):
         nn.load_checkpoint(path, expect_vocab_hash="wrong")
 
 
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    """A save that raises part-way leaves the previous checkpoint loadable
+    and no other file beside it."""
+    path = str(tmp_path / "model.npz")
+    params = nn.init_params(toy_config(), seed=9)
+    nn.save_checkpoint(path, params, vocab_hash="abc123")
+
+    def savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez)
+    with pytest.raises(OSError, match="disk full"):
+        nn.save_checkpoint(path, nn.init_params(toy_config(), seed=10), vocab_hash="abc123")
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["model.npz"]
+    loaded, _meta = nn.load_checkpoint(path, expect_vocab_hash="abc123")
+    for name in params.names():
+        assert np.array_equal(loaded.tensors[name], params.tensors[name])
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
