@@ -17,6 +17,7 @@ from .harness import (
     load_split,
     prepare_examples,
     repl_translate,
+    require_trained_encoding,
     run_eval,
     run_train,
     translate_question,
@@ -58,7 +59,8 @@ def cmd_eval(args):
 def cmd_translate(args):
     config = Config.from_file(args.config)
     tables, lexicon, emb = load_meta(config)
-    params, vocab = load_model(config)
+    params, vocab, trained = load_model(config)
+    require_trained_encoding(config, trained)
     out = translate_question(args.question, args.table, tables, params, vocab, config, lexicon, emb)
     _emit([out], args.out)
     return 0 if out["logp"] is not None else 1  # 1: the question never reached the model

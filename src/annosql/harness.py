@@ -5,6 +5,7 @@ metrics, and the train / eval / translate entry points used by the CLI.
 import json
 import logging
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -615,21 +616,50 @@ def run_train(config):
         params, history = train_model(
             pairs, vocab, config, tables, train_check, dev_examples, log_fn=log_fn, emb=emb
         )
-    vocab.save(config.vocab_path)
-    nn.save_checkpoint(
-        config.checkpoint_path,
-        params,
-        vocab.content_hash(),
-        extra={"config": config.to_dict(), "coverage": coverage},
-    )
+    # the vocabulary goes beside its file until the checkpoint is in place,
+    # so a failed write of either keeps the previous pair loadable
+    vocab_tmp = f"{config.vocab_path}.tmp"
+    try:
+        vocab.save(vocab_tmp)
+        nn.save_checkpoint(
+            config.checkpoint_path,
+            params,
+            vocab.content_hash(),
+            extra={"config": config.to_dict(), "coverage": coverage},
+        )
+    except BaseException:
+        if os.path.exists(vocab_tmp):
+            os.remove(vocab_tmp)
+        raise
+    os.replace(vocab_tmp, config.vocab_path)
     return history, coverage
 
 
 def load_model(config):
-    """The configured vocabulary and a checkpoint trained with it."""
+    """The configured vocabulary, a checkpoint trained with it, and the
+    Config the checkpoint was trained under."""
     vocab = Vocabulary.load(config.vocab_path)
-    params, _meta = nn.load_checkpoint(config.checkpoint_path, expect_vocab_hash=vocab.content_hash())
-    return params, vocab
+    path = config.checkpoint_path
+    params, meta = nn.load_checkpoint(path, expect_vocab_hash=vocab.content_hash())
+    try:
+        # a setting a later version retired cannot bear on this one
+        known = {f.name for f in fields(Config)}
+        trained = Config(**{k: v for k, v in meta["extra"]["config"].items() if k in known})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise nn.ModelError(f"{path}: no usable training config: {type(exc).__name__}: {exc}") from None
+    return params, vocab, trained
+
+
+def require_trained_encoding(config, trained):
+    """ModelError unless `config` encodes questions as the checkpoint's
+    training Config `trained` did: the model reads only that encoding."""
+    for key in ("mode", "headers"):
+        ours, theirs = getattr(config, key), getattr(trained, key)
+        if ours != theirs:
+            raise nn.ModelError(
+                f"config key {key!r} is {ours!r}, but {config.checkpoint_path} "
+                f"was trained with {theirs!r}"
+            )
 
 
 def run_eval(config, split):
@@ -638,7 +668,8 @@ def run_eval(config, split):
     is annotated."""
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, split, gold=True)
-    params, vocab = load_model(config)
+    params, vocab, trained = load_model(config)
+    require_trained_encoding(config, trained)
     prepare_examples(examples, tables, config, lexicon, emb)
     return evaluate(examples, tables, params, vocab, config)
 
@@ -660,7 +691,8 @@ def repl_translate(config, stdin=None, stdout=None):
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     tables, lexicon, emb = load_meta(config)
-    params, vocab = load_model(config)
+    params, vocab, trained = load_model(config)
+    require_trained_encoding(config, trained)
     for line in stdin:
         line = line.strip()
         if not line:

@@ -249,8 +249,8 @@ class EncoderOutput:
     pad_bias: np.ndarray  # (B, S) 0 at real tokens, NEG_INF at padding
     copy_index: np.ndarray  # (B*S,) flat (row, source token) index into (B, V)
     cache: object = None
-    # decoding only: token id -> its input projection row, filled on first use
-    token_inputs: dict = field(default_factory=dict)
+    # decoding only: decoder_step's per-question constants, built on its first call
+    decoding: object = None
 
 
 def encoder_forward(src_ids, params, src_mask=None):
@@ -380,40 +380,69 @@ def _output_distribution(params, d, beta, e, enc):
 class DecoderState:
     d: np.ndarray
     beta: np.ndarray
+    # decoding only: beta @ dec.W[D:], the context's part of the next step's
+    # GRU input, which decoder_step makes with this step's logits
+    beta_proj: np.ndarray = None
 
 
-def _step(params, tok3, state, enc):
-    """The decoder step training and decoding share, from the token half of
-    the input projection: the GRU update, attention, and the distribution.
+class _Decoding:
+    """What every decoder_step over one encoder output reads: the output's
+    row as vectors, two fused weight blocks, and a memo of each fed token
+    id's input projection."""
 
-    Returns the new state, the probabilities, and the backward cache.
-    """
-    x3 = tok3 + state.beta @ params["dec.W"][params.config.dim :]
-    d, gru_cache = _gru_cell(x3, state.d, params["dec.U"])
-    e, alpha, beta, tu = _attention(params, d, enc)
-    probs, out_cache = _output_distribution(params, d, beta, e, enc)
-    return DecoderState(d, beta), probs, (gru_cache, alpha, tu, out_cache)
+    def __init__(self, params, enc):
+        if len(enc.src_ids) != 1:
+            raise ModelError("decoder_step decodes one source row")
+        Hd, D = params.config.dec_hidden, params.config.dim
+        self.keys, self.states = enc.keys[0], enc.states[0]
+        self.src_ids, self.pad_bias = enc.src_ids[0], enc.pad_bias[0]
+        self.A, self.V = params.config.attn_dim, params.config.vocab_size
+        out_U = params["out.U"]
+        # d @ W_q = [attention query | the state's logits]
+        self.W_q = np.concatenate([params["attn.W3"], out_U[:Hd]], axis=1)
+        # beta @ W_b = [the context's logits | the next step's beta @ dec.W[D:]]
+        self.W_b = np.concatenate([out_U[Hd:], params["dec.W"][D:]], axis=1)
+        self.token_inputs = {}
 
 
 def decoder_step(prev_ids, state, enc, params):
-    """One inference step: feed the previous token, return (state, probs).
-
-    Each token id's input projection is computed once per encoder output.
-    """
-    memo = enc.token_inputs
-    rows = []
-    for tok in np.asarray(prev_ids, dtype=np.int64).reshape(-1).tolist():
-        if tok not in memo:
-            memo[tok] = _token_projection(params, _embed(params, np.array([tok]))[0])
-        rows.append(memo[tok])
-    new_state, probs, _cache = _step(params, np.concatenate(rows), state, enc)
-    return new_state, probs
+    """One inference step of one hypothesis: feed the one id in `prev_ids`,
+    return (state, probs of shape (1, V)). _teacher_forced's arithmetic on
+    vectors, which cost about half of (1, ·) arrays per numpy call at the
+    desk sizes; the state carries the next step's beta @ dec.W[D:]."""
+    c = enc.decoding
+    if c is None:
+        c = enc.decoding = _Decoding(params, enc)
+    (tok,) = prev_ids
+    tok3 = c.token_inputs.get(tok)
+    if tok3 is None:
+        tok3 = c.token_inputs[tok] = _token_projection(params, _embed(params, np.array([tok]))[0])
+    d, _cache = _gru_cell(tok3 + state.beta_proj, state.d, params["dec.U"])
+    q = d[0] @ c.W_q
+    tu = c.keys + q[: c.A]
+    np.tanh(tu, out=tu)
+    e = tu @ params["attn.v"]
+    e += c.pad_bias
+    e_max = e.max()
+    ee = np.exp(e - e_max)
+    beta = (ee @ c.states) / ee.sum()
+    bw = beta @ c.W_b
+    logits = q[c.A :] + bw[: c.V]
+    shift = max(logits.max(), e_max)
+    logits -= shift
+    scores = np.exp(logits, out=logits)
+    e -= shift
+    np.add.at(scores, c.src_ids, np.exp(e, out=e))
+    scores /= scores.sum()
+    return DecoderState(d, beta[None], bw[None, c.V :]), scores[None]
 
 
 def initial_decoder_state(params, enc):
-    """d_0 = tanh(final @ W1) and a zero context beta_0."""
-    beta0 = np.zeros((len(enc.final), enc.states.shape[-1]), dtype=params.config.np_dtype())
-    return DecoderState(np.tanh(enc.final @ params["W1"]), beta0)
+    """d_0 = tanh(final @ W1), and a zero context beta_0 and projection."""
+    B, dt = len(enc.final), params.config.np_dtype()
+    beta0 = np.zeros((B, enc.states.shape[-1]), dtype=dt)
+    beta0_proj = np.zeros((B, 3 * params.config.dec_hidden), dtype=dt)
+    return DecoderState(np.tanh(enc.final @ params["W1"]), beta0, beta0_proj)
 
 
 def zero_grads(params):
@@ -438,6 +467,7 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     start = initial_decoder_state(params, enc)
     tgt_emb, tgt_emb_cache = _embed(params, tgt_in)
     tok3 = _token_projection(params, tgt_emb)
+    W_beta = params["dec.W"][params.config.dim :]
 
     tiny = np.finfo(dt).tiny
     states = [start]  # states[t] feeds step t
@@ -445,14 +475,16 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     loss = 0.0
     correct = 0.0
     for t in range(T):
-        state, probs, cache = _step(params, tok3[:, t], states[-1], enc)
-        gru_cache, alpha, tu, (el, ee, scores, total) = cache
+        x3 = tok3[:, t] + states[-1].beta @ W_beta
+        d, gru_cache = _gru_cell(x3, states[-1].d, params["dec.U"])
+        e, alpha, beta, tu = _attention(params, d, enc)
+        probs, (el, ee, scores, total) = _output_distribution(params, d, beta, e, enc)
         w = tgt_mask[:, t] / total_tokens
         target = np.arange(B), tgt_out[:, t]
         py = probs[target]
         loss += float(np.sum(-np.log(np.maximum(py, tiny)) * w))
         correct += float(((probs.argmax(axis=1) == tgt_out[:, t]) * tgt_mask[:, t]).sum())
-        states.append(state)
+        states.append(DecoderState(d, beta))
         # the backward rebuilds [d; beta] from `states`, and of the (B, V)
         # scores reads only each row's target; a floored term, -log(tiny),
         # has no gradient

@@ -59,11 +59,6 @@ def test_every_public_definition_is_referenced():
     assert not unused, f"public definitions nothing references: {unused}"
 
 
-# (function, position) a caller may leave unread: load_checkpoint's meta
-# record waits for checkpoint and vocabulary to become one file (ROADMAP item 7)
-UNREAD_ALLOWED = {("load_checkpoint", 1)}
-
-
 def _callee(call):
     func = call.func
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
@@ -102,7 +97,7 @@ def test_every_returned_position_is_read():
         for name, n in width.items()
         if name not in spread
         for i in range(n)
-        if i not in read[name] and (name, i) not in UNREAD_ALLOWED
+        if i not in read[name]
     )
     assert not unread, f"returned positions no caller reads: {unread}"
 

@@ -801,6 +801,90 @@ def test_eval_loads_the_model_before_annotating(tmp_path, monkeypatch):
         main(["eval", "--config", str(config_path)])
 
 
+@pytest.mark.parametrize("key, value", [("mode", "substitute"), ("headers", False)])
+def test_a_model_is_refused_under_another_encoding(tmp_path, monkeypatch, key, value):
+    """eval, translate and repl refuse a config that encodes questions
+    otherwise than the model's training config, before any question is
+    annotated; the message names the key, both values and the checkpoint."""
+    from annosql import harness
+    from annosql.cli import main
+    from annosql.model import ModelError
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(
+        epochs=1, tables_path=tables_path, train_path=split_path, test_path=split_path,
+        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
+    )
+    harness.run_train(config)
+    trained_value = getattr(config, key)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**config.to_dict(), key: value}))
+
+    def no_annotation(*_args, **_kwargs):
+        raise AssertionError("annotation started")
+
+    monkeypatch.setattr(harness, "prepare_examples", no_annotation)
+    message = re.escape(
+        f"config key {key!r} is {value!r}, but {config.checkpoint_path} "
+        f"was trained with {trained_value!r}"
+    )
+    for command in (["eval"], ["translate", "--question", "q ?", "--table", "synth-0"], ["repl"]):
+        with pytest.raises(ModelError, match=message):
+            main(command + ["--config", str(config_path)])
+
+
+def test_load_model_reads_a_training_config_with_a_retired_setting(tmp_path):
+    """A checkpoint whose stored training config holds a setting this
+    version no longer has (as `train_trees_path` before it was retired)
+    still loads, with the settings it shares; one without a training config
+    fails naming the checkpoint."""
+    from annosql import harness
+    from annosql import model as nn
+
+    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
+    config = tiny_config(
+        epochs=1, headers=False, tables_path=tables_path, train_path=split_path,
+        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
+    )
+    harness.run_train(config)
+    params, vocab, _trained = harness.load_model(config)
+    stored = {**config.to_dict(), "train_trees_path": None}
+    nn.save_checkpoint(config.checkpoint_path, params, vocab.content_hash(), extra={"config": stored})
+    _params, _vocab, trained = harness.load_model(config)
+    assert trained == config
+    nn.save_checkpoint(config.checkpoint_path, params, vocab.content_hash())
+    with pytest.raises(nn.ModelError, match=re.escape(f"{config.checkpoint_path}: no usable training config")):
+        harness.load_model(config)
+
+
+def test_failed_retrain_keeps_the_previous_model_loadable(tmp_path, monkeypatch):
+    """A retrain on another corpus whose checkpoint write fails leaves the
+    previous vocabulary and checkpoint, a pair load_model accepts, and no
+    other file beside them."""
+    from annosql import harness
+
+    config = tiny_config(
+        epochs=1, checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt")
+    )
+    config.tables_path, config.train_path = write_corpus(str(tmp_path / "a"), 12, 3, 21)
+    harness.run_train(config)
+    params, vocab, _trained = harness.load_model(config)
+    config.tables_path, config.train_path = write_corpus(str(tmp_path / "b"), 12, 3, 22)
+
+    def savez(*_args, **_kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez)
+    with pytest.raises(OSError, match="disk full"):
+        harness.run_train(config)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "model.npz", "vocab.txt"]
+    loaded, loaded_vocab, _trained = harness.load_model(config)
+    assert loaded_vocab.itos == vocab.itos
+    for name in params.names():
+        assert np.array_equal(loaded.tensors[name], params.tensors[name]), name
+
+
 def test_eval_needs_a_path_for_its_split(tmp_path):
     from annosql.cli import main
 

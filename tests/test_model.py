@@ -545,6 +545,26 @@ def test_beam_matches_reference_100_draws(dtype, tol):
         assert np.allclose(probs, ref_probs, rtol=tol, atol=0.0), i
 
 
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-9)])
+def test_decoder_step_matches_reference_at_every_step(dtype, tol):
+    """Drawn token prefixes, fed one id a step through decoder_step and
+    through the first-written step, give the same probabilities at every
+    step: a step that carried a stale context projection would differ from
+    the second step on."""
+    cfg = toy_config(dtype=dtype)
+    rng = np.random.default_rng(2024)
+    for i in range(50):
+        params = nn.init_params(cfg, seed=int(rng.integers(1 << 31)), weight_scale=0.4)
+        src = rng.integers(5, 20, size=int(rng.integers(1, 9)))
+        prefix = [2] + rng.integers(0, 20, size=int(rng.integers(1, 10))).tolist()
+        enc = nn.encoder_forward(src, params)
+        state = ref_state = nn.initial_decoder_state(params, enc)
+        for t, tok in enumerate(prefix):
+            state, probs = nn.decoder_step([tok], state, enc, params)
+            ref_state, ref_probs = reference_decoder_step([tok], ref_state, enc, params)
+            assert np.allclose(probs, ref_probs, rtol=tol, atol=0.0), (i, t)
+
+
 def test_beam_search_rejects_width_below_one():
     params = nn.init_params(toy_config(), seed=0)
     with pytest.raises(nn.ModelError, match="beam width must be >= 1"):
