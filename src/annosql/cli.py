@@ -17,7 +17,6 @@ from .harness import (
     load_split,
     prepare_examples,
     repl_translate,
-    require_trained_encoding,
     run_eval,
     run_train,
     translate_question,
@@ -59,8 +58,7 @@ def cmd_eval(args):
 def cmd_translate(args):
     config = Config.from_file(args.config)
     tables, lexicon, emb = load_meta(config)
-    params, vocab, trained = load_model(config)
-    require_trained_encoding(config, trained)
+    params, vocab = load_model(config)
     out = translate_question(args.question, args.table, tables, params, vocab, config, lexicon, emb)
     _emit([out], args.out)
     return 0 if out["logp"] is not None else 1  # 1: the question never reached the model
@@ -70,6 +68,14 @@ def cmd_repl(args):
     config = Config.from_file(args.config)
     repl_translate(config)
     return 0
+
+
+def _count(text):
+    """A whole number of at least 1, or an argparse error."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def cmd_synth(args):
@@ -115,8 +121,8 @@ def main(argv=None):
 
     p = sub.add_parser("synth", help="generate a WikiSQL-format fixture corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--questions", type=int, default=200)
-    p.add_argument("--tables", type=int, default=20)
+    p.add_argument("--questions", type=_count, default=200)
+    p.add_argument("--tables", type=_count, default=20)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_synth)
 

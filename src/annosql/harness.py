@@ -594,7 +594,11 @@ def run_train(config):
     """Train from the configured files; writes vocab, checkpoint, and log,
     and returns (per-epoch history, training-pair coverage). train_model
     checks the train split when `stop_train_acc` is set and the dev split
-    when one is configured."""
+    when one is configured. ValueError, before anything loads, for an
+    output file whose directory does not exist."""
+    for path in (config.checkpoint_path, config.vocab_path, config.log_path):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"no directory for output file {path!r}")
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, "train", gold=config.stop_train_acc is not None)
     dev_examples = load_split(config, tables, "dev", gold=True) if config.dev_path else None
@@ -636,30 +640,22 @@ def run_train(config):
 
 
 def load_model(config):
-    """The configured vocabulary, a checkpoint trained with it, and the
-    Config the checkpoint was trained under."""
+    """The configured vocabulary and a checkpoint trained with it; ModelError
+    unless `config` encodes questions as the checkpoint's training config
+    did, since the model reads only that encoding."""
     vocab = Vocabulary.load(config.vocab_path)
     path = config.checkpoint_path
     params, meta = nn.load_checkpoint(path, expect_vocab_hash=vocab.content_hash())
     try:
-        # a setting a later version retired cannot bear on this one
-        known = {f.name for f in fields(Config)}
-        trained = Config(**{k: v for k, v in meta["extra"]["config"].items() if k in known})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # only the compared keys are read: a retired setting cannot bear on them
+        trained = {key: meta["extra"]["config"][key] for key in ("mode", "headers", "max_index")}
+    except (KeyError, TypeError) as exc:
         raise nn.ModelError(f"{path}: no usable training config: {type(exc).__name__}: {exc}") from None
-    return params, vocab, trained
-
-
-def require_trained_encoding(config, trained):
-    """ModelError unless `config` encodes questions as the checkpoint's
-    training Config `trained` did: the model reads only that encoding."""
-    for key in ("mode", "headers"):
-        ours, theirs = getattr(config, key), getattr(trained, key)
+    for key, theirs in trained.items():
+        ours = getattr(config, key)
         if ours != theirs:
-            raise nn.ModelError(
-                f"config key {key!r} is {ours!r}, but {config.checkpoint_path} "
-                f"was trained with {theirs!r}"
-            )
+            raise nn.ModelError(f"config key {key!r} is {ours!r}, but {path} was trained with {theirs!r}")
+    return params, vocab
 
 
 def run_eval(config, split):
@@ -668,8 +664,7 @@ def run_eval(config, split):
     is annotated."""
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, split, gold=True)
-    params, vocab, trained = load_model(config)
-    require_trained_encoding(config, trained)
+    params, vocab = load_model(config)
     prepare_examples(examples, tables, config, lexicon, emb)
     return evaluate(examples, tables, params, vocab, config)
 
@@ -691,8 +686,7 @@ def repl_translate(config, stdin=None, stdout=None):
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     tables, lexicon, emb = load_meta(config)
-    params, vocab, trained = load_model(config)
-    require_trained_encoding(config, trained)
+    params, vocab = load_model(config)
     for line in stdin:
         line = line.strip()
         if not line:

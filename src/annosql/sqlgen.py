@@ -138,7 +138,7 @@ def serialize_sql(sql):
     if sql.conds:
         clauses = []
         for col, op, val in sql.conds:
-            quoted = "'" + str(val).replace("'", "''") + "'"
+            quoted = "'" + val.replace("'", "''") + "'"
             clauses.append(f"{col} {op} {quoted}")
         out += " WHERE " + " AND ".join(clauses)
     return out
@@ -151,7 +151,7 @@ def sql_tokens(sql):
         toks.append(sql.agg.lower())
     toks.append(sql.select)
     for col, op, val in sql.conds:
-        toks += ["where", col, op, str(val)]
+        toks += ["where", col, op, val]
     return toks
 
 
@@ -188,9 +188,7 @@ def canonicalize(sql):
     case-insensitively, so this cannot create false positives) and sorts
     conditions; the table id is dropped. Idempotent.
     """
-    conds = tuple(
-        sorted((col.casefold().strip(), op, str(val).casefold().strip()) for col, op, val in sql.conds)
-    )
+    conds = tuple(sorted((c.casefold().strip(), op, v.casefold().strip()) for c, op, v in sql.conds))
     return ConcreteSql(sql.agg, sql.select.casefold().strip(), conds, None)
 
 
@@ -212,11 +210,11 @@ def _rows_matching(sql, table):
         if column is None:
             return None
         pos = column.position
-        num = parse_number(str(val)) if column.col_type == REAL else None
+        num = parse_number(val) if column.col_type == REAL else None
         if num is None:
             if op != "=":
                 return None
-            want = str(val).strip().casefold()
+            want = val.strip().casefold()
             rows = [r for r in rows if r[pos].strip().casefold() == want]
         else:
             cells = ((r, parse_number(r[pos])) for r in rows)
@@ -285,9 +283,9 @@ def result_equal(a, b):
 
 
 def _values_match(surface, gold_value):
-    if normalize(surface) == normalize(str(gold_value)):
+    if normalize(surface) == normalize(gold_value):
         return True
-    a, b = parse_number(surface), parse_number(str(gold_value))
+    a, b = parse_number(surface), parse_number(gold_value)
     return a is not None and b is not None and a == b
 
 

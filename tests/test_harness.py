@@ -801,11 +801,12 @@ def test_eval_loads_the_model_before_annotating(tmp_path, monkeypatch):
         main(["eval", "--config", str(config_path)])
 
 
-@pytest.mark.parametrize("key, value", [("mode", "substitute"), ("headers", False)])
+@pytest.mark.parametrize("key, value", [("mode", "substitute"), ("headers", False), ("max_index", 24)])
 def test_a_model_is_refused_under_another_encoding(tmp_path, monkeypatch, key, value):
-    """eval, translate and repl refuse a config that encodes questions
-    otherwise than the model's training config, before any question is
-    annotated; the message names the key, both values and the checkpoint."""
+    """load_model refuses a config that encodes questions otherwise than the
+    model's training config, so eval, translate and repl refuse it before
+    any question is annotated; the message names the key, both values and
+    the checkpoint."""
     from annosql import harness
     from annosql.cli import main
     from annosql.model import ModelError
@@ -828,6 +829,8 @@ def test_a_model_is_refused_under_another_encoding(tmp_path, monkeypatch, key, v
         f"config key {key!r} is {value!r}, but {config.checkpoint_path} "
         f"was trained with {trained_value!r}"
     )
+    with pytest.raises(ModelError, match=message):
+        harness.load_model(replace(config, **{key: value}))
     for command in (["eval"], ["translate", "--question", "q ?", "--table", "synth-0"], ["repl"]):
         with pytest.raises(ModelError, match=message):
             main(command + ["--config", str(config_path)])
@@ -836,8 +839,7 @@ def test_a_model_is_refused_under_another_encoding(tmp_path, monkeypatch, key, v
 def test_load_model_reads_a_training_config_with_a_retired_setting(tmp_path):
     """A checkpoint whose stored training config holds a setting this
     version no longer has (as `train_trees_path` before it was retired)
-    still loads, with the settings it shares; one without a training config
-    fails naming the checkpoint."""
+    still loads; one without a training config fails naming the checkpoint."""
     from annosql import harness
     from annosql import model as nn
 
@@ -847,11 +849,10 @@ def test_load_model_reads_a_training_config_with_a_retired_setting(tmp_path):
         checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
     )
     harness.run_train(config)
-    params, vocab, _trained = harness.load_model(config)
+    params, vocab = harness.load_model(config)
     stored = {**config.to_dict(), "train_trees_path": None}
     nn.save_checkpoint(config.checkpoint_path, params, vocab.content_hash(), extra={"config": stored})
-    _params, _vocab, trained = harness.load_model(config)
-    assert trained == config
+    harness.load_model(config)
     nn.save_checkpoint(config.checkpoint_path, params, vocab.content_hash())
     with pytest.raises(nn.ModelError, match=re.escape(f"{config.checkpoint_path}: no usable training config")):
         harness.load_model(config)
@@ -868,7 +869,7 @@ def test_failed_retrain_keeps_the_previous_model_loadable(tmp_path, monkeypatch)
     )
     config.tables_path, config.train_path = write_corpus(str(tmp_path / "a"), 12, 3, 21)
     harness.run_train(config)
-    params, vocab, _trained = harness.load_model(config)
+    params, vocab = harness.load_model(config)
     config.tables_path, config.train_path = write_corpus(str(tmp_path / "b"), 12, 3, 22)
 
     def savez(*_args, **_kwargs):
@@ -879,10 +880,44 @@ def test_failed_retrain_keeps_the_previous_model_loadable(tmp_path, monkeypatch)
         harness.run_train(config)
     monkeypatch.undo()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "model.npz", "vocab.txt"]
-    loaded, loaded_vocab, _trained = harness.load_model(config)
+    loaded, loaded_vocab = harness.load_model(config)
     assert loaded_vocab.itos == vocab.itos
     for name in params.names():
         assert np.array_equal(loaded.tensors[name], params.tensors[name]), name
+
+
+@pytest.mark.parametrize("key", ["checkpoint_path", "vocab_path", "log_path"])
+def test_train_refuses_a_missing_output_directory(tmp_path, monkeypatch, key):
+    """run_train names an output file whose directory does not exist before
+    it loads or trains anything, so a long run is not lost at its save."""
+    from annosql import harness
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "load_meta", never)
+    monkeypatch.setattr(harness, "train_model", never)
+    config = tiny_config(
+        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
+        log_path=str(tmp_path / "train.log"),
+    )
+    missing = str(tmp_path / "missing" / "out")
+    setattr(config, key, missing)
+    with pytest.raises(ValueError, match=re.escape(repr(missing))):
+        harness.run_train(config)
+
+
+@pytest.mark.parametrize("flag, value", [("--tables", "0"), ("--tables", "-1"), ("--questions", "-3")])
+def test_synth_refuses_a_count_below_one(tmp_path, capsys, flag, value):
+    """`annosql synth` takes table and question counts of at least 1 and
+    writes nothing for another."""
+    from annosql.cli import main
+
+    with pytest.raises(SystemExit) as info:
+        main(["synth", "--out-dir", str(tmp_path / "out"), flag, value])
+    assert info.value.code == 2
+    assert f"{flag}: must be at least 1, not {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_needs_a_path_for_its_split(tmp_path):

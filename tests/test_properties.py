@@ -369,7 +369,7 @@ def trained(tmp_path_factory):
     )
     run_train(config)
     tables, _lexicon, _emb = load_meta(config)
-    params, vocab, _trained = load_model(config)
+    params, vocab = load_model(config)
     assert sorted(tables) == TABLE_IDS
     gold = prepare_examples(load_split(config, tables, "train", gold=True), tables, config)
     return SimpleNamespace(config=config, tables=tables, params=params, vocab=vocab, gold=gold)
