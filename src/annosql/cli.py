@@ -12,6 +12,7 @@ from contextlib import nullcontext
 from .harness import (
     ANNOTATE_KEYS,
     Config,
+    check_output_file,
     load_meta,
     load_model,
     load_split,
@@ -127,6 +128,11 @@ def main(argv=None):
     p.set_defaults(fn=cmd_synth)
 
     args = parser.parse_args(argv)
+    if getattr(args, "out", None):
+        try:  # before the command's work, which an unwritable report would lose
+            check_output_file(args.out)
+        except ValueError as exc:
+            parser.error(f"--out: {exc}")
     return args.fn(args)
 
 

@@ -590,15 +590,24 @@ def load_split(config, tables, split, gold=False):
     return examples
 
 
+def check_output_file(path):
+    """ValueError naming `path` unless a file can be written there: its
+    directory exists and it is not itself a directory."""
+    if os.path.isdir(path):
+        raise ValueError(f"output file {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"no directory for output file {path!r}")
+
+
 def run_train(config):
     """Train from the configured files; writes vocab, checkpoint, and log,
     and returns (per-epoch history, training-pair coverage). train_model
     checks the train split when `stop_train_acc` is set and the dev split
     when one is configured. ValueError, before anything loads, for an
-    output file whose directory does not exist."""
+    output file check_output_file refuses."""
     for path in (config.checkpoint_path, config.vocab_path, config.log_path):
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"no directory for output file {path!r}")
+        if path:
+            check_output_file(path)
     tables, lexicon, emb = load_meta(config)
     examples = load_split(config, tables, "train", gold=config.stop_train_acc is not None)
     dev_examples = load_split(config, tables, "dev", gold=True) if config.dev_path else None

@@ -379,7 +379,7 @@ def _output_distribution(params, d, beta, e, enc):
 @dataclass
 class DecoderState:
     d: np.ndarray
-    beta: np.ndarray
+    beta: np.ndarray  # the context; None after decoder_step, which never reads it
     # decoding only: beta @ dec.W[D:], the context's part of the next step's
     # GRU input, which decoder_step makes with this step's logits
     beta_proj: np.ndarray = None
@@ -387,21 +387,20 @@ class DecoderState:
 
 class _Decoding:
     """What every decoder_step over one encoder output reads: the output's
-    row as vectors, two fused weight blocks, and a memo of each fed token
-    id's input projection."""
+    row as vectors, a fused query block, each source state's projection,
+    and a memo of each fed token id's input projection."""
 
     def __init__(self, params, enc):
         if len(enc.src_ids) != 1:
             raise ModelError("decoder_step decodes one source row")
         Hd, D = params.config.dec_hidden, params.config.dim
-        self.keys, self.states = enc.keys[0], enc.states[0]
-        self.src_ids, self.pad_bias = enc.src_ids[0], enc.pad_bias[0]
+        self.keys, self.src_ids, self.pad_bias = enc.keys[0], enc.src_ids[0], enc.pad_bias[0]
         self.A, self.V = params.config.attn_dim, params.config.vocab_size
         out_U = params["out.U"]
         # d @ W_q = [attention query | the state's logits]
         self.W_q = np.concatenate([params["attn.W3"], out_U[:Hd]], axis=1)
-        # beta @ W_b = [the context's logits | the next step's beta @ dec.W[D:]]
-        self.W_b = np.concatenate([out_U[Hd:], params["dec.W"][D:]], axis=1)
+        # [logits | dec.W[D:] projection] of each source state; the context's is their weighted mean
+        self.state_out = enc.states[0] @ np.concatenate([out_U[Hd:], params["dec.W"][D:]], axis=1)
         self.token_inputs = {}
 
 
@@ -425,8 +424,8 @@ def decoder_step(prev_ids, state, enc, params):
     e += c.pad_bias
     e_max = e.max()
     ee = np.exp(e - e_max)
-    beta = (ee @ c.states) / ee.sum()
-    bw = beta @ c.W_b
+    bw = ee @ c.state_out  # [the context's logits | the next step's beta @ dec.W[D:]]
+    bw /= ee.sum()
     logits = q[c.A :] + bw[: c.V]
     shift = max(logits.max(), e_max)
     logits -= shift
@@ -434,7 +433,7 @@ def decoder_step(prev_ids, state, enc, params):
     e -= shift
     np.add.at(scores, c.src_ids, np.exp(e, out=e))
     scores /= scores.sum()
-    return DecoderState(d, beta[None], bw[None, c.V :]), scores[None]
+    return DecoderState(d, None, bw[None, c.V :]), scores[None]
 
 
 def initial_decoder_state(params, enc):
@@ -641,34 +640,35 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
         raise ModelError("beam width must be >= 1")
     enc = encoder_forward(src_ids, params)
     k = min(width, params.config.vocab_size)
-    beam = [Hypothesis((), 0.0, initial_decoder_state(params, enc))]
-    done = []
+    # the live hypotheses by rank: their tokens, log-probabilities and states
+    beam, logps, states, done = [()], [0.0], [initial_decoder_state(params, enc)], []
     for _ in range(max_len):
-        candidates = []
-        for rank, hyp in enumerate(beam):
-            prev = hyp.tokens[-1] if hyp.tokens else bos_id
-            state, probs = decoder_step([prev], hyp.state, enc, params)
-            p = probs[0]
-            top = np.argpartition(-p, k - 1)[:k]
-            # float64 log with the 1e-300 floor: a zero probability scores
-            # log(1e-300), not -inf
-            logps = hyp.logp + np.log(np.maximum(p[top], 1e-300, dtype=np.float64))
-            candidates.extend(zip(logps.tolist(), top.tolist(), [rank] * k, [state] * k))
-        # (-logp, tok, rank) is a total order: the per-hypothesis order does not matter
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        beam_next = []
-        for logp, tok, rank, state in candidates:
-            if len(beam_next) >= width:
+        steps = [
+            decoder_step([toks[-1] if toks else bos_id], state, enc, params)
+            for toks, state in zip(beam, states)
+        ]
+        probs = np.concatenate([p for _state, p in steps])
+        top = np.argpartition(-probs, k - 1, axis=1)[:, :k]
+        p_top = probs[np.arange(len(steps))[:, None], top]
+        # float64 log with the 1e-300 floor: a zero probability scores log(1e-300)
+        cand = np.log(np.maximum(p_top, 1e-300, dtype=np.float64)) + np.array(logps)[:, None]
+        # (-logp, tok, rank) is a total order; the flat index i = rank * k + j
+        # breaks ties as the rank does, since one rank's top tokens are distinct
+        ranked = sorted(zip((-cand).ravel().tolist(), top.ravel().tolist(), range(cand.size)))
+        parents, beam, logps, states = beam, [], [], []
+        for neg_logp, tok, i in ranked:
+            if len(beam) >= width:
                 break
-            parent = beam[rank]
+            state = steps[i // k][0]
             if tok == eos_id:
-                done.append(Hypothesis(parent.tokens, logp, state))
+                done.append(Hypothesis(parents[i // k], -neg_logp, state))
             else:
-                beam_next.append(Hypothesis(parent.tokens + (tok,), logp, state))
-        beam = beam_next
+                beam.append(parents[i // k] + (tok,))
+                logps.append(-neg_logp)
+                states.append(state)
         if not beam:
             break
-    return max(done or beam, key=lambda h: (h.logp, -len(h.tokens)))
+    return max(done or map(Hypothesis, beam, logps, states), key=lambda h: (h.logp, -len(h.tokens)))
 
 
 CHECKPOINT_VERSION = 1

@@ -907,6 +907,52 @@ def test_train_refuses_a_missing_output_directory(tmp_path, monkeypatch, key):
         harness.run_train(config)
 
 
+@pytest.mark.parametrize("key", ["checkpoint_path", "vocab_path", "log_path"])
+def test_train_refuses_an_output_path_that_is_a_directory(tmp_path, monkeypatch, key):
+    """run_train names an output file that is an existing directory before
+    it loads or trains anything, not at the save after the last epoch."""
+    from annosql import harness
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "load_meta", never)
+    monkeypatch.setattr(harness, "train_model", never)
+    config = tiny_config(
+        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
+        log_path=str(tmp_path / "train.log"),
+    )
+    setattr(config, key, str(tmp_path))
+    with pytest.raises(ValueError, match=re.escape(f"{str(tmp_path)!r} is a directory")):
+        harness.run_train(config)
+
+
+@pytest.mark.parametrize("out", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "command",
+    [["annotate", "--split", "train"], ["train"], ["eval"], ["translate", "--question", "q", "--table", "t"]],
+    ids=lambda command: command[0],
+)
+def test_cli_refuses_an_unwritable_out_before_any_work(tmp_path, monkeypatch, capsys, command, out):
+    """An --out in a missing directory, or naming a directory, stops the
+    command with exit 2 and the path in the message before it loads
+    anything, so a long eval or training run is not lost at the write."""
+    from annosql import cli
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("work started")
+
+    for name in ("load_meta", "load_model", "run_train", "run_eval"):
+        monkeypatch.setattr(cli, name, never)
+    config_path = tmp_path / "config.json"
+    config_path.write_text("{}")
+    path = str(tmp_path / "missing" / "report.json") if out == "missing" else str(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(command + ["--config", str(config_path), "--out", path])
+    assert info.value.code == 2
+    assert repr(path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value", [("--tables", "0"), ("--tables", "-1"), ("--questions", "-3")])
 def test_synth_refuses_a_count_below_one(tmp_path, capsys, flag, value):
     """`annosql synth` takes table and question counts of at least 1 and

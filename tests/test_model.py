@@ -545,6 +545,23 @@ def test_beam_matches_reference_100_draws(dtype, tol):
         assert np.allclose(probs, ref_probs, rtol=tol, atol=0.0), i
 
 
+@pytest.mark.parametrize("width", [20, 25])
+@pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-9)])
+def test_beam_wider_than_the_vocabulary_matches_reference(dtype, tol, width):
+    """A width of at least the vocabulary size clamps the top-k to every
+    token of every live hypothesis, and the beam still picks what the
+    first-written one picks, with the same log-probability."""
+    cfg = toy_config(dtype=dtype)
+    assert width >= cfg.vocab_size == 20
+    for i in range(100):
+        params = nn.init_params(cfg, seed=100 + i, weight_scale=0.4)
+        src = np.random.default_rng(i).integers(5, 20, size=(6,))
+        hyp = nn.beam_search(src, params, width=width, max_len=8, bos_id=2, eos_id=3)
+        ref = reference_beam_search(src, params, width=width, max_len=8, bos_id=2, eos_id=3)
+        assert hyp.tokens == ref.tokens, i
+        assert abs(hyp.logp - ref.logp) <= tol, i
+
+
 @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-9)])
 def test_decoder_step_matches_reference_at_every_step(dtype, tol):
     """Drawn token prefixes, fed one id a step through decoder_step and
