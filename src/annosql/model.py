@@ -10,11 +10,12 @@ inference; a training step owns them exclusively.
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 NEG_INF = -1e30
+DIRECTIONS = ("fwd", "bwd")  # the encoder's GRU directions, in stacking order
 DTYPES = {"float32": np.float32, "float64": np.float64}  # ModelConfig.dtype -> numpy type
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and its epsilon
 
@@ -85,7 +86,7 @@ def _param_shapes(config):
     for l in range(config.enc_layers):
         shapes[f"enc{l}.affine.W"] = (D if l == 0 else 2 * H, H)
         shapes[f"enc{l}.affine.b"] = (H,)
-        for direction in ("fwd", "bwd"):
+        for direction in DIRECTIONS:
             shapes[f"enc{l}.{direction}.W"] = (H, 3 * H)
             shapes[f"enc{l}.{direction}.U"] = (H, 3 * H)
             shapes[f"enc{l}.{direction}.b"] = (3 * H,)
@@ -153,27 +154,37 @@ def _embed_backward(params, cache, d_out, grads):
         np.add.at(grads["index_emb"], idx, d_sym[:, cfg.type_dim :])
 
 
-def _gru_cell(x3, h, U):
-    """One GRU step of the encoder or the decoder.
+def _gru_cell(x3, h, h_zr, U_n):
+    """One GRU step of the encoder or the decoder, on arrays with any
+    leading axes: the encoder runs its two directions as one (2, B, ·) step.
 
     x3 = x @ W + b is the input projection, computed outside the recurrence;
-    returns the new state and the cache _gru_cell_backward needs.
+    h_zr = h @ U[:, :2H] is the state's gate product, which the caller makes
+    (decoder_step carries it from the step before); U_n = U[:, 2H:], made
+    contiguous once by _gate_blocks. Returns the new state and the cache
+    _gru_cell_backward needs.
     """
-    H = h.shape[1]
-    zr = h @ U[:, : 2 * H]
-    zr += x3[:, : 2 * H]
+    H = h.shape[-1]
+    zr = h_zr + x3[..., : 2 * H]
     _sigmoid_inplace(zr)
-    z, r = zr[:, :H], zr[:, H:]
-    n = np.tanh(x3[:, 2 * H :] + (r * h) @ U[:, 2 * H :])
+    z, r = zr[..., :H], zr[..., H:]
+    n = np.tanh(x3[..., 2 * H :] + (r * h) @ U_n)
     return (1.0 - z) * h + z * n, (h, z, r, n)
 
 
+def _gate_blocks(U):
+    """U's gate block U[..., :2H] and candidate block U[..., 2H:], each a
+    contiguous copy, for _gru_cell's h_zr and U_n."""
+    H = U.shape[-2]
+    return np.ascontiguousarray(U[..., : 2 * H]), np.ascontiguousarray(U[..., 2 * H :])
+
+
 def _transposed(W):
-    """W.T as a contiguous array, for the backward's products by a weight's
-    transpose. At the criterion-6 sizes, numpy with OpenBLAS multiplies by a
-    transposed view 1.5-2.5x slower than by a contiguous copy, so each
-    backward pass makes the copy once."""
-    return np.ascontiguousarray(W.T)
+    """W with its last two axes swapped, as a contiguous array, for the
+    backward's products by a weight's transpose. At the criterion-6 sizes,
+    numpy with OpenBLAS multiplies by a transposed view 1.5-2.5x slower
+    than by a contiguous copy, so each backward pass makes the copy once."""
+    return np.ascontiguousarray(np.swapaxes(W, -1, -2))
 
 
 def _gru_cell_backward(d_new, cache, U_T):
@@ -181,61 +192,80 @@ def _gru_cell_backward(d_new, cache, U_T):
     contiguous once per pass (see _transposed). The U gradient is linear in
     d_x3, so _gru_weight_grad forms it once for all steps."""
     h, z, r, n = cache
-    H = h.shape[1]
+    H = h.shape[-1]
     dn_pre = d_new * z * (1.0 - n * n)
-    d_rh = dn_pre @ U_T[2 * H :]
+    d_rh = dn_pre @ U_T[..., 2 * H :, :]
     dz_pre = d_new * (n - h) * z * (1.0 - z)
     dr_pre = d_rh * h * r * (1.0 - r)
-    dzr = np.concatenate([dz_pre, dr_pre], axis=1)
-    d_h = d_new * (1.0 - z) + d_rh * r + dzr @ U_T[: 2 * H]
-    return np.concatenate([dzr, dn_pre], axis=1), d_h
+    dzr = np.concatenate([dz_pre, dr_pre], axis=-1)
+    d_h = d_new * (1.0 - z) + d_rh * r + dzr @ U_T[..., : 2 * H, :]
+    return np.concatenate([dzr, dn_pre], axis=-1), d_h
 
 
-def _gru_weight_grad(hs, rs, dX3, dU):
-    """Add the U gradient of a run of GRU steps, where hs[t], rs[t] and
-    dX3[:, t] are step t's input state, reset gate and d_x3: two matmuls
-    over the stacked steps."""
-    H = dU.shape[0]
-    h = np.stack(hs, axis=1).reshape(-1, H)
-    r = np.stack(rs, axis=1).reshape(-1, H)
-    dX = dX3.reshape(-1, 3 * H)
-    dU[:, : 2 * H] += h.T @ dX[:, : 2 * H]
-    dU[:, 2 * H :] += (r * h).T @ dX[:, 2 * H :]
+def _gru_weight_grad(hs, rhs, dX3, dU):
+    """Add the U gradient of a run of GRU steps, where hs[t], rhs[t] and
+    dX3[..., t, :] are step t's input state h, its r * h and its d_x3: two
+    matmuls over the stacked steps, one per direction when a leading axis
+    of 2 stacks the encoder's two."""
+    H = dU.shape[-2]
+    lead = dX3.shape[:-3]
+    h, rh = (np.stack(a, axis=-2).reshape(*lead, -1, H) for a in (hs, rhs))
+    dX = dX3.reshape(*lead, -1, 3 * H)
+    dU[..., : 2 * H] += np.swapaxes(h, -1, -2) @ dX[..., : 2 * H]
+    dU[..., 2 * H :] += np.swapaxes(rh, -1, -2) @ dX[..., 2 * H :]
 
 
 def _gru_forward(x, W, U, b):
-    """One left-to-right GRU pass over a batch x: (B, S, G).
+    """An encoder layer's two directions as one left-to-right recurrence
+    over x: (2, B, S, G), with W, U and b stacked the same way (_stacked):
+    each step is one _gru_cell on (2, B, ·) arrays, and the input
+    projection one GEMM per direction over all B * S rows.
 
-    Returns the states (B, S, H) and the cache _gru_backward reads. It
-    leaves x out, so the encoder's reversed input is not held through the
-    decoder's backward, where training memory peaks.
+    Returns the states (2, B, S, H) and the step caches _gru_backward
+    reads. They leave out x and the stacked weights, which the backward
+    builds again, so neither is held through the decoder's backward, where
+    training memory peaks.
     """
-    B, S, _ = x.shape
-    X3 = x @ W + b
-    h = np.zeros((B, U.shape[0]), dtype=x.dtype)
-    Hseq = np.empty((B, S, U.shape[0]), dtype=x.dtype)
+    _, B, S, G = x.shape
+    H = U.shape[-2]
+    X3 = x.reshape(2, B * S, G) @ W
+    X3 += b[:, None]
+    X3 = X3.reshape(2, B, S, 3 * H)
+    U_zr, U_n = _gate_blocks(U)
+    h = np.zeros((2, B, H), dtype=x.dtype)
+    Hseq = np.empty((2, B, S, H), dtype=x.dtype)
     steps = [None] * S  # steps[t] is the cache of step t
     for t in range(S):
-        h, steps[t] = _gru_cell(X3[:, t], h, U)
-        Hseq[:, t] = h
-    return Hseq, (W, U, steps)
+        h, steps[t] = _gru_cell(X3[:, :, t], h, h @ U_zr, U_n)
+        Hseq[:, :, t] = h
+    return Hseq, steps
 
 
-def _gru_backward(d_hseq, x, cache, grads, prefix):
-    """Backward pass matching _gru_forward(x, ...); returns d_x."""
-    W, U, steps = cache
-    B, S, H = d_hseq.shape
-    dX3 = np.empty((B, S, 3 * H), dtype=x.dtype)
-    dh = np.zeros((B, H), dtype=x.dtype)
+def _gru_backward(d_hseq, x, steps, W, U):
+    """Backward pass matching _gru_forward(x, W, U, b): returns d_x and the
+    stacked gradients of W, U and b. It takes each step's cache off `steps`
+    as it reads it, keeping h and r * h for the U gradient."""
+    _, B, S, H = d_hseq.shape
+    dX3 = np.empty((2, B, S, 3 * H), dtype=x.dtype)
+    hs, rhs = [None] * S, [None] * S  # each step's input state and r * h
+    dh = np.zeros((2, B, H), dtype=x.dtype)
     U_T = _transposed(U)
     for t in reversed(range(S)):
-        dX3[:, t], dh = _gru_cell_backward(dh + d_hseq[:, t], steps[t], U_T)
-    _gru_weight_grad([c[0] for c in steps], [c[2] for c in steps], dX3, grads[prefix + ".U"])
-    x2 = x.reshape(-1, x.shape[-1])
-    dX2 = dX3.reshape(-1, 3 * H)
-    grads[prefix + ".W"] += x2.T @ dX2
-    grads[prefix + ".b"] += dX2.sum(axis=0)
-    return dX3 @ _transposed(W)
+        step = h, _z, r, _n = steps.pop()
+        hs[t], rhs[t] = h, r * h
+        dX3[:, :, t], dh = _gru_cell_backward(dh + d_hseq[:, :, t], step, U_T)
+    dU = np.zeros_like(U)
+    _gru_weight_grad(hs, rhs, dX3, dU)
+    x2 = x.reshape(2, B * S, -1)
+    dX2 = dX3.reshape(2, B * S, 3 * H)
+    d_x = (dX2 @ _transposed(W)).reshape(x.shape)
+    return d_x, (np.swapaxes(x2, -1, -2) @ dX2, dU, dX2.sum(axis=1))
+
+
+def _stacked(params, l, k):
+    """Encoder layer l's GRU weight k ("W", "U" or "b") with both
+    directions stacked on a leading axis of 2."""
+    return np.stack([params[f"enc{l}.{d}.{k}"] for d in DIRECTIONS])
 
 
 @dataclass
@@ -283,9 +313,9 @@ def encoder_forward(src_ids, params, src_mask=None):
     for l in range(params.config.enc_layers):
         W0, b0 = params[f"enc{l}.affine.W"], params[f"enc{l}.affine.b"]
         y = x @ W0 + b0
-        hf, cf = _gru_forward(y, *(params[f"enc{l}.fwd.{k}"] for k in "WUb"))
-        hb, cb = _gru_forward(y[rows, rev], *(params[f"enc{l}.bwd.{k}"] for k in "WUb"))
-        layer_caches.append((x, y, cf, cb))
+        xs = np.stack([y, y[rows, rev]])  # each direction's input in run order
+        (hf, hb), steps = _gru_forward(xs, *(_stacked(params, l, k) for k in "WUb"))
+        layer_caches.append((x, y, steps))
         x = np.concatenate([hf, hb[rows, rev]], axis=2)
     final = np.concatenate([hf[row, last], hb[row, last]], axis=1)
     keys = x @ params["attn.W2"]
@@ -303,14 +333,21 @@ def _encoder_backward(params, enc, d_states, d_final, grads):
     emb_cache, layer_caches, rev, last = enc.cache
     rows, row = np.arange(len(rev))[:, None], np.arange(len(rev))
     d_x = d_states
+    # final is [the fwd state at each row's last token; the bwd state at position 0]
+    d_x[row, last, :H] += d_final[:, :H]
+    d_x[:, 0, H:] += d_final[:, H:]
     for l in reversed(range(L)):
-        x_in, y, cf, cb = layer_caches.pop()
-        d_hf, d_hb = d_x[:, :, :H], d_x[:, :, H:][rows, rev]  # d_hb in run order
-        if l == L - 1:
-            d_hf[row, last] += d_final[:, :H]
-            d_hb[row, last] += d_final[:, H:]
-        dy = _gru_backward(d_hf, y, cf, grads, f"enc{l}.fwd")
-        dy += _gru_backward(d_hb, y[rows, rev], cb, grads, f"enc{l}.bwd")[rows, rev]
+        x_in, y, steps = layer_caches.pop()
+        (dyf, dyb), weight_grads = _gru_backward(
+            np.stack([d_x[:, :, :H], d_x[:, :, H:][rows, rev]]),  # each direction in run order
+            np.stack([y, y[rows, rev]]),
+            steps,
+            *(_stacked(params, l, k) for k in "WU"),
+        )
+        for k, g in zip("WUb", weight_grads):
+            for i, direction in enumerate(DIRECTIONS):
+                grads[f"enc{l}.{direction}.{k}"] += g[i]
+        dy = dyf + dyb[rows, rev]
         x2 = x_in.reshape(-1, x_in.shape[-1])
         dy2 = dy.reshape(-1, dy.shape[-1])
         grads[f"enc{l}.affine.W"] += x2.T @ dy2
@@ -380,35 +417,43 @@ def _output_distribution(params, d, beta, e, enc):
 class DecoderState:
     d: np.ndarray
     beta: np.ndarray  # the context; None after decoder_step, which never reads it
-    # decoding only: beta @ dec.W[D:], the context's part of the next step's
-    # GRU input, which decoder_step makes with this step's logits
+    # decoding only: what the next step's GRU cell reads besides d, made
+    # with this step's logits: beta @ dec.W[D:], the context's part of its
+    # input, and h_zr = d @ dec.U[:, :2Hd], its gate product
     beta_proj: np.ndarray = None
+    h_zr: np.ndarray = None
 
 
 class _Decoding:
-    """What every decoder_step over one encoder output reads: the output's
-    row as vectors, a fused query block, each source state's projection,
-    and a memo of each fed token id's input projection."""
+    """What every decoder_step over one encoder output reads: the row's
+    keys, source ids and states cut to its real tokens, so padding gets no
+    attention or copy mass, a fused query block, each source state's
+    projection, and a memo of each fed token id's input projection."""
 
     def __init__(self, params, enc):
         if len(enc.src_ids) != 1:
             raise ModelError("decoder_step decodes one source row")
         Hd, D = params.config.dec_hidden, params.config.dim
-        self.keys, self.src_ids, self.pad_bias = enc.keys[0], enc.src_ids[0], enc.pad_bias[0]
-        self.A, self.V = params.config.attn_dim, params.config.vocab_size
-        out_U = params["out.U"]
-        # d @ W_q = [attention query | the state's logits]
-        self.W_q = np.concatenate([params["attn.W3"], out_U[:Hd]], axis=1)
+        n = np.count_nonzero(enc.pad_bias[0] == 0)  # the row's mask is n ones, then zeros
+        self.keys, self.src_ids = enc.keys[0, :n], enc.src_ids[0, :n]
+        self.A, self.V, self.v = params.config.attn_dim, params.config.vocab_size, params["attn.v"]
+        out_U, dec_U = params["out.U"], params["dec.U"]
+        self.U_n = _gate_blocks(dec_U)[1]
+        # d @ W_q = [attention query | the state's logits | the next step's h_zr]
+        self.W_q = np.concatenate([params["attn.W3"], out_U[:Hd], dec_U[:, : 2 * Hd]], axis=1)
         # [logits | dec.W[D:] projection] of each source state; the context's is their weighted mean
-        self.state_out = enc.states[0] @ np.concatenate([out_U[Hd:], params["dec.W"][D:]], axis=1)
+        state_W = np.concatenate([out_U[Hd:], params["dec.W"][D:]], axis=1)
+        self.state_out = enc.states[0, :n] @ state_W
         self.token_inputs = {}
 
 
 def decoder_step(prev_ids, state, enc, params):
     """One inference step of one hypothesis: feed the one id in `prev_ids`,
-    return (state, probs of shape (1, V)). _teacher_forced's arithmetic on
-    vectors, which cost about half of (1, ·) arrays per numpy call at the
-    desk sizes; the state carries the next step's beta @ dec.W[D:]."""
+    return (state, probs of shape (1, V)). _teacher_forced's arithmetic,
+    with the GRU cell on (1, ·) rows throughout (a (1, ·) array broadcast
+    against a vector costs about twice either alone) and the rest on
+    vectors; the state carries the next step's beta @ dec.W[D:] and gate
+    product. np.dot costs less per call than @ on these vector products."""
     c = enc.decoding
     if c is None:
         c = enc.decoding = _Decoding(params, enc)
@@ -416,32 +461,40 @@ def decoder_step(prev_ids, state, enc, params):
     tok3 = c.token_inputs.get(tok)
     if tok3 is None:
         tok3 = c.token_inputs[tok] = _token_projection(params, _embed(params, np.array([tok]))[0])
-    d, _cache = _gru_cell(tok3 + state.beta_proj, state.d, params["dec.U"])
-    q = d[0] @ c.W_q
-    tu = c.keys + q[: c.A]
+    d, _cache = _gru_cell(tok3 + state.beta_proj, state.d, state.h_zr, c.U_n)
+    A, V = c.A, c.V
+    q = np.dot(d, c.W_q)
+    tu = c.keys + q[0, :A]
     np.tanh(tu, out=tu)
-    e = tu @ params["attn.v"]
-    e += c.pad_bias
+    e = np.dot(tu, c.v)
     e_max = e.max()
-    ee = np.exp(e - e_max)
-    bw = ee @ c.state_out  # [the context's logits | the next step's beta @ dec.W[D:]]
+    e -= e_max
+    ee = np.exp(e, out=e)
+    bw = np.dot(ee, c.state_out)  # [the context's logits | the next step's beta @ dec.W[D:]]
     bw /= ee.sum()
-    logits = q[c.A :] + bw[: c.V]
-    shift = max(logits.max(), e_max)
+    logits = q[0, A : A + V]
+    logits += bw[:V]
+    # both exp families take the larger max as their shift; ee has e_max's
+    shift = logits.max()
+    if shift > e_max:
+        ee *= np.exp(e_max - shift)
+    else:
+        shift = e_max
     logits -= shift
     scores = np.exp(logits, out=logits)
-    e -= shift
-    np.add.at(scores, c.src_ids, np.exp(e, out=e))
+    np.add.at(scores, c.src_ids, ee)
     scores /= scores.sum()
-    return DecoderState(d, None, bw[None, c.V :]), scores[None]
+    return DecoderState(d, None, bw[None, V:], q[:, A + V :]), scores[None]
 
 
 def initial_decoder_state(params, enc):
-    """d_0 = tanh(final @ W1), and a zero context beta_0 and projection."""
-    B, dt = len(enc.final), params.config.np_dtype()
+    """d_0 = tanh(final @ W1), a zero context beta_0 and projection, and
+    d_0's gate product."""
+    B, dt, Hd = len(enc.final), params.config.np_dtype(), params.config.dec_hidden
+    d0 = np.tanh(enc.final @ params["W1"])
     beta0 = np.zeros((B, enc.states.shape[-1]), dtype=dt)
-    beta0_proj = np.zeros((B, 3 * params.config.dec_hidden), dtype=dt)
-    return DecoderState(np.tanh(enc.final @ params["W1"]), beta0, beta0_proj)
+    beta0_proj = np.zeros((B, 3 * Hd), dtype=dt)
+    return DecoderState(d0, beta0, beta0_proj, d0 @ params["dec.U"][:, : 2 * Hd])
 
 
 def zero_grads(params):
@@ -467,6 +520,7 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     tgt_emb, tgt_emb_cache = _embed(params, tgt_in)
     tok3 = _token_projection(params, tgt_emb)
     W_beta = params["dec.W"][params.config.dim :]
+    U_zr, U_n = _gate_blocks(params["dec.U"])
 
     tiny = np.finfo(dt).tiny
     states = [start]  # states[t] feeds step t
@@ -475,7 +529,8 @@ def _teacher_forced(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask):
     correct = 0.0
     for t in range(T):
         x3 = tok3[:, t] + states[-1].beta @ W_beta
-        d, gru_cache = _gru_cell(x3, states[-1].d, params["dec.U"])
+        h = states[-1].d
+        d, gru_cache = _gru_cell(x3, h, h @ U_zr, U_n)
         e, alpha, beta, tu = _attention(params, d, enc)
         probs, (el, ee, scores, total) = _output_distribution(params, d, beta, e, enc)
         w = tgt_mask[:, t] / total_tokens
@@ -529,16 +584,17 @@ def loss_and_grad(
     d_u_sum = np.zeros_like(enc.keys)
     d_betas = np.zeros((B, T, enc.states.shape[-1]), dtype=dt)
     alphas = np.empty((B, S, T), dtype=dt)
-    hs, rs = [None] * T, [None] * T  # each step's GRU input state and reset gate
+    hs, rhs = [None] * T, [None] * T  # each step's GRU input state and r * h
     carry_d = np.zeros_like(start.d)
     carry_beta = np.zeros_like(start.beta)
     for t in reversed(range(T)):
         # a step's tape is freed once this iteration has read it: alpha goes
-        # into the stacked weights, and of the GRU cache the dec.U gradient
-        # keeps h and r
+        # into the stacked weights, and the GRU cache's h and r * h into
+        # the dec.U gradient's
         (gru_cache, alpha, tu, out_cache), w = steps.pop()
         alphas[:, :, t] = alpha
-        hs[t], _z, rs[t], _n = gru_cache
+        h, _z, r, _n = gru_cache
+        hs[t], rhs[t] = h, r * h
         state = states[t + 1]
         el, ee, total, score_y = out_cache  # score_y is 0 only at a padded or floored step
         # ds, the scores' gradient, in one (B, V) buffer that then takes
@@ -563,7 +619,7 @@ def loss_and_grad(
     # recurrent and input projection weights'
     d_states = alphas @ d_betas + d_u_sum @ _transposed(params["attn.W2"])
     grads["attn.W2"] += enc.states.reshape(B * S, -1).T @ d_u_sum.reshape(B * S, -1)
-    _gru_weight_grad(hs, rs, dX3, grads["dec.U"])
+    _gru_weight_grad(hs, rhs, dX3, grads["dec.U"])
     betas_in = np.stack([s.beta for s in states[:-1]], axis=1)
     inputs = np.concatenate([tgt_emb, betas_in], axis=2)
     dX3_flat = dX3.reshape(B * T, -1)
@@ -626,7 +682,6 @@ class Adam:
 class Hypothesis:
     tokens: tuple
     logp: float
-    state: DecoderState = field(compare=False)
 
 
 def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
@@ -639,7 +694,8 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
     if width < 1:
         raise ModelError("beam width must be >= 1")
     enc = encoder_forward(src_ids, params)
-    k = min(width, params.config.vocab_size)
+    V = params.config.vocab_size
+    k = min(width, V)
     # the live hypotheses by rank: their tokens, log-probabilities and states
     beam, logps, states, done = [()], [0.0], [initial_decoder_state(params, enc)], []
     for _ in range(max_len):
@@ -648,10 +704,11 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
             for toks, state in zip(beam, states)
         ]
         probs = np.concatenate([p for _state, p in steps])
-        top = np.argpartition(-probs, k - 1, axis=1)[:, :k]
+        top = np.argpartition(probs, V - k, axis=1)[:, V - k :]  # each row's k largest, last
         p_top = probs[np.arange(len(steps))[:, None], top]
         # float64 log with the 1e-300 floor: a zero probability scores log(1e-300)
-        cand = np.log(np.maximum(p_top, 1e-300, dtype=np.float64)) + np.array(logps)[:, None]
+        cand = np.log(np.maximum(p_top, 1e-300, dtype=np.float64))
+        cand += np.array(logps)[:, None]
         # (-logp, tok, rank) is a total order; the flat index i = rank * k + j
         # breaks ties as the rank does, since one rank's top tokens are distinct
         ranked = sorted(zip((-cand).ravel().tolist(), top.ravel().tolist(), range(cand.size)))
@@ -659,16 +716,15 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
         for neg_logp, tok, i in ranked:
             if len(beam) >= width:
                 break
-            state = steps[i // k][0]
             if tok == eos_id:
-                done.append(Hypothesis(parents[i // k], -neg_logp, state))
+                done.append(Hypothesis(parents[i // k], -neg_logp))
             else:
                 beam.append(parents[i // k] + (tok,))
                 logps.append(-neg_logp)
-                states.append(state)
+                states.append(steps[i // k][0])
         if not beam:
             break
-    return max(done or map(Hypothesis, beam, logps, states), key=lambda h: (h.logp, -len(h.tokens)))
+    return max(done or map(Hypothesis, beam, logps), key=lambda h: (h.logp, -len(h.tokens)))
 
 
 CHECKPOINT_VERSION = 1

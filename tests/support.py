@@ -282,7 +282,8 @@ def reference_decoder_step(prev_ids, state, enc, params):
     mask = np.ones(enc.src_ids.shape, dtype=enc.states.dtype)
     emb, _ = nn._embed(params, prev_ids)
     inp = np.concatenate([emb[:, 0, :], state.beta], axis=1)
-    d_new, _ = nn._gru_cell(inp @ params["dec.W"] + params["dec.b"], state.d, params["dec.U"])
+    x3 = inp @ params["dec.W"] + params["dec.b"]
+    d_new, _ = _reference_gru_cell(x3, state.d, params["dec.U"])
     e, beta = _reference_attention(params, d_new, enc, enc.states @ params["attn.W2"], mask)
     probs = _reference_output_distribution(params, d_new, beta, e, enc, mask)
     return nn.DecoderState(d_new, beta), probs
@@ -290,35 +291,57 @@ def reference_decoder_step(prev_ids, state, enc, params):
 
 def reference_beam_search(src_ids, params, width, max_len, bos_id, eos_id):
     """beam_search as first written, on reference_decoder_step: per-candidate
-    float logs and a per-hypothesis sort. The oracle for the trimmed beam."""
+    float logs and a per-hypothesis sort. The oracle for the trimmed beam.
+    Its live hypotheses are (tokens, logp, state) tuples."""
     enc = nn.encoder_forward(src_ids, params)
-    beam = [nn.Hypothesis((), 0.0, nn.initial_decoder_state(params, enc))]
+    beam = [((), 0.0, nn.initial_decoder_state(params, enc))]
     done = []
     for _ in range(max_len):
         candidates = []
-        for rank, hyp in enumerate(beam):
-            prev = hyp.tokens[-1] if hyp.tokens else bos_id
-            state, probs = reference_decoder_step([prev], hyp.state, enc, params)
+        for rank, (tokens, hyp_logp, hyp_state) in enumerate(beam):
+            prev = tokens[-1] if tokens else bos_id
+            state, probs = reference_decoder_step([prev], hyp_state, enc, params)
             p = probs[0]
             k = min(width, p.shape[0])
             top = np.argpartition(-p, k - 1)[:k]
             for tok in sorted(top, key=lambda i: (-p[i], i)):
-                logp = hyp.logp + float(np.log(max(p[tok], 1e-300)))
+                logp = hyp_logp + float(np.log(max(p[tok], 1e-300)))
                 candidates.append((logp, int(tok), rank, state))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
         beam_next = []
         for logp, tok, rank, state in candidates:
             if len(beam_next) >= width:
                 break
-            parent = beam[rank]
+            parent_tokens = beam[rank][0]
             if tok == eos_id:
-                done.append(nn.Hypothesis(parent.tokens, logp, state))
+                done.append(nn.Hypothesis(parent_tokens, logp))
             else:
-                beam_next.append(nn.Hypothesis(parent.tokens + (tok,), logp, state))
+                beam_next.append((parent_tokens + (tok,), logp, state))
         beam = beam_next
         if not beam:
             break
-    return max(done or beam, key=lambda h: (h.logp, -len(h.tokens)))
+    live = [nn.Hypothesis(tokens, logp) for tokens, logp, _state in beam]
+    return max(done or live, key=lambda h: (h.logp, -len(h.tokens)))
+
+
+def _reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _reference_gru_cell(x3, h, U):
+    """The GRU step as first written, with its own sigmoid and products by
+    slices of U: the oracles share no arithmetic with nn._gru_cell."""
+    H = h.shape[1]
+    zr = h @ U[:, : 2 * H]
+    z = _reference_sigmoid(x3[:, :H] + zr[:, :H])
+    r = _reference_sigmoid(x3[:, H : 2 * H] + zr[:, H:])
+    n = np.tanh(x3[:, 2 * H :] + (r * h) @ U[:, 2 * H :])
+    return (1.0 - z) * h + z * n, (h, z, r, n)
 
 
 def _reference_gru_forward(x, mask, W, U, b, reverse=False):
@@ -329,7 +352,7 @@ def _reference_gru_forward(x, mask, W, U, b, reverse=False):
     Hseq = np.zeros((B, S, U.shape[0]), dtype=x.dtype)
     steps = []
     for t in order:
-        h_new, step = nn._gru_cell(X3[:, t], h, U)
+        h_new, step = _reference_gru_cell(X3[:, t], h, U)
         m = mask[:, t : t + 1]
         h = m * h_new + (1.0 - m) * h
         Hseq[:, t] = h
@@ -445,7 +468,7 @@ def reference_loss_and_grad(params, src_ids, src_mask, tgt_in, tgt_out, tgt_mask
     for t in range(T):
         x3 = tgt_emb[:, t] @ params["dec.W"][:D] + params["dec.b"]
         x3 = x3 + states[-1].beta @ params["dec.W"][D:]
-        d, gru_cache = nn._gru_cell(x3, states[-1].d, params["dec.U"])
+        d, gru_cache = _reference_gru_cell(x3, states[-1].d, params["dec.U"])
         e, alpha, beta, tu = nn._attention(params, d, enc)
         probs, out_cache = nn._output_distribution(params, d, beta, e, enc)
         w = tgt_mask[:, t] / total_tokens

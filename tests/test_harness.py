@@ -469,7 +469,7 @@ def test_translate_example_leaves_no_field_of_an_earlier_call(monkeypatch):
     [ex] = examples
 
     def translate_to(sketch):
-        hyp = nn.Hypothesis(tuple(vocab.encode(sketch)), -1.0, None)
+        hyp = nn.Hypothesis(tuple(vocab.encode(sketch)), -1.0)
         monkeypatch.setattr(nn, "beam_search", lambda *_args: hyp)
         translate_example(ex, bundles, None, vocab, config)
 
@@ -1375,7 +1375,7 @@ def test_eval_report_failure_classes(monkeypatch):
     }
 
     def fake_beam(src_ids, *_args):
-        return nn.Hypothesis(tuple(by_source[tuple(src_ids)]), -1.0, None)
+        return nn.Hypothesis(tuple(by_source[tuple(src_ids)]), -1.0)
 
     monkeypatch.setattr(nn, "beam_search", fake_beam)
     report = evaluate(examples, bundles, None, vocab, config)
@@ -1453,7 +1453,7 @@ def test_translate_question_output_has_one_shape(monkeypatch):
     }
 
     def fake_beam(src_ids, *_args):
-        return nn.Hypothesis(tuple(by_source[tuple(src_ids)]), -1.0, None)
+        return nn.Hypothesis(tuple(by_source[tuple(src_ids)]), -1.0)
 
     monkeypatch.setattr(nn, "beam_search", fake_beam)
     outs = [

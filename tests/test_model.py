@@ -381,28 +381,30 @@ def test_decoder_backward_frees_each_step_tape_as_it_reads_it(monkeypatch):
 
 def test_encoder_backward_frees_each_layer_tape_before_the_layer_below(monkeypatch):
     """When layer 0's GRU backward runs, every step array layer 1's GRU
-    passes cached is already freed."""
+    pass cached is already freed. A layer's two directions run as one
+    stacked pass, so the layer is told by call order: the forward passes
+    run layer 0 then layer 1, the backward passes layer 1 then layer 0."""
     params = nn.init_params(toy_config(enc_layers=2), seed=5)
     batch = drawn_batch(np.random.default_rng(5), B=3, tail=1)
     real_forward, real_backward = nn._gru_forward, nn._gru_backward
-    layer1, checked = [], []  # weakrefs to layer 1's step arrays
+    cached, checked = [], []  # cached[l]: weakrefs to layer l's step arrays
 
-    def gru_forward(x, W, U, b):
-        hseq, cache = real_forward(x, W, U, b)
-        if any(W is params[f"enc1.{direction}.W"] for direction in ("fwd", "bwd")):
-            layer1.extend(weakref.ref(a) for step in cache[2] for a in step)
-        return hseq, cache
+    def gru_forward(*args):
+        hseq, steps = real_forward(*args)
+        cached.append([weakref.ref(a) for step in steps for a in step])
+        return hseq, steps
 
-    def gru_backward(d_hseq, x, cache, grads, prefix):
-        if prefix.startswith("enc0."):
-            assert all(ref() is None for ref in layer1), prefix
-            checked.append(prefix)
-        return real_backward(d_hseq, x, cache, grads, prefix)
+    def gru_backward(*args):
+        layer = len(cached) - 1 - len(checked)
+        if layer == 0:
+            assert all(ref() is None for ref in cached[1])
+        checked.append(layer)
+        return real_backward(*args)
 
     monkeypatch.setattr(nn, "_gru_forward", gru_forward)
     monkeypatch.setattr(nn, "_gru_backward", gru_backward)
     nn.loss_and_grad(params, *batch)
-    assert checked == ["enc0.fwd", "enc0.bwd"] and layer1
+    assert checked == [1, 0] and len(cached) == 2 and cached[1]
 
 
 def test_loss_and_grad_overwrites_the_gradients_it_is_handed():
@@ -580,6 +582,27 @@ def test_decoder_step_matches_reference_at_every_step(dtype, tol):
             state, probs = nn.decoder_step([tok], state, enc, params)
             ref_state, ref_probs = reference_decoder_step([tok], ref_state, enc, params)
             assert np.allclose(probs, ref_probs, rtol=tol, atol=0.0), (i, t)
+
+
+def test_padded_row_decodes_as_alone():
+    """A one-row float64 source right-padded by a drawn number of positions,
+    whose padding holds ids its real tokens use too, gives decoder_step at
+    every step of a drawn prefix the probabilities the row gets alone, to
+    1e-10 relative error: padding gets no attention and no copy mass."""
+    cfg = toy_config()
+    rng = np.random.default_rng(31)
+    for i in range(40):
+        params = nn.init_params(cfg, seed=int(rng.integers(1 << 31)), weight_scale=0.6)
+        n, pad = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        src = rng.integers(5, 20, size=n)
+        padded = np.concatenate([src, rng.choice(src, size=pad)])[None]
+        alone = nn.encoder_forward(src, params)
+        enc = nn.encoder_forward(padded, params, (np.arange(n + pad) < n)[None])
+        state = alone_state = nn.initial_decoder_state(params, enc)
+        for t, tok in enumerate([2] + rng.integers(0, 20, size=5).tolist()):
+            state, probs = nn.decoder_step([tok], state, enc, params)
+            alone_state, want = nn.decoder_step([tok], alone_state, alone, params)
+            assert np.allclose(probs, want, rtol=1e-10, atol=0.0), (i, n, pad, t)
 
 
 def test_beam_search_rejects_width_below_one():
