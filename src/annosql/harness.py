@@ -304,6 +304,13 @@ def prepare_examples(examples, tables, config, lexicon=EMPTY_LEXICON, emb=EMPTY_
     return examples
 
 
+def _alignment_failures(examples):
+    """Why questions did not align, counted in example order: `no_gold` for
+    a question without a gold query, otherwise its alignment error."""
+    failed = (ex for ex in examples if ex.gold is None or ex.aligned is None)
+    return Counter("no_gold" if ex.gold is None else ex.alignment_error for ex in failed)
+
+
 def build_training_pairs(examples, config):
     """Token-id pairs for the aligned examples, the vocabulary built from
     them, and a coverage report.
@@ -311,30 +318,20 @@ def build_training_pairs(examples, config):
     Unaligned examples are excluded from training but stay in evaluation;
     examples without a gold query count under `no_gold`.
     """
-    sources, targets = [], []
-    reasons = Counter()
-    for ex in examples:
-        if ex.encoded_src is None:
-            raise ValueError("examples must be prepared before pairing")
-        if ex.gold is None:
-            reasons["no_gold"] += 1
-            continue
-        if ex.aligned is None:
-            reasons[ex.alignment_error] += 1
-            continue
-        sources.append(ex.encoded_src)
-        targets.append(sketch_tokens(ex.aligned))
-    if not sources:
+    if any(ex.encoded_src is None for ex in examples):
+        raise ValueError("examples must be prepared before pairing")
+    kept = [ex for ex in examples if ex.gold is not None and ex.aligned is not None]
+    if not kept:
         raise ValueError("no aligned examples to build a vocabulary from")
+    sources = [ex.encoded_src for ex in kept]
+    targets = [sketch_tokens(ex.aligned) for ex in kept]
     vocab = build_vocab(sources, targets, config.min_count, config.max_index)
-    pairs = [
-        (vocab.encode(src), vocab.encode(tgt)) for src, tgt in zip(sources, targets)
-    ]
+    pairs = [(vocab.encode(src), vocab.encode(tgt)) for src, tgt in zip(sources, targets)]
     report = {
         "total": len(examples),
         "aligned": len(pairs),
         "coverage": len(pairs) / len(examples) if examples else 0.0,
-        "failures": dict(reasons),
+        "failures": dict(_alignment_failures(examples)),
     }
     return pairs, vocab, report
 
@@ -554,14 +551,14 @@ def evaluate(examples, tables, params, vocab, config):
         failed[kind]["count"] += 1
         if len(failed[kind]["examples"]) < FAILURE_EXAMPLES:
             failed[kind]["examples"].append(ex.question)
-    unaligned = [ex.alignment_error for ex in examples if ex.aligned is None]
+    failures = _alignment_failures(examples)
     return EvalReport(
         total=len(examples),
         lf=lf,
         qm=qm,
         ex=ex_count,
-        aligned=len(examples) - len(unaligned),
-        failures=dict(Counter(unaligned)),
+        aligned=len(examples) - failures.total(),
+        failures=dict(failures),
         config=config.to_dict(),
         translation_failures=failed,
     )

@@ -474,12 +474,10 @@ def decoder_step(prev_ids, state, enc, params):
     bw /= ee.sum()
     logits = q[0, A : A + V]
     logits += bw[:V]
-    # both exp families take the larger max as their shift; ee has e_max's
-    shift = logits.max()
-    if shift > e_max:
-        ee *= np.exp(e_max - shift)
-    else:
-        shift = e_max
+    # both exp families take the larger max as their shift; ee was made with
+    # e_max's, so its factor is exactly 1.0 when e_max is the larger
+    shift = max(logits.max(), e_max)
+    ee *= np.exp(e_max - shift)
     logits -= shift
     scores = np.exp(logits, out=logits)
     np.add.at(scores, c.src_ids, ee)

@@ -159,6 +159,27 @@ def test_vocab_load_rejects_a_blank_line(tmp_path, blank):
         Vocabulary.load(str(path))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[1:], "not a vocabulary file"),
+        (lambda lines: [line for line in lines if line != "v2"], "malformed symbol block"),
+        (lambda lines: [line for line in lines if line[0] not in "cvg"], "malformed symbol block"),
+    ],
+    ids=["no-specials", "symbol-missing", "no-symbols"],
+)
+def test_vocab_load_rejects_a_file_save_did_not_write(tmp_path, edit, message):
+    """A file whose specials or c/v/g symbol block is not the one save
+    writes fails naming the file."""
+    vocab = build_vocab([["alpha", "beta"]], [["select", "c1"]], min_count=1, max_index=4)
+    path = tmp_path / "vocab.txt"
+    vocab.save(str(path))
+    lines = edit(path.read_text(encoding="utf-8").splitlines())
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        Vocabulary.load(str(path))
+
+
 def test_model_symbol_rows_share_halves():
     from annosql import model as nn
 

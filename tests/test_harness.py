@@ -136,6 +136,12 @@ def test_gold_from_wikisql_codes():
     assert gold.conds == (("A", ">", "5"),)
 
 
+def test_gold_from_wikisql_writes_an_integral_float_value_as_an_int():
+    schema = make_schema("t", [("A", "text"), ("B", "real")])
+    gold = gold_from_wikisql({"sel": 0, "agg": 0, "conds": [[1, 0, 3.0], [1, 1, 2.5]]}, schema, "t")
+    assert gold.conds == (("B", "=", "3"), ("B", ">", "2.5"))
+
+
 def film_fixtures_prepared(tmp_path, config=None):
     from annosql.meta import load_phrase_lexicon
 
@@ -387,6 +393,16 @@ def tiny_config(**kw):
     return Config(**base)
 
 
+def tiny_run_config(tmp_path, corpus=None, **kw):
+    """tiny_config(**kw) whose checkpoint and vocabulary files go in
+    `tmp_path`; with `corpus`, the (questions, tables, seed) of a synth
+    corpus written to tmp_path/data, which is its tables and train split."""
+    paths = {"checkpoint_path": str(tmp_path / "model.npz"), "vocab_path": str(tmp_path / "vocab.txt")}
+    if corpus is not None:
+        paths["tables_path"], paths["train_path"] = write_corpus(str(tmp_path / "data"), *corpus)
+    return tiny_config(**{**paths, **kw})
+
+
 def test_train_and_evaluate_deterministic():
     config = tiny_config()
     examples, bundles, _records = generate_corpus(16, n_tables=4, seed=9, config=config)
@@ -485,15 +501,8 @@ def test_translate_example_leaves_no_field_of_an_earlier_call(monkeypatch):
 def test_run_train_eval_translate_cli(tmp_path):
     from annosql.cli import main
 
-    data_dir = tmp_path / "data"
-    tables_path, split_path = write_corpus(str(data_dir), 12, n_tables=3, seed=21)
-    config = tiny_config(epochs=4)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.test_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
-    config.log_path = str(tmp_path / "train.log")
+    config = tiny_run_config(tmp_path, (12, 3, 21), epochs=4, log_path=str(tmp_path / "train.log"))
+    config.test_path = config.train_path
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config.to_dict()))
 
@@ -518,7 +527,7 @@ def test_run_train_eval_translate_cli(tmp_path):
     assert 0.0 <= report["acc_ex"] <= 1.0
     assert report["config"]["seed"] == config.seed
 
-    with open(split_path) as fh:
+    with open(config.train_path) as fh:
         record = json.loads(fh.readline())
     out_tr = tmp_path / "translate.json"
     assert main([
@@ -565,15 +574,9 @@ def test_annotate_out_has_the_annotate_keys_in_order(tmp_path):
 def test_repl_translate(tmp_path):
     from annosql.harness import repl_translate, run_train
 
-    data_dir = tmp_path / "data"
-    tables_path, split_path = write_corpus(str(data_dir), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=2)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=2)
     run_train(config)
-    with open(split_path) as fh:
+    with open(config.train_path) as fh:
         record = json.loads(fh.readline())
     stdin = io.StringIO(f"{record['table_id']}\t{record['question']}\nnot-a-valid-line\n")
     stdout = io.StringIO()
@@ -589,14 +592,9 @@ def test_repl_line_without_tab_has_the_answer_keys(tmp_path):
     question, and the loop answers the next line."""
     from annosql.harness import repl_translate, run_train
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=1)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=1)
     run_train(config)
-    with open(split_path) as fh:
+    with open(config.train_path) as fh:
         record = json.loads(fh.readline())
     stdin = io.StringIO(f"no tab here\n\n{record['table_id']}\t{record['question']}\n")
     stdout = io.StringIO()
@@ -615,14 +613,9 @@ def test_repl_survives_question_with_no_tokens(tmp_path):
     logp, and goes on to the next line."""
     from annosql.harness import repl_translate, run_train
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=1, headers=False)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=1, headers=False)
     run_train(config)
-    with open(split_path) as fh:
+    with open(config.train_path) as fh:
         record = json.loads(fh.readline())
     stdin = io.StringIO(f"synth-0\t___\n{record['table_id']}\t{record['question']}\n")
     stdout = io.StringIO()
@@ -640,12 +633,10 @@ def test_repl_townlands_returns_356(tmp_path):
     from annosql.harness import repl_translate, run_train
 
     tables_path, split_path, lex_path = write_film_and_townland_fixtures(tmp_path)
-    config = tiny_config(epochs=300, batch_size=2, beam_width=3)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.lexicon_path = lex_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(
+        tmp_path, epochs=300, batch_size=2, beam_width=3,
+        tables_path=tables_path, train_path=split_path, lexicon_path=lex_path,
+    )
     run_train(config)
     stdin = io.StringIO(TOWNLANDS_RECORD["question"].join(["townlands\t", "\n"]))
     stdout = io.StringIO()
@@ -714,12 +705,7 @@ def test_translate_cli_reports_unanswerable_questions(tmp_path, capsys):
     from annosql.cli import main
     from annosql.harness import run_train
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=1, headers=False)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=1, headers=False)
     run_train(config)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config.to_dict()))
@@ -785,9 +771,10 @@ def test_eval_loads_the_model_before_annotating(tmp_path, monkeypatch):
     from annosql.cli import main
 
     tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(tables_path=tables_path, test_path=split_path)
-    config.vocab_path = str(tmp_path / "vocab.txt")
-    config.checkpoint_path = str(tmp_path / "missing.npz")
+    config = tiny_run_config(
+        tmp_path, tables_path=tables_path, test_path=split_path,
+        checkpoint_path=str(tmp_path / "missing.npz"),
+    )
     examples, _bundles, _records = generate_corpus(8, 2, 31, config)
     build_training_pairs(examples, config)[1].save(config.vocab_path)
     config_path = tmp_path / "config.json"
@@ -811,11 +798,8 @@ def test_a_model_is_refused_under_another_encoding(tmp_path, monkeypatch, key, v
     from annosql.cli import main
     from annosql.model import ModelError
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(
-        epochs=1, tables_path=tables_path, train_path=split_path, test_path=split_path,
-        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
-    )
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=1)
+    config.test_path = config.train_path
     harness.run_train(config)
     trained_value = getattr(config, key)
     config_path = tmp_path / "config.json"
@@ -843,11 +827,7 @@ def test_load_model_reads_a_training_config_with_a_retired_setting(tmp_path):
     from annosql import harness
     from annosql import model as nn
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(
-        epochs=1, headers=False, tables_path=tables_path, train_path=split_path,
-        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
-    )
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=1, headers=False)
     harness.run_train(config)
     params, vocab = harness.load_model(config)
     stored = {**config.to_dict(), "train_trees_path": None}
@@ -864,9 +844,7 @@ def test_failed_retrain_keeps_the_previous_model_loadable(tmp_path, monkeypatch)
     other file beside them."""
     from annosql import harness
 
-    config = tiny_config(
-        epochs=1, checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt")
-    )
+    config = tiny_run_config(tmp_path, epochs=1)
     config.tables_path, config.train_path = write_corpus(str(tmp_path / "a"), 12, 3, 21)
     harness.run_train(config)
     params, vocab = harness.load_model(config)
@@ -897,10 +875,7 @@ def test_train_refuses_a_missing_output_directory(tmp_path, monkeypatch, key):
 
     monkeypatch.setattr(harness, "load_meta", never)
     monkeypatch.setattr(harness, "train_model", never)
-    config = tiny_config(
-        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
-        log_path=str(tmp_path / "train.log"),
-    )
+    config = tiny_run_config(tmp_path, log_path=str(tmp_path / "train.log"))
     missing = str(tmp_path / "missing" / "out")
     setattr(config, key, missing)
     with pytest.raises(ValueError, match=re.escape(repr(missing))):
@@ -918,10 +893,7 @@ def test_train_refuses_an_output_path_that_is_a_directory(tmp_path, monkeypatch,
 
     monkeypatch.setattr(harness, "load_meta", never)
     monkeypatch.setattr(harness, "train_model", never)
-    config = tiny_config(
-        checkpoint_path=str(tmp_path / "model.npz"), vocab_path=str(tmp_path / "vocab.txt"),
-        log_path=str(tmp_path / "train.log"),
-    )
+    config = tiny_run_config(tmp_path, log_path=str(tmp_path / "train.log"))
     setattr(config, key, str(tmp_path))
     with pytest.raises(ValueError, match=re.escape(f"{str(tmp_path)!r} is a directory")):
         harness.run_train(config)
@@ -966,6 +938,43 @@ def test_synth_refuses_a_count_below_one(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_writes_both_files_and_prints_their_paths(tmp_path, capsys):
+    """`annosql synth` writes the corpus write_corpus writes for its counts
+    and seed, and prints one JSON line naming both files."""
+    from annosql.cli import main
+
+    argv = ["synth", "--out-dir", str(tmp_path / "cli"), "--questions", "6", "--tables", "2", "--seed", "5"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    expected = write_corpus(str(tmp_path / "direct"), 6, 2, 5)
+    assert list(printed) == ["tables", "split"]
+    for got, want in zip((printed["tables"], printed["split"]), expected):
+        assert Path(got).parent == tmp_path / "cli" and Path(got).name == Path(want).name
+        assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+def test_repl_command_answers_lines_from_stdin(tmp_path, monkeypatch, capsys):
+    """`annosql repl` reads `table_id<TAB>question` lines from stdin and
+    prints one answer line for each, in order."""
+    from annosql.cli import main
+    from annosql.harness import run_train
+
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=1)
+    run_train(config)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    with open(config.train_path) as fh:
+        records = [json.loads(line) for line in fh][:2]
+    lines = "".join(f"{r['table_id']}\t{r['question']}\n" for r in records)
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines + "no tab\n"))
+    capsys.readouterr()
+    assert main(["repl", "--config", str(config_path)]) == 0
+    out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [a["question"] for a in out] == [r["question"] for r in records] + ["no tab"]
+    assert all(list(a) == list(ANSWER_KEYS) for a in out)
+    assert all(a["logp"] is not None for a in out[:2]) and out[2]["error"] == "expected: table_id<TAB>question"
+
+
 def test_eval_needs_a_path_for_its_split(tmp_path):
     from annosql.cli import main
 
@@ -999,13 +1008,7 @@ def test_embeddings_seed_word_embeddings(tmp_path, caplog, monkeypatch):
     from annosql.harness import run_train
 
     monkeypatch.setattr(nn.Adam, "step", lambda *_args: None)
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=1)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.embeddings_path = str(tmp_path / "vectors.txt")
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=1, embeddings_path=str(tmp_path / "vectors.txt"))
     vectors = {w: np.linspace(-1.0, 1.0, config.dim) * (i + 1) for i, w in enumerate(["select", "where"])}
     for dim in (config.dim, 3):
         with open(config.embeddings_path, "w") as fh:
@@ -1029,14 +1032,8 @@ def test_dev_early_stopping_with_patience(tmp_path, monkeypatch):
     from annosql.harness import run_train
 
     monkeypatch.setattr(nn.Adam, "step", lambda *_args: None)
-    data_dir = tmp_path / "data"
-    tables_path, split_path = write_corpus(str(data_dir), 6, n_tables=2, seed=41)
-    config = tiny_config(epochs=30, eval_every=1, patience=1)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.dev_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (6, 2, 41), epochs=30, eval_every=1, patience=1)
+    config.dev_path = config.train_path
     history, _coverage = run_train(config)
     assert history[-1]["epoch"] == 2
 
@@ -1048,20 +1045,16 @@ def test_dev_best_parameters_are_the_ones_saved(tmp_path, monkeypatch):
     from annosql import model as nn
     from annosql.encoding import Vocabulary
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
-    config = tiny_config(epochs=30, eval_every=1, patience=1)
-    config.tables_path = tables_path
-    config.train_path = config.dev_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (6, 2, 41), epochs=30, eval_every=1, patience=1)
+    config.dev_path = config.train_path
     scripted_qm = iter([0.5, 0.25])
     monkeypatch.setattr(harness, "evaluate", lambda *_args: SimpleNamespace(acc_qm=next(scripted_qm)))
     history, _coverage = harness.run_train(config)
     assert [entry["dev_acc_qm"] for entry in history] == [0.5, 0.25]
     vocab = Vocabulary.load(config.vocab_path)
     saved, _meta = nn.load_checkpoint(config.checkpoint_path, vocab.content_hash())
-    tables = table_bundles(load_tables(tables_path))
-    examples = prepare_examples(load_wikisql(split_path, tables), tables, config)
+    tables = table_bundles(load_tables(config.tables_path))
+    examples = prepare_examples(load_wikisql(config.train_path, tables), tables, config)
     pairs, _vocab, _report = build_training_pairs(examples, config)
     first, _hist = train_model(pairs, vocab, replace(config, epochs=1))
     last, _hist = train_model(pairs, vocab, replace(config, epochs=2))
@@ -1078,19 +1071,15 @@ def test_check_fields_only_at_check_epochs(tmp_path, monkeypatch, checked):
     from annosql import model as nn
     from annosql.harness import run_train
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
     # with Adam's step a no-op the model stays at its random start: train
     # acc_lf never reaches 1, and dev acc_qm stalls for fewer checks than
     # the patience
     monkeypatch.setattr(nn.Adam, "step", lambda *_args: None)
-    config = tiny_config(epochs=5, eval_every=2, patience=5)
-    config.tables_path = tables_path
-    config.train_path = split_path
+    config = tiny_run_config(
+        tmp_path, (6, 2, 41), epochs=5, eval_every=2, patience=5, log_path=str(tmp_path / "train.log")
+    )
     config.stop_train_acc = 1.0 if "train" in checked else None
-    config.dev_path = split_path if "dev" in checked else None
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
-    config.log_path = str(tmp_path / "train.log")
+    config.dev_path = config.train_path if "dev" in checked else None
     history, _coverage = run_train(config)
     assert [entry["epoch"] for entry in history] == [1, 2, 3, 4, 5]
     for entry in history:
@@ -1236,13 +1225,7 @@ def test_train_log_keeps_epochs_before_a_failure(tmp_path, monkeypatch):
     from annosql import harness
     from annosql import model as nn
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=3)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
-    config.log_path = str(tmp_path / "train.log")
+    config = tiny_run_config(tmp_path, (8, 2, 31), epochs=3, log_path=str(tmp_path / "train.log"))
     real_loss_and_grad = nn.loss_and_grad
     calls = []
 
@@ -1290,12 +1273,7 @@ def test_run_train_stops_at_stop_train_acc(tmp_path):
     it reaches `stop_train_acc`; a target of 0 is met at the first check."""
     from annosql.harness import run_train
 
-    tables_path, split_path = write_corpus(str(tmp_path / "data"), 6, n_tables=2, seed=41)
-    config = tiny_config(epochs=10, eval_every=2, stop_train_acc=0.0)
-    config.tables_path = tables_path
-    config.train_path = split_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
+    config = tiny_run_config(tmp_path, (6, 2, 41), epochs=10, eval_every=2, stop_train_acc=0.0)
     history, _coverage = run_train(config)
     assert [entry["epoch"] for entry in history] == [1, 2]
 
@@ -1320,14 +1298,11 @@ def test_gold_less_line_in_evaluated_split_fails_at_load(tmp_path, monkeypatch, 
 
     tables_path, asked_path = write_corpus_with_gold_less_line(tmp_path / "asked")
     _tables, clean_path = write_corpus(str(tmp_path / "clean"), 8, n_tables=2, seed=31)
-    config = tiny_config(epochs=3, eval_every=2)
-    config.tables_path = tables_path
+    config = tiny_run_config(tmp_path, epochs=3, eval_every=2, tables_path=tables_path)
     if evaluated == "train":
         config.train_path, config.stop_train_acc = asked_path, 0.99
     else:
         config.train_path, config.dev_path = clean_path, asked_path
-    config.checkpoint_path = str(tmp_path / "model.npz")
-    config.vocab_path = str(tmp_path / "vocab.txt")
 
     def no_training(*_args, **_kwargs):
         raise AssertionError("training started")

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from annosql.meta import (
     MetaError,
     Table,
     build_value_stats,
+    cosine,
     load_embeddings,
     load_phrase_lexicon,
     load_tables,
@@ -122,11 +124,13 @@ def _load_split(path):
         (_load_split, _split_line(tree="(S (A x) (B y))"), _split_line(tree=["(S x)"])),
         (_load_split, _split_line(), _split_line(tree="")),
         (load_tables, _table_line(), _table_line()),
+        (load_tables, _table_line(), _table_line(id="u", header=[], types=[], rows=[])),
+        (load_tables, _table_line(), _table_line(id="u", header=["A", "_"])),
     ],
     ids=[
         "tree", "vector-component", "vector-width", "vector-non-finite", "vector-nan", "row-width", "types-not-list",
         "rows-not-list", "rows-string", "duplicate-column", "two-slots", "json-too-deep", "slot-only",
-        "tree-not-string", "tree-empty", "repeated-table-id",
+        "tree-not-string", "tree-empty", "repeated-table-id", "no-columns", "column-without-tokens",
     ],
 )
 def test_malformed_input_names_file_and_line(tmp_path, load, good, bad):
@@ -281,6 +285,20 @@ def test_load_embeddings_inconsistent_dim_names_line(tmp_path):
     path.write_text("a 1.0 0.0\nb 1.0\n")
     with pytest.raises(MetaError, match=":2: "):
         load_embeddings(str(path))
+
+
+def test_load_embeddings_line_without_components_names_file_and_line(tmp_path):
+    """The first line sets the dimension; a word with no vector gives none."""
+    path = tmp_path / "v.txt"
+    path.write_text("lonely\nb 1.0\n")
+    with pytest.raises(MetaError, match=re.escape(f"{path}:1: MetaError: no vector components")):
+        load_embeddings(str(path))
+
+
+def test_cosine_of_a_zero_vector_is_zero():
+    zero, one = np.zeros(2), np.array([3.0, 4.0])
+    assert cosine(zero, one) == cosine(one, zero) == cosine(zero, zero) == 0.0
+    assert cosine(one, one) == pytest.approx(1.0)
 
 
 def test_value_affinity_exact_match(film_awards):

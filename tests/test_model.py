@@ -611,6 +611,32 @@ def test_beam_search_rejects_width_below_one():
         nn.beam_search(np.array([5, 6, 7]), params, width=0, max_len=4, bos_id=2, eos_id=3)
 
 
+def test_beam_width_one_ending_at_its_first_step_returns_the_empty_hypothesis(monkeypatch):
+    """When the first step ranks <eos> first, a width-1 beam has no live
+    hypothesis left and stops after that one decoder_step."""
+    params = nn.init_params(toy_config(), seed=0, weight_scale=0.4)
+    real_step, fed = nn.decoder_step, []
+
+    def eos_first(prev_ids, state, enc, params):
+        fed.append(list(prev_ids))
+        state, probs = real_step(prev_ids, state, enc, params)
+        probs[0, 3] = 1.0
+        return state, probs
+
+    monkeypatch.setattr(nn, "decoder_step", eos_first)
+    hyp = nn.beam_search(np.array([5, 6, 7]), params, width=1, max_len=8, bos_id=2, eos_id=3)
+    assert hyp == nn.Hypothesis((), 0.0)
+    assert fed == [[2]]
+
+
+def test_decoder_step_refuses_two_source_rows():
+    params = nn.init_params(toy_config(), seed=0)
+    enc = nn.encoder_forward(np.array([[5, 6, 7], [7, 6, 5]]), params)
+    state = nn.initial_decoder_state(params, enc)
+    with pytest.raises(nn.ModelError, match="decoder_step decodes one source row"):
+        nn.decoder_step([2], state, enc, params)
+
+
 def test_beam_max_len_one():
     cfg = toy_config()
     params = nn.init_params(cfg, seed=0, weight_scale=0.4)

@@ -1,11 +1,12 @@
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from annosql.harness import Config
 from annosql.meta import EMPTY_EMBEDDINGS, REAL, Table
-from annosql.resolve import annotate
+from annosql.resolve import ColumnBinding, SymbolTable, ValueBinding, annotate
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
@@ -408,6 +409,45 @@ def test_align_respects_index_cap(film_awards):
     gold = ConcreteSql("", "Nomination Date", (("Actor", "=", "Piotr Adamczyk"),))
     with pytest.raises(AlignmentError):
         align_gold_sql(gold, ann, schema, max_index=4)
+
+
+def _symbol_annotation(columns, values):
+    """An annotation of only a symbol table: c<i> -> column name, v<i> ->
+    (surface, column); align_gold_sql reads nothing else."""
+    return SimpleNamespace(symbols=SymbolTable(
+        {i: ColumnBinding(name, 0) for i, name in columns.items()},
+        {i: ValueBinding(surface, 0, column) for i, (surface, column) in values.items()},
+    ))
+
+
+ACTOR_FILM_SCHEMA = make_schema("t", [("Actor", "text"), ("Director", "text"), ("Film", "text")])
+
+
+def test_align_accepts_a_symbol_at_the_index_cap():
+    """The cap bounds the index from above: c3 aligns under max_index 3
+    and not under 2."""
+    ann = _symbol_annotation({3: "Film"}, {})
+    gold = ConcreteSql("", "Film", ())
+    assert align_gold_sql(gold, ann, ACTOR_FILM_SCHEMA, max_index=3).select == sym("c3")
+    with pytest.raises(AlignmentError, match="c3 beyond the index cap"):
+        align_gold_sql(gold, ann, ACTOR_FILM_SCHEMA, max_index=2)
+
+
+def test_align_value_of_another_or_no_column_takes_the_gold_columns_symbol():
+    """A gold value whose mention's index binds another column (v1, with c1
+    Actor) or no column (v2) pairs with the gold column's own symbol, not
+    with c<i>: here Director's header symbol g2."""
+    ann = _symbol_annotation({1: "Actor"}, {1: ("Jerzy Antczak", "Actor"), 2: ("Kielce", "Director")})
+    for value, vsym in (("Jerzy Antczak", "v1"), ("Kielce", "v2")):
+        gold = ConcreteSql("", "Film", (("Director", "=", value),))
+        ast = align_gold_sql(gold, ann, ACTOR_FILM_SCHEMA, max_index=25)
+        assert ast.conds == ((sym("g2"), "=", sym(vsym)),)
+
+
+@pytest.mark.parametrize("family, index", [("x", 1), ("c", 0)])
+def test_sql_symbol_refuses_a_bad_family_or_index(family, index):
+    with pytest.raises(ValueError, match=f"bad symbol {family}{index}"):
+        SqlSymbol(family, index)
 
 
 def test_align_round_trip(film_awards, townlands):
