@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .meta import cosine, term_number, value_affinity
-from .text import is_content_token
+from .text import is_content_token, parse_number
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -85,53 +85,39 @@ def words_close(x, y, emb, tau_ed, tau_sim):
     return sem is not None and sem < tau_sim
 
 
-def _close_rows(content, column, emb, config):
-    """Per question position: the set of column-word indices it is close to.
-
-    `content` holds each question token, or None for a stop word or
-    punctuation token: those never form pairs, on either side.
-    """
-    ctoks = column.content_tokens
-    rows = []
-    for tok in content:
-        if tok is None:
-            rows.append(frozenset())
-            continue
-        rows.append(
-            frozenset(
-                j
-                for j, c in enumerate(ctoks)
-                if words_close(tok, c, emb, config.tau_ed, config.tau_sim)
-            )
-        )
-    return rows
-
-
 def _coverage_mention(content, column, emb, config):
     """The shortest span that covers every column word the question covers;
     ties go to more close pairs, then to the earlier start.
 
     Coverage counts column words, not pairs: "play" pairing with column
     "player" must not stretch a mention that already covers the word.
+    `content` holds the (position, token) of each question token that may
+    form a pair: stop words and punctuation never do, on either side. Only
+    a position close to some column word starts or ends the span: trimming
+    one that pairs with nothing covers as much and is shorter.
     """
-    rows = _close_rows(content, column, emb, config)
-    total = frozenset().union(*rows)
-    if not total:
-        return None
+    close = {}  # question position -> the indices of the column words it is close to
+    for j, word in enumerate(column.content_tokens):
+        for pos, tok in content:
+            if words_close(tok, word, emb, config.tau_ed, config.tau_sim):
+                close.setdefault(pos, set()).add(j)
+    pairs = sorted(close.items())
+    total = set().union(*close.values())
     best = None
-    for a, row in enumerate(rows):
-        if not row:
-            continue  # the span from the next close token covers as much, and is shorter
-        covered = set()
-        for b in range(a, len(rows)):
-            covered |= rows[b]
+    for i, (a, _words) in enumerate(pairs):
+        covered, n_pairs = set(), 0
+        for b, words in pairs[i:]:
+            covered |= words
+            n_pairs += len(words)
             if covered == total:
                 break
         else:
             break  # later starts have even less material
-        key = (b + 1 - a, -sum(len(r) for r in rows[a : b + 1]), a)
+        key = (b + 1 - a, -n_pairs, a)
         if best is None or key < best:
             best = key
+    if best is None:
+        return None
     length, neg_pairs, a = best
     score = min(1.0, -neg_pairs / len(column.tokens))
     return CandidateMention(Span(a, a + length), column, score)
@@ -184,7 +170,7 @@ def detect_column_mentions(qtokens, schema, lexicon, emb, config):
     When a coverage span overlaps a template hit for the same column, the
     template wins; curated phrases are higher precision.
     """
-    content = [tok if is_content_token(tok) else None for tok in qtokens]
+    content = [(pos, tok) for pos, tok in enumerate(qtokens) if is_content_token(tok)]
     mentions = []
     for column in schema.columns:
         lex = _lexicon_mentions(qtokens, column, lexicon)
@@ -210,6 +196,16 @@ def _evidence_ends(qtokens, start, first, last, stats):
             return
 
 
+def _may_open_evidence(qtokens, start, first, stats):
+    """False when `_evidence_ends` yields nothing from `start`, read off its
+    first step alone: the token is no cell-phrase prefix, nor "-", and no
+    number that could end a span at or after `first`."""
+    key = qtokens[start].casefold()
+    if key in stats.prefixes or key == "-":
+        return True
+    return start + 1 >= first and parse_number(qtokens[start]) is not None
+
+
 def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
     """Candidate value mentions of up to `config.max_value_span` tokens for
     every column whose affinity clears `config.theta_val`.
@@ -221,16 +217,18 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
     scored; with them, any span can score by cosine, so every span is.
     """
     n = len(qtokens)
-    reach = [0] * n  # per start: the furthest end of a column mention covering it
+    # per start: the least end of a span from it that no column mention contains
+    firsts = list(range(1, n + 1))
     for m in column_mentions:
         for pos in range(m.span.start, m.span.end):
-            reach[pos] = max(reach[pos], m.span.end)
+            firsts[pos] = max(firsts[pos], m.span.end + 1)
     columns, theta = schema.columns, config.theta_val
-    walk = not emb.dim
-    per_column = {c.position: [] for c in columns}
-    for start in range(n):
-        first, last = max(start, reach[start]) + 1, min(start + config.max_value_span, n)
-        ends = _evidence_ends(qtokens, start, first, last, stats) if walk else range(first, last + 1)
+    found = {}  # column position -> its candidate mentions
+    for start, first in enumerate(firsts):
+        if not emb.dim and not _may_open_evidence(qtokens, start, first, stats):
+            continue
+        last = min(start + config.max_value_span, n)
+        ends = range(first, last + 1) if emb.dim else _evidence_ends(qtokens, start, first, last, stats)
         for end in ends:
             scores = value_affinity(qtokens[start:end], columns, stats, emb)
             if max(scores) <= theta:
@@ -238,9 +236,9 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
             span = Span(start, end)
             for column, score in zip(columns, scores):
                 if score > theta:
-                    per_column[column.position].append(CandidateMention(span, column, score))
+                    found.setdefault(column.position, []).append(CandidateMention(span, column, score))
     out = []
-    for found in per_column.values():
-        out += keep_disjoint(sorted(found, key=lambda m: (-len(m.span), -m.score, m.span.start)))
+    for hits in found.values():
+        out += keep_disjoint(sorted(hits, key=lambda m: (-len(m.span), -m.score, m.span.start)))
     out.sort(key=lambda m: (m.span.start, m.span.end, m.column.position))
     return out

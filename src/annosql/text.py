@@ -57,4 +57,4 @@ def normalize(text):
 
 def is_content_token(tok):
     """True for tokens eligible to form a close pair (no stop words, no punctuation)."""
-    return tok not in STOP_WORDS and any(c.isalnum() for c in tok)
+    return tok not in STOP_WORDS and (tok.isalnum() or any(c.isalnum() for c in tok))

@@ -11,7 +11,7 @@ import numpy as np
 
 from annosql import model as nn
 from annosql.harness import Config, table_bundles
-from annosql.mentions import CandidateMention, Span, _close_rows, words_close
+from annosql.mentions import CandidateMention, Span, words_close
 from annosql.meta import REAL, ColumnMeta, EmbeddingStore, MetaError, TableSchema
 from annosql.synth import make_question, make_table
 from annosql.text import is_content_token, parse_number
@@ -216,8 +216,16 @@ def matching_oracle(adjacency, n_right):
 
 
 def _default_close_rows(qtokens, column, emb):
-    content = [tok if is_content_token(tok) else None for tok in qtokens]
-    return _close_rows(content, column, emb, Config())
+    """Per question position, by brute force under the default Config's
+    thresholds: the indices of the column's content words that the token
+    is close to, empty for a stop word or punctuation token."""
+    config = Config()
+    words = [w for w in column.tokens if is_content_token(w)]
+    return [
+        {j for j, w in enumerate(words) if is_content_token(tok)
+         and words_close(tok, w, emb, config.tau_ed, config.tau_sim)}
+        for tok in qtokens
+    ]
 
 
 def coverage_count(span, qtokens, column, emb):
@@ -231,7 +239,7 @@ def covered_words(span, qtokens, column, emb):
     """Number of distinct column-name words the span covers, under the
     default Config's thresholds."""
     rows = _default_close_rows(qtokens, column, emb)
-    return len(frozenset().union(*rows[span.start : span.end]))
+    return len(set().union(*rows[span.start : span.end]))
 
 
 def greedy_decode(src_ids, params, max_len, bos_id, eos_id, src_mask=None):

@@ -81,6 +81,13 @@ def test_words_close(actress_emb):
     # actress~actor only via the embedding metric
     assert not words_close("actress", "actor", EMPTY_EMBEDDINGS, 0.5, 0.15)
     assert words_close("actress", "actor", actress_emb, 0.5, 0.15)
+    # under a threshold, not at it: orthogonal vectors have embedding
+    # closeness exactly 0.5, and "ab" and "ac" edit closeness exactly 0.5
+    emb = embedding_store({"ab": [1.0, 0.0], "ac": [0.0, 1.0]})
+    assert embedding_closeness("ab", "ac", emb) == 0.5
+    assert not words_close("ab", "ac", emb, 0.5, 0.5)
+    assert words_close("ab", "ac", emb, 0.5, 0.5000001)
+    assert words_close("ab", "ac", emb, 0.5000001, 0.5)
 
 
 @pytest.fixture

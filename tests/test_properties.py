@@ -59,7 +59,13 @@ from annosql.sqlgen import (
     serialize_sketch,
     sketch_tokens,
 )
-from annosql.text import _TOKEN_RE, tokenize, tokenize_with_offsets
+from annosql.text import (
+    _TOKEN_RE,
+    STOP_WORDS,
+    is_content_token,
+    tokenize,
+    tokenize_with_offsets,
+)
 from annosql.trees import parse_bracketed
 
 from annosql.synth import write_corpus
@@ -211,8 +217,29 @@ def value_detection_cases(draw):
     return tokens, schema, build_value_stats(Table(schema, tuple(rows))), column_mentions, width
 
 
+VALUE_SCHEMA = make_schema("t", [("name", TEXT), ("place", TEXT), ("score", REAL)])
+
+
+def _value_case(tokens, rows, mention_spans, width):
+    """A value detection case on VALUE_SCHEMA: column mentions of "score"
+    over `mention_spans`."""
+    stats = build_value_stats(Table(VALUE_SCHEMA, tuple(rows)))
+    score = VALUE_SCHEMA.columns[2]
+    return tokens, VALUE_SCHEMA, stats, [CandidateMention(s, score, 1.0) for s in mention_spans], width
+
+
 @FAST
 @given(value_detection_cases())
+@example(_value_case(  # "12", in range but in no cell: skipped inside the mention, found after it
+    ["score", "12", "paris", "12"],
+    [("ann", "paris", "5"), ("bob", "rome", "1,225")], [Span(0, 2)], 3,
+))
+@example(_value_case(  # "-" starts no cell phrase, yet "- 5" reads as -5, inside the range
+    ["-", "5", "rome"], [("ann", "paris", ",-5"), ("bob", "rome", "7")], [], 2,
+))
+@example(_value_case(  # "new" and "york" are prefixes, no phrases; the span limit cuts the walk
+    ["in", "new", "york", "city"], [("new york city", "york city", "7")], [], 2,  # from "new"
+))
 def test_value_detection_without_vectors_matches_the_oracle(case):
     """Without word vectors detection scores only spans that are exact cell
     phrases or numbers; at each threshold it finds what scoring every span
@@ -222,6 +249,12 @@ def test_value_detection_without_vectors_matches_the_oracle(case):
         config = Config(theta_val=theta, max_value_span=width)
         args = (tokens, schema, stats, EMPTY_EMBEDDINGS, config, column_mentions)
         assert detect_value_mentions(*args) == reference_value_mentions(*args)
+
+
+@FAST
+@given(st.text(max_size=6) | st.sampled_from(sorted(STOP_WORDS)))
+def test_is_content_token_is_a_non_stop_word_with_a_letter_or_digit(tok):
+    assert is_content_token(tok) == (tok not in STOP_WORDS and any(c.isalnum() for c in tok))
 
 
 # column names with repeated words, stop words, punctuation, or no content
@@ -270,6 +303,11 @@ def column_detection_cases(draw):
     ["alphabeta", "gamma", "-", "alphabeta", "betagamma"],
     make_schema("t", [("alpha beta gamma", TEXT)]), EMPTY_LEXICON, EMPTY_EMBEDDINGS,
     Config(tau_ed=0.7),
+))
+@example((  # a slot takes at most 4 tokens: 5 between "alpha" and "beta" make no hit
+    ["alpha", "no", "no", "no", "no", "no", "beta"], make_schema("t", [("gamma", TEXT)]),
+    PhraseLexicon({"gamma": (PhraseTemplate(("alpha", None, "beta")),)}), EMPTY_EMBEDDINGS,
+    Config(),
 ))
 def test_column_detection_matches_the_oracle(case):
     """Column detection finds what the brute-force rules find: per column,
