@@ -41,16 +41,6 @@ class CandidateMention:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
 
-def keep_disjoint(items):
-    """The items (anything with a `.span`), in priority order, whose span
-    overlaps no item kept before them."""
-    kept = []
-    for item in items:
-        if not any(item.span.overlaps(k.span) for k in kept):
-            kept.append(item)
-    return kept
-
-
 @lru_cache(maxsize=1 << 14)  # bounded: a long repl session keeps meeting new words
 def edit_closeness(x, y):
     """Levenshtein distance over the longer length, in [0, 1] (memoized)."""
@@ -199,11 +189,11 @@ def _evidence_ends(qtokens, start, first, last, stats):
 def _may_open_evidence(qtokens, start, first, stats):
     """False when `_evidence_ends` yields nothing from `start`, read off its
     first step alone: the token is no cell-phrase prefix, nor "-", and no
-    number that could end a span at or after `first`."""
+    number (which starts with a digit) that could end a span at or after `first`."""
     key = qtokens[start].casefold()
     if key in stats.prefixes or key == "-":
         return True
-    return start + 1 >= first and parse_number(qtokens[start]) is not None
+    return start + 1 >= first and key[:1].isdecimal() and parse_number(qtokens[start]) is not None
 
 
 def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
@@ -239,6 +229,10 @@ def detect_value_mentions(qtokens, schema, stats, emb, config, column_mentions):
                     found.setdefault(column.position, []).append(CandidateMention(span, column, score))
     out = []
     for hits in found.values():
-        out += keep_disjoint(sorted(hits, key=lambda m: (-len(m.span), -m.score, m.span.start)))
+        kept = []  # longest first, then best-scored, then earliest; none overlapping
+        for m in sorted(hits, key=lambda m: (-len(m.span), -m.score, m.span.start)):
+            if not any(m.span.overlaps(k.span) for k in kept):
+                kept.append(m)
+        out += kept
     out.sort(key=lambda m: (m.span.start, m.span.end, m.column.position))
     return out

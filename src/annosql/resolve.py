@@ -10,7 +10,7 @@ when there is no usable tree.
 import logging
 from dataclasses import dataclass
 
-from .mentions import CandidateMention, detect_column_mentions, detect_value_mentions, keep_disjoint
+from .mentions import CandidateMention, detect_column_mentions, detect_value_mentions
 from .text import tokenize_with_offsets
 
 log = logging.getLogger(__name__)
@@ -37,19 +37,16 @@ class Question:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueVertex:
     """All value mentions sharing one span, merged into a single vertex."""
 
     span: object
     mentions: tuple  # one CandidateMention per candidate column
-
-    @property
-    def score(self):
-        return max(m.score for m in self.mentions)
+    score: float  # the best mention's
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchGraph:
     values: tuple  # ValueVertex
     columns: tuple  # CandidateMention; span None for a synthetic (unmentioned) column
@@ -61,14 +58,16 @@ def token_closeness(i, j):
     return -abs(i - j)
 
 
-def _span_closeness(span_a, span_b, closeness):
+def _span_closeness(a, b, closeness):
     """Structural closeness of two spans: the best `closeness(i, j)` over
-    their token pairs."""
-    return max(
-        closeness(i, j)
-        for i in range(span_a.start, span_a.end)
-        for j in range(span_b.start, span_b.end)
-    )
+    their token pairs. Neither closeness function ranks a pair above a pair
+    it encloses (a subtree's leaves are contiguous), so that is the facing
+    ends of disjoint spans, or a shared token with itself."""
+    if a.end <= b.start:
+        return closeness(a.end - 1, b.start)
+    if b.end <= a.start:
+        return closeness(a.start, b.end - 1)
+    return max(closeness(k, k) for k in range(max(a.start, b.start), min(a.end, b.end)))
 
 
 def build_match_graph(values, columns, closeness):
@@ -80,32 +79,36 @@ def build_match_graph(values, columns, closeness):
     value, always kept (nothing to measure against). A value's edges run
     best-scored, earliest, lowest column position first; synthetics last.
     """
-    by_span = {}
+    by_span = {}  # (start, end) -> the value mentions on that span
     for m in values:
-        by_span.setdefault(m.span, []).append(m)
-    vertices = [ValueVertex(span, tuple(by_span[span])) for span in sorted(by_span)]
-
-    col_vertices = sorted(columns, key=lambda m: (m.span.start, m.span.end, m.column.position))
+        by_span.setdefault((m.span.start, m.span.end), []).append(m)
+    vertices = tuple(
+        ValueVertex(ms[0].span, tuple(ms), max(m.score for m in ms)) for _, ms in sorted(by_span.items())
+    )
+    cols = sorted(columns, key=lambda m: (m.span.start, m.span.end, m.column.position))
     vertices_of = {}
-    for ci, cv in enumerate(col_vertices):
+    for ci, cv in enumerate(cols):
         vertices_of.setdefault(cv.column.position, []).append(ci)
-    rank = [(-cv.score, cv.span.start, cv.column.position) for cv in col_vertices]
 
     adjacency = []
     for vv in vertices:
-        scored = [
-            (_span_closeness(vv.span, col_vertices[ci].span, closeness), ci)
-            for m in vv.mentions
-            for ci in vertices_of.get(m.column.position, ())
-        ]
-        best = max((c for c, _ in scored), default=None)
-        edges = sorted((ci for c, ci in scored if c == best), key=rank.__getitem__)
+        best, edges, synthetic = None, [], []
         for m in vv.mentions:
-            if m.column.position not in vertices_of:
-                col_vertices.append(CandidateMention(None, m.column, 0.0))
-                edges.append(len(col_vertices) - 1)
-        adjacency.append(tuple(edges))
-    return MatchGraph(tuple(vertices), tuple(col_vertices), tuple(adjacency))
+            targets = vertices_of.get(m.column.position)
+            if targets is None:
+                cols.append(CandidateMention(None, m.column, 0.0))
+                synthetic.append(len(cols) - 1)
+                continue
+            for ci in targets:
+                c = _span_closeness(vv.span, cols[ci].span, closeness)
+                if best is None or c > best:
+                    best, edges = c, [ci]
+                elif c == best:
+                    edges.append(ci)
+        if len(edges) > 1:
+            edges.sort(key=lambda ci: (-cols[ci].score, cols[ci].span.start, cols[ci].column.position))
+        adjacency.append(tuple(edges + synthetic))
+    return MatchGraph(vertices, tuple(cols), tuple(adjacency))
 
 
 def kuhn_match(adjacency, left_order):
@@ -135,10 +138,10 @@ def kuhn_match(adjacency, left_order):
 
 def max_bipartite_matching(graph):
     """Maximum matching on a MatchGraph; high-score, early values go first."""
-    order = sorted(
-        range(len(graph.values)),
-        key=lambda vi: (-graph.values[vi].score, graph.values[vi].span.start),
-    )
+    values = graph.values
+    order = range(len(values))
+    if len(values) > 1:
+        order = sorted(order, key=lambda vi: (-values[vi].score, values[vi].span.start))
     return kuhn_match(graph.adjacency, order)
 
 
@@ -202,46 +205,49 @@ def assign_indices(graph, matching, question):
     Overlapping accepted spans keep the higher-score, longer, earlier one,
     then a column's span before a value's.
     """
-    # a group: (column vertex with a span or None, value vertex or None, its
-    # column, whether it binds the column); each vertex is in one group
+    # a group: [column vertex with a span or None, value vertex or None, its
+    # column, whether it binds the column]; each vertex is in one group
     groups = []
     for vi, ci in sorted(matching.items()):
         cv = graph.columns[ci]
-        groups.append((cv if cv.span is not None else None, graph.values[vi], cv.column, True))
+        groups.append([cv if cv.span is not None else None, graph.values[vi], cv.column, True])
     matched = set(matching.values())
     for ci, cv in enumerate(graph.columns):
         if ci not in matched and cv.span is not None:
-            groups.append((cv, None, cv.column, True))
+            groups.append([cv, None, cv.column, True])
     for vi, vv in enumerate(graph.values):
         if vi not in matching:
             best = max(vv.mentions, key=lambda m: (m.score, -m.column.position))
-            groups.append((None, vv, best.column, False))
+            groups.append([None, vv, best.column, False])
 
-    parts = [part for group in groups for part in group[:2] if part is not None]
-    parts.sort(key=lambda p: (-p.score, -len(p.span), p.span.start, isinstance(p, ValueVertex)))
-    kept = {id(part) for part in keep_disjoint(parts)}
-    final = []
-    for col, value, column, binds in groups:
-        col = col if id(col) in kept else None
-        value = value if id(value) in kept else None
-        spans = [part.span for part in (col, value) if part is not None]
-        if spans:
-            final.append((min(s.start for s in spans), col, value, column, binds))
-
-    final.sort(key=lambda item: item[0])
-    columns, values, accepted = {}, {}, []
-    for index, (_position, col, value, column, binds) in enumerate(final, start=1):
-        if binds:
-            columns[index] = ColumnBinding(column.name, col.span.start if col is not None else None)
-            if col is not None:
-                accepted.append(AcceptedMention(col.span, "c", index))
+    parts = []  # (start, end, group index, slot) of each vertex with a span
+    for gi, (col, value, _column, _binds) in enumerate(groups):
+        if col is not None:
+            parts.append((col.span.start, col.span.end, gi, 0))
         if value is not None:
-            values[index] = ValueBinding(
-                question.surface(value.span), value.span.start, column.name
-            )
-            accepted.append(AcceptedMention(value.span, "v", index))
+            parts.append((value.span.start, value.span.end, gi, 1))
+    parts.sort()
+    if any(b[0] < a[1] for a, b in zip(parts, parts[1:])):  # some overlap; ties stay in group order
+        kept = []
+        for p in sorted(parts, key=lambda p: (-groups[p[2]][p[3]].score, p[0] - p[1], p[0], p[3])):
+            if any(p[0] < end and start < p[1] for start, end, _gi, _slot in kept):
+                groups[p[2]][p[3]] = None
+            else:
+                kept.append(p)
+        parts = sorted(kept)
 
-    accepted.sort(key=lambda m: (m.span.start, m.span.end))
+    # indices follow each group's earliest kept part
+    columns, values, accepted, index_of = {}, {}, [], {}
+    for _start, _end, gi, slot in parts:
+        col, value, column, binds = groups[gi]
+        index = index_of.get(gi)
+        if index is None:
+            index = index_of[gi] = len(index_of) + 1
+            if binds:
+                columns[index] = ColumnBinding(column.name, None if col is None else col.span.start)
+            if value is not None:
+                values[index] = ValueBinding(question.surface(value.span), value.span.start, column.name)
+        accepted.append(AcceptedMention(groups[gi][slot].span, "cv"[slot], index))
     return Annotation(question, tuple(accepted), SymbolTable(columns, values))
 
 

@@ -283,10 +283,10 @@ def result_equal(a, b):
 
 
 def _values_match(surface, gold_value):
-    if normalize(surface) == normalize(gold_value):
+    if surface == gold_value or normalize(surface) == normalize(gold_value):
         return True
-    a, b = parse_number(surface), parse_number(gold_value)
-    return a is not None and b is not None and a == b
+    number = parse_number(surface)
+    return number is not None and number == parse_number(gold_value)
 
 
 def align_gold_sql(gold, annotation, schema, max_index):
@@ -297,35 +297,35 @@ def align_gold_sql(gold, annotation, schema, max_index):
     example unalignable (reported by raising AlignmentError so callers can
     count coverage).
     """
-    symtab = annotation.symbols
-
-    def column_symbol(name):
-        want = name.casefold()
-        for i in sorted(symtab.columns):
-            if symtab.columns[i].name.casefold() == want:
-                return _symbol("c", i)
-        column = schema.column_by_name(name)
-        if column is None:
-            raise AlignmentError(f"gold column {name!r} not in schema")
-        return _symbol("g", column.position + 1)
-
-    def condition_symbols(col, value):
-        want = col.casefold()
-        matches = [i for i in sorted(symtab.values) if _values_match(symtab.values[i].surface, value)]
+    bound = annotation.symbols.columns
+    columns = sorted(bound.items())
+    values = sorted(annotation.symbols.values.items())
+    conds, top = [], 0  # top: the highest condition symbol index
+    for col, op, value in gold.conds:
+        matches = [i for i, b in values if _values_match(b.surface, value)]
         if not matches:
             raise AlignmentError(f"gold value {value!r} has no annotated mention")
-        for i in matches:
-            bound = symtab.columns.get(i)
-            if bound is not None and bound.name.casefold() == want:
-                return _symbol("c", i), _symbol("v", i)
-        return column_symbol(col), _symbol("v", matches[0])
-
-    conds = []
-    for col, op, value in gold.conds:
-        csym, vsym = condition_symbols(col, value)
+        want = col.casefold()
+        i = next((i for i in matches if i in bound and bound[i].name.casefold() == want), None)
+        csym = _column_symbol(col, columns, schema) if i is None else _symbol("c", i)
+        vsym = _symbol("v", matches[0] if i is None else i)
         conds.append((csym, op, vsym))
-    ast = AnnotatedSqlAst(gold.agg, column_symbol(gold.select), tuple(conds))
-    for sym in [ast.select] + [s for c in ast.conds for s in (c[0], c[2])]:
-        if sym.index > max_index:
-            raise AlignmentError(f"symbol {sym} beyond the index cap")
+        top = max(top, csym.index, vsym.index)
+    ast = AnnotatedSqlAst(gold.agg, _column_symbol(gold.select, columns, schema), tuple(conds))
+    if max(ast.select.index, top) > max_index:
+        for sym in (ast.select, *(sym for csym, _op, vsym in conds for sym in (csym, vsym))):
+            if sym.index > max_index:
+                raise AlignmentError(f"symbol {sym} beyond the index cap")
     return ast
+
+
+def _column_symbol(name, columns, schema):
+    """The first c symbol of `columns` ((index, binding) pairs) bound to `name`, else its g symbol."""
+    want = name.casefold()
+    for i, b in columns:
+        if b.name.casefold() == want:
+            return _symbol("c", i)
+    column = schema.column_by_name(name)
+    if column is None:
+        raise AlignmentError(f"gold column {name!r} not in schema")
+    return _symbol("g", column.position + 1)

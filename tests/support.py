@@ -5,6 +5,7 @@ name that no other conftest.py on the test path shadows.
 """
 
 import random
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -13,8 +14,10 @@ from annosql import model as nn
 from annosql.harness import Config, table_bundles
 from annosql.mentions import CandidateMention, Span, words_close
 from annosql.meta import REAL, ColumnMeta, EmbeddingStore, MetaError, TableSchema
+from annosql.resolve import AcceptedMention, Annotation, ColumnBinding, SymbolTable, ValueBinding
+from annosql.sqlgen import AlignmentError, AnnotatedSqlAst, SqlSymbol
 from annosql.synth import make_question, make_table
-from annosql.text import is_content_token, parse_number
+from annosql.text import is_content_token, normalize, parse_number
 
 
 def make_schema(table_id, cols):
@@ -213,6 +216,177 @@ def matching_oracle(adjacency, n_right):
         return out
 
     return best(0, 0)
+
+
+# Resolution and alignment as they stood before they were sized to their
+# candidates: every token pair of two spans, a vertex score recomputed per
+# sort key, overlaps settled over all parts by id(), the symbol table sorted
+# per lookup. The oracles for resolve.build_match_graph,
+# max_bipartite_matching, assign_indices and sqlgen.align_gold_sql.
+
+
+@dataclass(frozen=True)
+class ReferenceValueVertex:
+    span: object
+    mentions: tuple
+
+    @property
+    def score(self):
+        return max(m.score for m in self.mentions)
+
+
+@dataclass(frozen=True)
+class ReferenceMatchGraph:
+    values: tuple
+    columns: tuple
+    adjacency: tuple
+
+
+def reference_match_graph(values, columns, closeness):
+    by_span = {}
+    for m in values:
+        by_span.setdefault(m.span, []).append(m)
+    vertices = [ReferenceValueVertex(span, tuple(by_span[span])) for span in sorted(by_span)]
+
+    col_vertices = sorted(columns, key=lambda m: (m.span.start, m.span.end, m.column.position))
+    vertices_of = {}
+    for ci, cv in enumerate(col_vertices):
+        vertices_of.setdefault(cv.column.position, []).append(ci)
+    rank = [(-cv.score, cv.span.start, cv.column.position) for cv in col_vertices]
+
+    def span_closeness(span_a, span_b):
+        return max(
+            closeness(i, j)
+            for i in range(span_a.start, span_a.end)
+            for j in range(span_b.start, span_b.end)
+        )
+
+    adjacency = []
+    for vv in vertices:
+        scored = [
+            (span_closeness(vv.span, col_vertices[ci].span), ci)
+            for m in vv.mentions
+            for ci in vertices_of.get(m.column.position, ())
+        ]
+        best = max((c for c, _ in scored), default=None)
+        edges = sorted((ci for c, ci in scored if c == best), key=rank.__getitem__)
+        for m in vv.mentions:
+            if m.column.position not in vertices_of:
+                col_vertices.append(CandidateMention(None, m.column, 0.0))
+                edges.append(len(col_vertices) - 1)
+        adjacency.append(tuple(edges))
+    return ReferenceMatchGraph(tuple(vertices), tuple(col_vertices), tuple(adjacency))
+
+
+def reference_matching(graph):
+    """Kuhn's augmenting paths, high-score, early values first."""
+    match_right, match_left = {}, {}
+
+    def try_augment(u, seen):
+        for v in graph.adjacency[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_right or try_augment(match_right[v], seen):
+                match_right[v] = u
+                match_left[u] = v
+                return True
+        return False
+
+    order = sorted(
+        range(len(graph.values)),
+        key=lambda vi: (-graph.values[vi].score, graph.values[vi].span.start),
+    )
+    for u in order:
+        try_augment(u, set())
+    return match_left
+
+
+def reference_assign_indices(graph, matching, question):
+    groups = []
+    for vi, ci in sorted(matching.items()):
+        cv = graph.columns[ci]
+        groups.append((cv if cv.span is not None else None, graph.values[vi], cv.column, True))
+    matched = set(matching.values())
+    for ci, cv in enumerate(graph.columns):
+        if ci not in matched and cv.span is not None:
+            groups.append((cv, None, cv.column, True))
+    for vi, vv in enumerate(graph.values):
+        if vi not in matching:
+            best = max(vv.mentions, key=lambda m: (m.score, -m.column.position))
+            groups.append((None, vv, best.column, False))
+
+    parts = [part for group in groups for part in group[:2] if part is not None]
+    parts.sort(
+        key=lambda p: (-p.score, -len(p.span), p.span.start, isinstance(p, ReferenceValueVertex))
+    )
+    disjoint = []
+    for part in parts:
+        if not any(part.span.overlaps(k.span) for k in disjoint):
+            disjoint.append(part)
+    kept = {id(part) for part in disjoint}
+    final = []
+    for col, value, column, binds in groups:
+        col = col if id(col) in kept else None
+        value = value if id(value) in kept else None
+        spans = [part.span for part in (col, value) if part is not None]
+        if spans:
+            final.append((min(s.start for s in spans), col, value, column, binds))
+
+    final.sort(key=lambda item: item[0])
+    columns, values, accepted = {}, {}, []
+    for index, (_position, col, value, column, binds) in enumerate(final, start=1):
+        if binds:
+            columns[index] = ColumnBinding(column.name, col.span.start if col is not None else None)
+            if col is not None:
+                accepted.append(AcceptedMention(col.span, "c", index))
+        if value is not None:
+            values[index] = ValueBinding(question.surface(value.span), value.span.start, column.name)
+            accepted.append(AcceptedMention(value.span, "v", index))
+
+    accepted.sort(key=lambda m: (m.span.start, m.span.end))
+    return Annotation(question, tuple(accepted), SymbolTable(columns, values))
+
+
+def reference_align_gold_sql(gold, annotation, schema, max_index):
+    symtab = annotation.symbols
+
+    def values_match(surface, gold_value):
+        if normalize(surface) == normalize(gold_value):
+            return True
+        a, b = parse_number(surface), parse_number(gold_value)
+        return a is not None and b is not None and a == b
+
+    def column_symbol(name):
+        want = name.casefold()
+        for i in sorted(symtab.columns):
+            if symtab.columns[i].name.casefold() == want:
+                return SqlSymbol("c", i)
+        column = schema.column_by_name(name)
+        if column is None:
+            raise AlignmentError(f"gold column {name!r} not in schema")
+        return SqlSymbol("g", column.position + 1)
+
+    def condition_symbols(col, value):
+        want = col.casefold()
+        matches = [i for i in sorted(symtab.values) if values_match(symtab.values[i].surface, value)]
+        if not matches:
+            raise AlignmentError(f"gold value {value!r} has no annotated mention")
+        for i in matches:
+            bound = symtab.columns.get(i)
+            if bound is not None and bound.name.casefold() == want:
+                return SqlSymbol("c", i), SqlSymbol("v", i)
+        return column_symbol(col), SqlSymbol("v", matches[0])
+
+    conds = []
+    for col, op, value in gold.conds:
+        csym, vsym = condition_symbols(col, value)
+        conds.append((csym, op, vsym))
+    ast = AnnotatedSqlAst(gold.agg, column_symbol(gold.select), tuple(conds))
+    for sym in [ast.select] + [s for c in ast.conds for s in (c[0], c[2])]:
+        if sym.index > max_index:
+            raise AlignmentError(f"symbol {sym} beyond the index cap")
+    return ast
 
 
 def _default_close_rows(qtokens, column, emb):

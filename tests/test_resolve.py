@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from annosql.encoding import encode_question
 from annosql.harness import Config, load_wikisql, table_bundles
@@ -32,7 +34,16 @@ from annosql.synth import generate_corpus
 from annosql.trees import TreeParseError, parse_bracketed
 from annosql.text import tokenize
 
-from support import bracketed, embedding_store, make_schema, matching_oracle, tree_tokens
+from support import (
+    bracketed,
+    embedding_store,
+    make_schema,
+    matching_oracle,
+    reference_assign_indices,
+    reference_match_graph,
+    reference_matching,
+    tree_tokens,
+)
 
 CONFIG = Config()
 
@@ -411,3 +422,89 @@ def test_annotation_digest_with_trees_lexicon_embeddings():
                     record = [ann.symbols.to_dict(), accepted, encoded]
                     digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == ANNOTATION_DIGEST
+
+
+def _resolve_both(values, columns, closeness, question):
+    """Resolve one candidate set with the package and with the frozen
+    reference, and assert that every stage agrees."""
+    graph = build_match_graph(values, columns, closeness)
+    ref_graph = reference_match_graph(values, columns, closeness)
+    assert graph.columns == ref_graph.columns
+    assert graph.adjacency == ref_graph.adjacency
+    assert [(v.span, v.mentions, v.score) for v in graph.values] == [
+        (v.span, v.mentions, v.score) for v in ref_graph.values
+    ]
+    matching = max_bipartite_matching(graph)
+    assert matching == reference_matching(ref_graph)
+    ann = assign_indices(graph, matching, question)
+    ref = reference_assign_indices(ref_graph, matching, question)
+    assert ann.symbols.to_dict() == ref.symbols.to_dict()
+    assert ann.accepted == ref.accepted
+
+
+ORACLE_SCHEMA = make_schema("t", [(name, "text") for name in ("aa", "bb", "cc", "dd", "ee")])
+SCORES = st.sampled_from([0.25, 0.5, 1.0])  # few values, so equal scores are common
+
+
+@st.composite
+def candidate_sets(draw):
+    """1-12 tokens; column mentions and value mentions on drawn spans, which
+    overlap often; several value mentions on one span, each for another
+    column; a value's column often without a mention of its own; scores
+    and closeness often equal; lists in any order; and a random tree or
+    none."""
+    n = draw(st.integers(1, 12))
+    spans = st.builds(
+        lambda start, length: Span(start, min(n, start + length)), st.integers(0, n - 1), st.integers(1, 3)
+    )
+    columns = st.sampled_from(ORACLE_SCHEMA.columns)
+    col_mentions = draw(st.lists(st.builds(CandidateMention, spans, columns, SCORES), max_size=5))
+    values = []
+    for span in draw(st.lists(spans, max_size=4, unique=True)):
+        cols = draw(st.lists(columns, min_size=1, max_size=3, unique_by=lambda c: c.position))
+        values += [CandidateMention(span, c, draw(SCORES)) for c in cols]
+    values = draw(st.permutations(values))
+    tokens = [chr(ord("a") + i) for i in range(n)]
+    tree = None
+    if draw(st.booleans()):
+        tree = parse_bracketed(bracketed(tokens, random.Random(draw(st.integers(0, 999)))))
+    return values, col_mentions, Question.from_text(" ".join(tokens)), tree
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_sets())
+@example((  # "bb" on [1, 2) and "cc" on [0, 2): the unmentioned cc gets a synthetic vertex,
+    [CandidateMention(Span(1, 2), ORACLE_SCHEMA.columns[1], 0.5),  # and the overlap keeps the longer
+     CandidateMention(Span(1, 2), ORACLE_SCHEMA.columns[2], 0.5)],
+    [CandidateMention(Span(0, 2), ORACLE_SCHEMA.columns[1], 0.5)],
+    Question.from_text("a b c"),
+    None,
+))
+@example((  # two values as close to the one "aa" mention: the better-scored, later one takes it
+    [CandidateMention(Span(0, 1), ORACLE_SCHEMA.columns[0], 0.5),
+     CandidateMention(Span(2, 3), ORACLE_SCHEMA.columns[0], 1.0)],
+    [CandidateMention(Span(1, 2), ORACLE_SCHEMA.columns[0], 0.5)],
+    Question.from_text("a b c"),
+    None,
+))
+def test_resolution_matches_the_reference(case):
+    values, columns, question, tree = case
+    _resolve_both(values, columns, token_closeness if tree is None else tree.lca_depth, question)
+
+
+@pytest.mark.parametrize("with_trees", [False, True], ids=["token-distance", "random-trees"])
+def test_resolution_matches_the_reference_on_a_synth_corpus(with_trees):
+    """Every question of a 200-question synth corpus, under the default and
+    a loose Config, resolves as the frozen reference resolves it."""
+    examples, tables, _records = generate_corpus(200, 20, 31, Config())
+    rng = random.Random(31)
+    loose = Config(tau_ed=0.7, tau_sim=0.4, theta_val=0.3)
+    for ex in examples:
+        bundle = tables[ex.table_id]
+        question = Question.from_text(ex.question)
+        closeness = random_tree(list(question.tokens), rng).lca_depth if with_trees else token_closeness
+        for config in (Config(), loose):
+            tokens, schema = question.tokens, bundle.schema
+            cols = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS, config)
+            vals = detect_value_mentions(tokens, schema, bundle.stats, EMPTY_EMBEDDINGS, config, cols)
+            _resolve_both(vals, cols, closeness, question)

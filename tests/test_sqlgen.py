@@ -3,6 +3,8 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from annosql.harness import Config
 from annosql.meta import EMPTY_EMBEDDINGS, REAL, Table
@@ -30,7 +32,7 @@ from annosql.sqlgen import (
 )
 from annosql.text import parse_number
 
-from support import make_schema
+from support import make_schema, reference_align_gold_sql
 
 
 def sym(s):
@@ -469,3 +471,48 @@ def test_sql_tokens_structure():
 def test_serialize_sql_quoting():
     sql = ConcreteSql("", "col", (("name", "=", "O'Brien"),))
     assert serialize_sql(sql) == "SELECT col FROM t WHERE name = 'O''Brien'"
+
+
+# gold values and surfaces: case and spacing variants, thousands commas,
+# decimals, signs, and the non-finite words
+ALIGN_VALUES = [
+    "Jerzy Antczak", "jerzy antczak", " Jerzy  Antczak ", "JERZY ANTCZAK", "Kielce",
+    "1,225", "1225", "1225.0", "12,25", "-5", "- 5", "-5.0", "nan", "NaN", "inf", "-inf", "0",
+]
+ALIGN_NAMES = ["Actor", "actor", "ACTOR", "Director", "director", "Film", "Year"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    columns=st.dictionaries(st.integers(1, 6), st.sampled_from(ALIGN_NAMES), max_size=4),
+    values=st.dictionaries(
+        st.integers(1, 6), st.tuples(st.sampled_from(ALIGN_VALUES), st.sampled_from(ALIGN_NAMES)), max_size=4
+    ),
+    agg=st.sampled_from(AGGREGATES),
+    select=st.sampled_from(ALIGN_NAMES),
+    conds=st.lists(
+        st.tuples(st.sampled_from(ALIGN_NAMES), st.sampled_from(OPS), st.sampled_from(ALIGN_VALUES)),
+        max_size=3,
+    ),
+    max_index=st.integers(1, 7),
+)
+@example(  # "1225" matches v1 and v2; only v2's index binds the gold column
+    columns={1: "Actor", 2: "director"}, values={1: ("1,225", "Actor"), 2: ("1225.0", "Director")},
+    agg="", select="Film", conds=[("Director", "=", "1225")], max_index=2,
+)
+@example(  # the same at a cap one below c2
+    columns={1: "Actor", 2: "director"}, values={1: ("1,225", "Actor"), 2: ("1225.0", "Director")},
+    agg="", select="Film", conds=[("Director", "=", "1225")], max_index=1,
+)
+def test_alignment_matches_the_reference(columns, values, agg, select, conds, max_index):
+    """align_gold_sql gives the frozen reference's AST, or its
+    AlignmentError message, over drawn symbol tables and gold queries."""
+    gold, ann = ConcreteSql(agg, select, tuple(conds)), _symbol_annotation(columns, values)
+    try:
+        expected = reference_align_gold_sql(gold, ann, ACTOR_FILM_SCHEMA, max_index)
+    except AlignmentError as exc:
+        with pytest.raises(AlignmentError) as got:
+            align_gold_sql(gold, ann, ACTOR_FILM_SCHEMA, max_index)
+        assert str(got.value) == str(exc)
+    else:
+        assert align_gold_sql(gold, ann, ACTOR_FILM_SCHEMA, max_index) == expected
