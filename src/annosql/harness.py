@@ -268,8 +268,9 @@ def load_wikisql(split_path, tables):
         if not line.strip():
             return None
         obj = json.loads(line)
-        question = str(obj["question"])
-        table_id = str(obj["table_id"])
+        question, table_id = obj["question"], str(obj["table_id"])
+        if not isinstance(question, str):
+            raise TypeError(f"question must be a string, not {type(question).__name__}")
         if table_id not in tables:
             raise ValueError(f"unknown table id {table_id!r}")
         gold = None

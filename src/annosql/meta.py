@@ -173,7 +173,7 @@ def table_from_record(obj):
     if len(types) != len(header):
         raise MetaError(f"table {table_id!r}: {len(header)} header names, {len(types)} types")
     columns = tuple(
-        ColumnMeta(str(name), str(typ), pos) for pos, (name, typ) in enumerate(zip(header, types))
+        ColumnMeta(name, str(typ), pos) for pos, (name, typ) in enumerate(zip(header, types))
     )
     schema = TableSchema(table_id, columns)
     return Table(schema, tuple(tuple(cell_str(v) for v in row) for row in rows))

@@ -18,6 +18,7 @@ NEG_INF = -1e30
 DIRECTIONS = ("fwd", "bwd")  # the encoder's GRU directions, in stacking order
 DTYPES = {"float32": np.float32, "float64": np.float64}  # ModelConfig.dtype -> numpy type
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and its epsilon
+N_SPECIALS = 5  # len(Vocabulary.SPECIALS): symbol ids start right after the special tokens
 
 
 class ModelError(RuntimeError):
@@ -35,7 +36,6 @@ class ModelConfig:
     attn_dim: int
     max_index: int
     dtype: str
-    n_specials: int = 5
 
     def __post_init__(self):
         if self.dtype not in DTYPES:
@@ -127,7 +127,7 @@ def _embed(params, ids):
     share their type half while c1 and v1 share their index half.
     """
     cfg = params.config
-    lo = cfg.n_specials
+    lo = N_SPECIALS
     hi = lo + 3 * cfg.max_index
     flat = ids.reshape(-1)
     out = params["emb"][flat]
@@ -725,7 +725,7 @@ def beam_search(src_ids, params, width, max_len, bos_id, eos_id):
     return max(done or map(Hypothesis, beam, logps), key=lambda h: (h.logp, -len(h.tokens)))
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params, vocab_hash, extra=None):

@@ -17,27 +17,6 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
-class Question:
-    """A tokenized question with enough context to recover exact surfaces."""
-
-    text: str
-    tokens: tuple
-    offsets: tuple  # flat: token i spans text[offsets[2 * i] : offsets[2 * i + 1]]
-
-    @classmethod
-    def from_text(cls, text):
-        tokens, offsets = tokenize_with_offsets(text)
-        return cls(text, tuple(tokens), tuple(offsets))
-
-    def surface(self, span):
-        """The question substring covering `span`, original spelling intact."""
-        return self.text[self.offsets[2 * span.start] : self.offsets[2 * span.end - 1]]
-
-    def __len__(self):
-        return len(self.tokens)
-
-
-@dataclass(frozen=True, slots=True)
 class ValueVertex:
     """All value mentions sharing one span, merged into a single vertex."""
 
@@ -187,23 +166,22 @@ class AcceptedMention:
 
 @dataclass(frozen=True, slots=True)
 class Annotation:
-    question: Question
+    tokens: tuple  # the question's case-folded tokens
     accepted: tuple  # AcceptedMention, sorted by span
     symbols: SymbolTable
 
-    @property
-    def tokens(self):
-        return self.question.tokens
 
-
-def assign_indices(graph, matching, question):
-    """Turn a matching into an Annotation with 1-based shared indices.
+def assign_indices(graph, matching, text, offsets):
+    """The accepted mentions and the symbol table of a matching, with
+    1-based shared indices.
 
     Matched pairs share an index; unmatched mentions get their own. Indices
     follow the earliest question position of each group's earliest accepted
     mention (an unmentioned matched column inherits its value's position).
     Overlapping accepted spans keep the higher-score, longer, earlier one,
-    then a column's span before a value's.
+    then a column's span before a value's. A value's surface is the text
+    its span covers, original spelling intact: token i spans
+    text[offsets[2 * i] : offsets[2 * i + 1]].
     """
     # a group: [column vertex with a span or None, value vertex or None, its
     # column, whether it binds the column]; each vertex is in one group
@@ -246,9 +224,10 @@ def assign_indices(graph, matching, question):
             if binds:
                 columns[index] = ColumnBinding(column.name, None if col is None else col.span.start)
             if value is not None:
-                values[index] = ValueBinding(question.surface(value.span), value.span.start, column.name)
+                surface = text[offsets[2 * value.span.start] : offsets[2 * value.span.end - 1]]
+                values[index] = ValueBinding(surface, value.span.start, column.name)
         accepted.append(AcceptedMention(groups[gi][slot].span, "cv"[slot], index))
-    return Annotation(question, tuple(accepted), SymbolTable(columns, values))
+    return tuple(accepted), SymbolTable(columns, values)
 
 
 def annotate(question_text, schema, stats, lexicon, emb, tree, config):
@@ -259,19 +238,19 @@ def annotate(question_text, schema, stats, lexicon, emb, tree, config):
     used as the fallback so pruning still applies. A tree whose
     leaf count disagrees with the tokenization is ignored.
     """
-    question = Question.from_text(question_text)
+    tokens, offsets = tokenize_with_offsets(question_text)
     closeness = token_closeness
     if tree is not None:
-        if len(tree) == len(question):
+        if len(tree) == len(tokens):
             closeness = tree.lca_depth
         else:
             log.warning(
                 "parse tree has %d leaves for %d tokens; falling back to token distance",
                 len(tree),
-                len(question),
+                len(tokens),
             )
-    col_mentions = detect_column_mentions(question.tokens, schema, lexicon, emb, config)
-    val_mentions = detect_value_mentions(question.tokens, schema, stats, emb, config, col_mentions)
+    col_mentions = detect_column_mentions(tokens, schema, lexicon, emb, config)
+    val_mentions = detect_value_mentions(tokens, schema, stats, emb, config, col_mentions)
     graph = build_match_graph(val_mentions, col_mentions, closeness)
     matching = max_bipartite_matching(graph)
-    return assign_indices(graph, matching, question)
+    return Annotation(tuple(tokens), *assign_indices(graph, matching, question_text, offsets))

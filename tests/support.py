@@ -14,7 +14,7 @@ from annosql import model as nn
 from annosql.harness import Config, table_bundles
 from annosql.mentions import CandidateMention, Span, words_close
 from annosql.meta import REAL, ColumnMeta, EmbeddingStore, MetaError, TableSchema
-from annosql.resolve import AcceptedMention, Annotation, ColumnBinding, SymbolTable, ValueBinding
+from annosql.resolve import AcceptedMention, ColumnBinding, SymbolTable, ValueBinding
 from annosql.sqlgen import AlignmentError, AnnotatedSqlAst, SqlSymbol
 from annosql.synth import make_question, make_table
 from annosql.text import is_content_token, normalize, parse_number
@@ -302,7 +302,7 @@ def reference_matching(graph):
     return match_left
 
 
-def reference_assign_indices(graph, matching, question):
+def reference_assign_indices(graph, matching, text, offsets):
     groups = []
     for vi, ci in sorted(matching.items()):
         cv = graph.columns[ci]
@@ -341,11 +341,12 @@ def reference_assign_indices(graph, matching, question):
             if col is not None:
                 accepted.append(AcceptedMention(col.span, "c", index))
         if value is not None:
-            values[index] = ValueBinding(question.surface(value.span), value.span.start, column.name)
+            surface = text[offsets[2 * value.span.start] : offsets[2 * value.span.end - 1]]
+            values[index] = ValueBinding(surface, value.span.start, column.name)
             accepted.append(AcceptedMention(value.span, "v", index))
 
     accepted.sort(key=lambda m: (m.span.start, m.span.end))
-    return Annotation(question, tuple(accepted), SymbolTable(columns, values))
+    return tuple(accepted), SymbolTable(columns, values)
 
 
 def reference_align_gold_sql(gold, annotation, schema, max_index):

@@ -14,6 +14,7 @@ from annosql.encoding import (
 from annosql.harness import Config
 from annosql.meta import EMPTY_EMBEDDINGS, EMPTY_LEXICON, Table, build_value_stats
 from annosql.resolve import annotate
+from annosql.text import tokenize
 
 from support import make_schema
 
@@ -75,10 +76,10 @@ def test_substitute_length(lebron):
 
 def test_symbol_surfaces_round_trip(lebron):
     _schema, ann = lebron
-    for m in ann.accepted:
-        surface = ann.question.surface(m.span)
-        if m.family == "v":
-            assert ann.symbols.values[m.index].surface == surface
+    values = [m for m in ann.accepted if m.family == "v"]
+    assert [ann.symbols.values[m.index].surface for m in values] == ["LeBron James"]
+    for m in values:
+        assert tokenize(ann.symbols.values[m.index].surface) == list(ann.tokens[m.span.start : m.span.end])
 
 
 def test_separator_appears_at_most_once(lebron):
@@ -130,6 +131,11 @@ def test_build_vocab_deterministic():
     assert va.content_hash() == vb.content_hash()
 
 
+def test_build_vocab_orders_words_by_count_then_spelling():
+    vocab = build_vocab([["b", "a", "c"], ["c"]], [["select"]], min_count=1, max_index=2)
+    assert vocab.itos[len(vocab.SPECIALS) + 3 * 2 :] == ["c", "a", "b", "select"]
+
+
 def test_build_vocab_empty_corpus():
     with pytest.raises(ValueError):
         build_vocab([], [], min_count=1, max_index=25)
@@ -165,8 +171,9 @@ def test_vocab_load_rejects_a_blank_line(tmp_path, blank):
         (lambda lines: lines[1:], "not a vocabulary file"),
         (lambda lines: [line for line in lines if line != "v2"], "malformed symbol block"),
         (lambda lines: [line for line in lines if line[0] not in "cvg"], "malformed symbol block"),
+        (lambda lines: lines[: lines.index("v1")], "malformed symbol block"),
     ],
-    ids=["no-specials", "symbol-missing", "no-symbols"],
+    ids=["no-specials", "symbol-missing", "no-symbols", "ends-in-column-symbols"],
 )
 def test_vocab_load_rejects_a_file_save_did_not_write(tmp_path, edit, message):
     """A file whose specials or c/v/g symbol block is not the one save

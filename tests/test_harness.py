@@ -342,13 +342,13 @@ def test_prepared_questions_share_tokens_and_symbols():
         ann = ex.annotation
         column = bundles[ex.table_id].schema.columns[0]
         for record in (
-            ex, ex.gold, ex.aligned, *_sketch_symbols(ex.aligned), ann, ann.question, ann.symbols,
+            ex, ex.gold, ex.aligned, *_sketch_symbols(ex.aligned), ann, ann.symbols,
             *ann.accepted, *(m.span for m in ann.accepted), *ann.symbols.columns.values(),
             *ann.symbols.values.values(), CandidateMention(Span(0, 1), column, 1.0),
         ):
             instances.setdefault(type(record).__name__, record)
     assert set(instances) == {
-        "Example", "ConcreteSql", "AnnotatedSqlAst", "SqlSymbol", "Annotation", "Question",
+        "Example", "ConcreteSql", "AnnotatedSqlAst", "SqlSymbol", "Annotation",
         "SymbolTable", "AcceptedMention", "Span", "ColumnBinding", "ValueBinding",
         "CandidateMention",
     }

@@ -126,11 +126,15 @@ def _load_split(path):
         (load_tables, _table_line(), _table_line()),
         (load_tables, _table_line(), _table_line(id="u", header=[], types=[], rows=[])),
         (load_tables, _table_line(), _table_line(id="u", header=["A", "_"])),
+        (load_tables, _table_line(), _table_line(id="u", header=["A", None])),
+        (_load_split, _split_line(), _split_line(question=None)),
+        (_load_split, _split_line(), _split_line(question=["x", "y"])),
     ],
     ids=[
         "tree", "vector-component", "vector-width", "vector-non-finite", "vector-nan", "row-width", "types-not-list",
         "rows-not-list", "rows-string", "duplicate-column", "two-slots", "json-too-deep", "slot-only",
         "tree-not-string", "tree-empty", "repeated-table-id", "no-columns", "column-without-tokens",
+        "header-name-null", "question-null", "question-list",
     ],
 )
 def test_malformed_input_names_file_and_line(tmp_path, load, good, bad):

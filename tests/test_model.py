@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from annosql import model as nn
+from annosql.encoding import Vocabulary
 
 from support import (
     finite_difference_gradients,
@@ -749,12 +750,14 @@ def test_checkpoint_config_checked_at_load(tmp_path, change, message):
         (lambda meta, arrays: arrays.pop("t3"), "KeyError: "),
         (lambda meta, arrays: meta.update(tensor_names=5), "TypeError: "),
         (lambda meta, arrays: meta.update(version=99), "unsupported checkpoint version 99"),
+        (lambda meta, arrays: meta.update(version=1, config={**meta["config"], "n_specials": 0}),
+         "unsupported checkpoint version 1"),
         (lambda meta, arrays: meta.update(vocab_hash="other"), "checkpoint vocabulary hash does not match"),
         (None, "ValueError: "),
     ],
     ids=[
         "no-config", "no-vocab-hash", "unknown-config-key", "no-meta", "no-tensor", "tensor-names-not-list",
-        "version", "vocab-hash", "text-file",
+        "version", "version-1", "vocab-hash", "text-file",
     ],
 )
 def test_malformed_checkpoint_names_file(tmp_path, edit, message):
@@ -776,6 +779,12 @@ def test_malformed_checkpoint_names_file(tmp_path, edit, message):
     with pytest.raises(nn.ModelError) as info:
         nn.load_checkpoint(path, expect_vocab_hash="abc123")
     assert str(info.value).startswith(f"{path}: {message}")
+
+
+def test_symbol_ids_start_after_the_vocabulary_specials():
+    """_embed reads every id from N_SPECIALS on as a symbol, so the
+    vocabulary's special tokens must take exactly the ids below it."""
+    assert nn.N_SPECIALS == len(Vocabulary.SPECIALS)
 
 
 def test_checkpoint_tensor_shapes_checked(tmp_path):

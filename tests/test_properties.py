@@ -46,7 +46,7 @@ from annosql.meta import (
     load_tables,
     table_from_record,
 )
-from annosql.resolve import Question, annotate
+from annosql.resolve import annotate
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
@@ -142,13 +142,9 @@ SURFACE_TEXT = st.text(max_size=40) | st.text(alphabet="aZé1٣,._ -?'", max_siz
 @FAST
 @given(SURFACE_TEXT)
 def test_question_surface_is_the_text_between_token_matches(text):
-    question = Question.from_text(text)
-    matches = list(_TOKEN_RE.finditer(text))
-    assert len(question) == len(matches)
-    for i in range(len(matches)):
-        for j in range(i, len(matches)):
-            span = Span(i, j + 1)
-            assert question.surface(span) == text[matches[i].start() : matches[j].end()]
+    tokens, offsets = tokenize_with_offsets(text)
+    assert tokens == tokenize(text)
+    assert offsets == [bound for m in _TOKEN_RE.finditer(text) for bound in m.span()]
 
 
 @FAST
@@ -355,6 +351,7 @@ def test_annotation_invariants(drawn_for_annotation, data):
 
     spans = sorted(m.span for m in ann.accepted)
     assert all(a.end <= b.start for a, b in zip(spans, spans[1:]))
+    matches = list(_TOKEN_RE.finditer(question))
     syms = ann.symbols
     indices = sorted(set(syms.columns) | set(syms.values))
     assert indices == list(range(1, len(indices) + 1))
@@ -370,7 +367,8 @@ def test_annotation_invariants(drawn_for_annotation, data):
             assert syms.columns[m.index].position == m.span.start
         else:
             value = syms.values[m.index]
-            assert (value.surface, value.position) == (ann.question.surface(m.span), m.span.start)
+            surface = question[matches[m.span.start].start() : matches[m.span.end - 1].end()]
+            assert (value.surface, value.position) == (surface, m.span.start)
             assert value.column in names
     assert all(i in syms.values for i, c in syms.columns.items() if c.position is None)
 

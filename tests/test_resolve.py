@@ -21,7 +21,6 @@ from annosql.meta import (
     table_from_record,
 )
 from annosql.resolve import (
-    Question,
     _span_closeness,
     annotate,
     assign_indices,
@@ -32,7 +31,7 @@ from annosql.resolve import (
 )
 from annosql.synth import generate_corpus
 from annosql.trees import TreeParseError, parse_bracketed
-from annosql.text import tokenize
+from annosql.text import tokenize, tokenize_with_offsets
 
 from support import (
     bracketed,
@@ -246,14 +245,14 @@ def test_accepted_spans_never_overlap(film_awards, townlands, boxscore):
 
 def test_assign_indices_direct(townlands):
     schema, _table, stats, lexicon, question = townlands
-    q = Question.from_text(question)
-    cols = detect_column_mentions(q.tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
-    vals = detect_value_mentions(q.tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
+    tokens, offsets = tokenize_with_offsets(question)
+    cols = detect_column_mentions(tokens, schema, lexicon, EMPTY_EMBEDDINGS, CONFIG)
+    vals = detect_value_mentions(tokens, schema, stats, EMPTY_EMBEDDINGS, CONFIG, cols)
     graph = build_match_graph(vals, cols, token_closeness)
     matching = max_bipartite_matching(graph)
-    ann = assign_indices(graph, matching, q)
-    assert ann.symbols.columns[2].name == "County"
-    assert ann.symbols.columns[2].position is None
+    _accepted, symbols = assign_indices(graph, matching, question, offsets)
+    assert symbols.columns[2].name == "County"
+    assert symbols.columns[2].position is None
 
 
 def test_annotate_deterministic(townlands):
@@ -377,10 +376,12 @@ def test_drawn_bracketings_match_child_index_paths():
                 assert tree.lca_depth(i, j) == common
 
 
-def test_question_surface_preserves_original_text():
-    q = Question.from_text("Which film stars Chopin: Desire for Love ?")
-    span = Span(3, 8)
-    assert q.surface(span) == "Chopin: Desire for Love"
+def test_question_surface_preserves_original_text(film_awards):
+    schema, _table, stats, _lexicon, _question = film_awards
+    question = "Which film stars Chopin: Desire for Love ?"
+    ann = annotate(question, schema, stats, EMPTY_LEXICON, EMPTY_EMBEDDINGS, None, CONFIG)
+    [value] = ann.symbols.values.values()
+    assert (value.surface, value.position, value.column) == ("Chopin: Desire for Love", 3, "Film_Name")
 
 
 def random_tree(tokens, rng):
@@ -424,7 +425,7 @@ def test_annotation_digest_with_trees_lexicon_embeddings():
     assert digest.hexdigest() == ANNOTATION_DIGEST
 
 
-def _resolve_both(values, columns, closeness, question):
+def _resolve_both(values, columns, closeness, text):
     """Resolve one candidate set with the package and with the frozen
     reference, and assert that every stage agrees."""
     graph = build_match_graph(values, columns, closeness)
@@ -436,10 +437,11 @@ def _resolve_both(values, columns, closeness, question):
     ]
     matching = max_bipartite_matching(graph)
     assert matching == reference_matching(ref_graph)
-    ann = assign_indices(graph, matching, question)
-    ref = reference_assign_indices(ref_graph, matching, question)
-    assert ann.symbols.to_dict() == ref.symbols.to_dict()
-    assert ann.accepted == ref.accepted
+    _tokens, offsets = tokenize_with_offsets(text)
+    accepted, symbols = assign_indices(graph, matching, text, offsets)
+    ref_accepted, ref_symbols = reference_assign_indices(ref_graph, matching, text, offsets)
+    assert symbols.to_dict() == ref_symbols.to_dict()
+    assert accepted == ref_accepted
 
 
 ORACLE_SCHEMA = make_schema("t", [(name, "text") for name in ("aa", "bb", "cc", "dd", "ee")])
@@ -468,7 +470,7 @@ def candidate_sets(draw):
     tree = None
     if draw(st.booleans()):
         tree = parse_bracketed(bracketed(tokens, random.Random(draw(st.integers(0, 999)))))
-    return values, col_mentions, Question.from_text(" ".join(tokens)), tree
+    return values, col_mentions, " ".join(tokens), tree
 
 
 @settings(max_examples=400, deadline=None)
@@ -477,14 +479,14 @@ def candidate_sets(draw):
     [CandidateMention(Span(1, 2), ORACLE_SCHEMA.columns[1], 0.5),  # and the overlap keeps the longer
      CandidateMention(Span(1, 2), ORACLE_SCHEMA.columns[2], 0.5)],
     [CandidateMention(Span(0, 2), ORACLE_SCHEMA.columns[1], 0.5)],
-    Question.from_text("a b c"),
+    "a b c",
     None,
 ))
 @example((  # two values as close to the one "aa" mention: the better-scored, later one takes it
     [CandidateMention(Span(0, 1), ORACLE_SCHEMA.columns[0], 0.5),
      CandidateMention(Span(2, 3), ORACLE_SCHEMA.columns[0], 1.0)],
     [CandidateMention(Span(1, 2), ORACLE_SCHEMA.columns[0], 0.5)],
-    Question.from_text("a b c"),
+    "a b c",
     None,
 ))
 def test_resolution_matches_the_reference(case):
@@ -501,10 +503,9 @@ def test_resolution_matches_the_reference_on_a_synth_corpus(with_trees):
     loose = Config(tau_ed=0.7, tau_sim=0.4, theta_val=0.3)
     for ex in examples:
         bundle = tables[ex.table_id]
-        question = Question.from_text(ex.question)
-        closeness = random_tree(list(question.tokens), rng).lca_depth if with_trees else token_closeness
+        tokens, schema = tokenize(ex.question), bundle.schema
+        closeness = random_tree(tokens, rng).lca_depth if with_trees else token_closeness
         for config in (Config(), loose):
-            tokens, schema = question.tokens, bundle.schema
             cols = detect_column_mentions(tokens, schema, EMPTY_LEXICON, EMPTY_EMBEDDINGS, config)
             vals = detect_value_mentions(tokens, schema, bundle.stats, EMPTY_EMBEDDINGS, config, cols)
-            _resolve_both(vals, cols, closeness, question)
+            _resolve_both(vals, cols, closeness, ex.question)

@@ -12,6 +12,7 @@ from annosql.resolve import ColumnBinding, SymbolTable, ValueBinding, annotate
 from annosql.sqlgen import (
     AGGREGATES,
     OPS,
+    RESULT_TOL,
     AlignmentError,
     AnnotatedSqlAst,
     ConcreteSql,
@@ -364,6 +365,7 @@ def test_result_equal_semantics():
     assert not result_equal(ResultSet((1.0,)), ResultSet((1.0, 1.0)))
     assert result_equal(ResultSet((1.0000000000001,)), ResultSet((1.0,)))
     assert not result_equal(ResultSet((1.001,)), ResultSet((1.0,)))
+    assert result_equal(ResultSet((0.0,)), ResultSet((RESULT_TOL,)))  # the tolerance is inclusive
 
 
 def test_result_equal_nan_equals_nothing():
